@@ -192,6 +192,13 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
+    """One point of a sweep's JSON summary."""
+    return {key: value, "status": report.status.value,
+            "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
+            "emissions": None if emissions is None else emissions_to_dict(emissions)}
+
+
 def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
     """Fix the electrolyser at the isolated optimum's size, then sweep
     installed renewable capacity from zero to 1.5x the isolated optimum's
@@ -246,14 +253,7 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
                          disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg])
         else:
             rows.append([r, report.status.value] + [None] * (len(header) - 2))
-        entries.append({
-            "re_factor": r,
-            "status": report.status.value,
-            "lcoh_usd_per_kg": (None if breakdown is None
-                                else breakdown.lcoh_usd_per_kg),
-            "emissions": (None if emissions is None
-                          else emissions_to_dict(emissions)),
-        })
+        entries.append(_point_entry("re_factor", r, report, breakdown, emissions))
     _write_csv(out_dir / "sweep_re.csv", header, rows)
     dump_json({
         "schema_version": 1,
@@ -320,14 +320,7 @@ def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
                          disp.c_el_kw, disp.c_store_kg])
         else:
             rows.append([zone, report.status.value] + [None] * (len(header) - 2))
-        entries.append({
-            "sell_zone": zone,
-            "status": report.status.value,
-            "lcoh_usd_per_kg": (None if breakdown is None
-                                else breakdown.lcoh_usd_per_kg),
-            "emissions": (None if emissions is None
-                          else emissions_to_dict(emissions)),
-        })
+        entries.append(_point_entry("sell_zone", zone, report, breakdown, emissions))
     _write_csv(out_dir / "sweep_geo.csv", header, rows)
     dump_json({
         "schema_version": 1,

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LpModel, LpStatus, lin_sum, term
+from .lp import LpModel, LpStatus, term
 from .plant import Dispatch, PlantVars, build_plant, extract_dispatch
 from .policy import (
     apply_capex_cap,
@@ -195,13 +195,12 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
              + term(pvars.c_wind, annuity * params.capex_wind + params.fom_wind)
              + term(pvars.c_pv, annuity * params.capex_pv + params.fom_pv)
              + term(pvars.c_store, annuity * u_store))
-    trade = lin_sum(
-        [term(pvars.import_kw[t], buy.spot_price.values[t] + params.ts_fee)
-         - term(pvars.export_kw[t], sell.spot_price.values[t])
-         for t in range(dataset.horizon)])
     # minimizing annual cost is exact for LCOH because annual hydrogen
     # mass is fixed by the constant delivery rate
-    model.set_objective(fixed + trade + params.vom_el * annual_h2)
+    model.set_objective(fixed + params.vom_el * annual_h2,
+                        np.concatenate([pvars.import_kw, pvars.export_kw]),
+                        np.concatenate([buy.spot_price.values + params.ts_fee,
+                                        -sell.spot_price.values]))
     return model, pvars
 
 
@@ -224,16 +223,9 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     iterations = 0
     for iterations in range(1, STORAGE_MAX_ITERATIONS + 1):
         model, pvars = build_scenario_model(scenario, params, dataset, u_store, tech)
-        if export_lp_path is not None:
-            model.write_lp(export_lp_path)
         solution = model.solve()
         if not solution.is_optimal:
-            report = SolutionReport(
-                scenario_name=scenario.name, status=solution.status,
-                message=f"iteration {iterations}: {solution.message}",
-                iterations=iterations, storage_tech=tech,
-                storage_unit_cost_usd_per_kg=u_store, annual_h2_kg=annual_h2)
-            return report, None
+            break
         c_store_val = solution.value(pvars.c_store)
         if c_store_val < STORAGE_NEGLIGIBLE_KG:
             converged = True
@@ -245,6 +237,16 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             break
         tech, u_store = new_tech, new_u
 
+    if export_lp_path is not None:
+        # the model whose solve decided the report
+        model.write_lp(export_lp_path)
+    if not solution.is_optimal:
+        report = SolutionReport(
+            scenario_name=scenario.name, status=solution.status,
+            message=f"iteration {iterations}: {solution.message}",
+            iterations=iterations, storage_tech=tech,
+            storage_unit_cost_usd_per_kg=u_store, annual_h2_kg=annual_h2)
+        return report, None
     dispatch = extract_dispatch(solution, pvars)
     buy, sell = zone_pair(scenario, dataset)
     grid_cost = electricity_cost(dispatch.import_kw, dispatch.export_kw,

@@ -1,9 +1,10 @@
 """Minimal LP layer: build a model, solve it, verify the result.
 
-Only this module talks to a solver. Downstream code works with VarId
-handles and LinearExpr objects, so swapping the backend touches exactly
-one function. A brute-force vertex enumerator doubles as a reference
-solver for tiny test problems.
+Only this module talks to a solver. A model keeps its rows as numpy
+blocks: callers append variables and constraint rows in bulk from index
+arrays (`add_variables`, `add_rows`). LinearExpr is the small-expression
+API for hand-written rows and objectives; `add_constraint` and
+`set_objective` merge it into the same arrays.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,11 +49,11 @@ class Sense(Enum):
     GE = ">="
 
 
-_SENSE_ALIASES = {
-    "<=": Sense.LE, "=<": Sense.LE,
-    "=": Sense.EQ, "==": Sense.EQ,
-    ">=": Sense.GE, "=>": Sense.GE,
-}
+# a row's sense is stored as its index in _SENSES
+_SENSES = (Sense.LE, Sense.EQ, Sense.GE)
+_LE, _EQ, _GE = range(3)
+_SENSE_CODES = {Sense.LE: _LE, "<=": _LE, "=<": _LE, Sense.EQ: _EQ, "=": _EQ, "==": _EQ,
+                Sense.GE: _GE, ">=": _GE, "=>": _GE}
 
 
 class LpStatus(Enum):
@@ -129,17 +129,6 @@ def term(vid: VarId, coeff: float = 1.0) -> LinearExpr:
     return LinearExpr([(vid, coeff)])
 
 
-def lin_sum(exprs: Iterable[LinearExpr]) -> LinearExpr:
-    """Merge many expressions in one pass (avoids quadratic chaining)."""
-    merged: dict[int, float] = {}
-    constant = 0.0
-    for e in exprs:
-        for vid, c in e.coeffs.items():
-            merged[vid] = merged.get(vid, 0.0) + c
-        constant += e.constant
-    return LinearExpr(merged, constant)
-
-
 @dataclass(frozen=True)
 class Constraint:
     expr: LinearExpr
@@ -160,14 +149,7 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
     def value(self, vid: VarId) -> float:
-        if self.values is None:
-            raise ValueError(f"no solution values (status {self.status.value})")
-        return float(self.values[vid])
-
-    def value_of(self, expr: LinearExpr) -> float:
-        if self.values is None:
-            raise ValueError(f"no solution values (status {self.status.value})")
-        return expr.evaluate(self.values)
+        return float(self.series([vid])[0])
 
     def series(self, vids) -> np.ndarray:
         if self.values is None:
@@ -177,160 +159,212 @@ class LpSolution:
 
 class LpModel:
     """LP under construction: bounded variables, removable constraints,
-    minimize objective."""
+    minimize objective. Variables and rows are numbered in insertion
+    order; a constraint's id is its row number, and a removed row is
+    masked, so ids never shift."""
 
     def __init__(self):
-        self._lb: list[float] = []
-        self._ub: list[float] = []
         self._var_names: list[str] = []
-        self._constraints: dict[int, Constraint] = {}
-        self._next_cid = 0
-        self.objective = LinearExpr()
+        self._row_names: list[str] = []
+        self._vars = [(np.zeros(0), np.zeros(0))]        # (lower, upper) per block
+        self._rows = [(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64),
+                       np.zeros(0, np.int64), np.zeros(0))]  # (sense, rhs, row, col, coef)
+        self._removed = [np.zeros(0, np.int64)]
+        self._obj = (np.zeros(0, np.int64), np.zeros(0), 0.0)  # (cols, coefs, constant)
+        self._cache = None
 
     # -- construction -------------------------------------------------
 
+    def add_variables(self, names: Sequence[str], lower=0.0, upper=math.inf) -> np.ndarray:
+        """Append len(names) variables; lower and upper are one bound for
+        the block or one per variable. Returns their ids."""
+        k, first = len(names), self.num_variables
+        lower, upper = (np.array(np.broadcast_to(np.asarray(b, dtype=float), (k,)))
+                        for b in (lower, upper))
+        for i in np.flatnonzero(np.isnan(lower) | np.isnan(upper))[:1]:
+            raise ValueError(f"NaN bound on variable {names[i]!r}")
+        for i in np.flatnonzero(lower > upper)[:1]:
+            raise ValueError(f"lower bound {lower[i]} exceeds upper bound {upper[i]}"
+                             f" on variable {names[i]!r}")
+        self._vars.append((lower, upper))
+        self._var_names.extend(names)
+        self._cache = None
+        return np.arange(first, first + k)
+
     def add_variable(self, lower: float = 0.0, upper: float = math.inf,
                      name: str = "") -> VarId:
-        lower, upper = float(lower), float(upper)
-        if math.isnan(lower) or math.isnan(upper):
-            raise ValueError(f"NaN bound on variable {name!r}")
-        if lower > upper:
-            raise ValueError(f"lower bound {lower} exceeds upper bound {upper}"
-                             f" on variable {name!r}")
-        self._lb.append(lower)
-        self._ub.append(upper)
-        self._var_names.append(name)
-        return len(self._lb) - 1
+        return int(self.add_variables([name], float(lower), float(upper))[0])
 
-    def _check_expr(self, expr: LinearExpr) -> None:
-        n = len(self._lb)
-        for vid in expr.coeffs:
-            if not 0 <= vid < n:
-                raise ValueError(f"expression references unregistered variable {vid}")
+    def _entries(self, rows, cols, coefs, m: int):
+        """Checked and merged entries of an m-row block (see _merge)."""
+        rows, cols, coefs = (np.asarray(a, dtype=t).reshape(-1) for a, t in
+                             ((rows, np.int64), (cols, np.int64), (coefs, float)))
+        if not rows.size == cols.size == coefs.size or np.any((rows < 0) | (rows >= m)):
+            raise ValueError(f"need one row in [0, {m}), variable and coefficient per entry")
+        for i in np.flatnonzero((cols < 0) | (cols >= self.num_variables))[:1]:
+            raise ValueError(f"expression references unregistered variable {cols[i]}")
+        for i in np.flatnonzero(~np.isfinite(coefs))[:1]:
+            raise ValueError(f"non-finite coefficient {coefs[i]} on variable {cols[i]}")
+        return _merge(rows, cols, coefs, self.num_variables)
+
+    def add_rows(self, names: Sequence[str], sense, rhs, rows, cols, coefs) -> np.ndarray:
+        """Append len(names) constraints and return their ids.
+
+        Entry k puts coefs[k] on variable cols[k] in row rows[k] of the
+        block (0-based). sense is a Sense (or its symbol) for the whole
+        block or one per row; rhs is one value or one per row."""
+        m, first = len(names), len(self._row_names)
+        try:
+            codes = (np.full(m, _SENSE_CODES[sense], dtype=np.int8)
+                     if isinstance(sense, (Sense, str)) else
+                     np.fromiter(map(_SENSE_CODES.__getitem__, sense), np.int8, count=m))
+        except KeyError as err:
+            raise ValueError(f"unknown constraint sense {err.args[0]!r}") from None
+        rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
+        for i in np.flatnonzero(~np.isfinite(rhs))[:1]:
+            raise ValueError(f"non-finite rhs {rhs[i]} on constraint {names[i]!r}")
+        rows, cols, coefs = self._entries(rows, cols, coefs, m)
+        self._rows.append((codes, rhs, rows + first, cols, coefs))
+        self._row_names.extend(names)
+        self._cache = None
+        return np.arange(first, first + m)
 
     def add_constraint(self, expr: LinearExpr, sense: Sense | str,
                        rhs: float = 0.0, name: str = "") -> int:
-        if isinstance(sense, str):
-            try:
-                sense = _SENSE_ALIASES[sense]
-            except KeyError:
-                raise ValueError(f"unknown constraint sense {sense!r}") from None
-        rhs = float(rhs)
-        if not math.isfinite(rhs):
-            raise ValueError(f"non-finite rhs {rhs} on constraint {name!r}")
-        self._check_expr(expr)
-        cid = self._next_cid
-        self._next_cid += 1
-        self._constraints[cid] = Constraint(expr, sense, rhs, name)
-        return cid
+        """One row from an expression; its constant moves to the rhs."""
+        return int(self.add_rows([name], sense, float(rhs) - expr.constant,
+                                 np.zeros(len(expr.coeffs), np.int64),
+                                 list(expr.coeffs), list(expr.coeffs.values()))[0])
 
-    def remove_constraint(self, cid: int) -> None:
-        try:
-            del self._constraints[cid]
-        except KeyError:
-            raise ValueError(f"no constraint with id {cid}") from None
+    def remove_constraint(self, cids) -> None:
+        """Remove one constraint id, or an array of them."""
+        ids = np.atleast_1d(np.asarray(cids, dtype=np.int64))
+        alive = self._arrays()[4]
+        missing = ids[(ids < 0) | (ids >= alive.size)]
+        for cid in (missing if missing.size else ids[~alive[ids]])[:1]:
+            raise ValueError(f"no constraint with id {cid}")
+        self._removed.append(ids)
+        alive[ids] = False
 
-    def set_objective(self, expr: LinearExpr) -> None:
-        self._check_expr(expr)
-        self.objective = expr
+    def set_objective(self, expr: LinearExpr, cols=(), coefs=()) -> None:
+        """Minimize expr plus sum(coefs[k] * x[cols[k]])."""
+        cols = np.concatenate([list(expr.coeffs), cols])
+        _, cols, coefs = self._entries(np.zeros(cols.size), cols, np.concatenate(
+            [list(expr.coeffs.values()), coefs]), 1)
+        self._obj = (cols, coefs, expr.constant)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self._lb)
+        return len(self._var_names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return int(np.count_nonzero(self._arrays()[4]))
+
+    @property
+    def objective(self) -> LinearExpr:
+        cols, coefs, constant = self._obj
+        return LinearExpr(dict(zip(cols.tolist(), coefs.tolist())), constant)
 
     def bounds(self, vid: VarId) -> tuple[float, float]:
-        return (self._lb[vid], self._ub[vid])
-
-    def constraints(self) -> dict[int, Constraint]:
-        return dict(self._constraints)
+        lb, ub = self._arrays()[:2]
+        return (float(lb[vid]), float(ub[vid]))
 
     def variable_name(self, vid: VarId) -> str:
         return self._var_names[vid]
+
+    def _arrays(self) -> tuple:
+        """The blocks so far, concatenated: lb, ub, sense (index into
+        _SENSES), rhs, alive (False for removed rows) and A, the CSR
+        matrix of every row added, removed ones included."""
+        if self._cache is None:
+            lb, ub = (np.concatenate(part) for part in zip(*self._vars))
+            sense, rhs, rows, cols, coefs = (np.concatenate(part) for part in zip(*self._rows))
+            m = len(self._row_names)
+            alive = np.ones(m, dtype=bool)
+            alive[np.concatenate(self._removed)] = False
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+            A = sp.csr_matrix((coefs, cols, indptr), shape=(m, self.num_variables))
+            self._cache = (lb, ub, sense, rhs, alive, A)
+        return self._cache
+
+    def constraints(self) -> dict[int, Constraint]:
+        lb, ub, sense, rhs, alive, A = self._arrays()
+        out = {}
+        for i in np.flatnonzero(alive).tolist():
+            lo, hi = A.indptr[i], A.indptr[i + 1]
+            expr = LinearExpr(dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())))
+            out[i] = Constraint(expr, _SENSES[sense[i]], float(rhs[i]), self._row_names[i])
+        return out
 
     # -- feasibility --------------------------------------------------
 
     def check_feasibility(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> list[str]:
         """Violations of constraints and bounds at x, scaled per row by
-        max(1, |rhs|, max |a_ij x_j|). Empty list means feasible."""
-        violations = []
-        for vid in range(len(self._lb)):
-            xv = float(x[vid])
-            scale = max(1.0, abs(self._lb[vid]) if math.isfinite(self._lb[vid]) else 1.0,
-                        abs(self._ub[vid]) if math.isfinite(self._ub[vid]) else 1.0)
-            if xv < self._lb[vid] - tol * scale or xv > self._ub[vid] + tol * scale:
-                violations.append(
-                    f"variable {vid} ({self._var_names[vid]!r}) value {xv} outside "
-                    f"[{self._lb[vid]}, {self._ub[vid]}]")
-        for cid, cons in self._constraints.items():
-            lhs = cons.expr.evaluate(x)
-            scale = max(1.0, abs(cons.rhs),
-                        max((abs(c * float(x[v])) for v, c in cons.expr.coeffs.items()),
-                            default=0.0))
-            if cons.sense is Sense.LE:
-                resid = lhs - cons.rhs
-            elif cons.sense is Sense.GE:
-                resid = cons.rhs - lhs
-            else:
-                resid = abs(lhs - cons.rhs)
-            if resid > tol * scale:
-                violations.append(
-                    f"constraint {cid} ({cons.name!r}) violated by {resid:.3e} "
-                    f"(lhs {lhs}, {cons.sense.value} rhs {cons.rhs})")
+        max(1, |rhs|, max |a_ij x_j|). Empty list means feasible.
+
+        A row within the rounding error of A @ x of its threshold is
+        decided again with an exactly rounded sum."""
+        x = np.asarray(x, dtype=float)
+        lb, ub, sense, rhs, alive, A = self._arrays()
+        scale = np.maximum(1.0, np.maximum(np.where(np.isfinite(lb), np.abs(lb), 1.0),
+                                           np.where(np.isfinite(ub), np.abs(ub), 1.0)))
+        violations = [
+            f"variable {vid} ({self._var_names[vid]!r}) value {float(x[vid])} outside "
+            f"[{float(lb[vid])}, {float(ub[vid])}]"
+            for vid in np.flatnonzero((x < lb - tol * scale) | (x > ub + tol * scale)).tolist()]
+
+        prod = A.data * x[A.indices]
+        nnz = np.diff(A.indptr)
+        row_max, row_abs = np.zeros(nnz.size), np.zeros(nnz.size)
+        if prod.size:
+            starts = A.indptr[:-1][nnz > 0]
+            row_max[nnz > 0] = np.maximum.reduceat(np.abs(prod), starts)
+            row_abs[nnz > 0] = np.add.reduceat(np.abs(prod), starts)
+        limit = tol * np.maximum(1.0, np.maximum(np.abs(rhs), row_max))
+        rounding = np.finfo(float).eps * (nnz * row_abs + np.abs(rhs))
+        near = np.flatnonzero(alive & (_residual(sense, A @ x, rhs) + rounding > limit))
+        lhs = np.array([math.fsum(prod[A.indptr[i]:A.indptr[i + 1]].tolist())
+                        for i in near.tolist()])
+        resid = _residual(sense[near], lhs, rhs[near])
+        bad = resid > limit[near]
+        violations += [
+            f"constraint {cid} ({self._row_names[cid]!r}) violated by {r:.3e} "
+            f"(lhs {lhs_i}, {_SENSES[sense[cid]].value} rhs {float(rhs[cid])})"
+            for cid, lhs_i, r in zip(near[bad].tolist(), lhs[bad].tolist(),
+                                     resid[bad].tolist())]
         return violations
 
     # -- solving ------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        n = len(self._lb)
-        if n == 0:
-            bad = [c for c in self._constraints.values()
-                   if not _constant_row_ok(c)]
-            if bad:
+        cols, coefs, constant = self._obj
+        if self.num_variables == 0:  # every row is a constant
+            if self.check_feasibility(np.zeros(0)):
                 return LpSolution(LpStatus.INFEASIBLE, math.nan, None,
                                   "constant constraint violated")
-            return LpSolution(LpStatus.OPTIMAL, self.objective.constant,
-                              np.zeros(0))
+            return LpSolution(LpStatus.OPTIMAL, constant, np.zeros(0))
 
-        c = np.zeros(n)
-        for vid, coeff in self.objective.coeffs.items():
-            c[vid] = coeff
-
-        ub_rows, ub_cols, ub_data, b_ub = [], [], [], []
-        eq_rows, eq_cols, eq_data, b_eq = [], [], [], []
-        for cons in self._constraints.values():
-            if cons.sense is Sense.EQ:
-                r = len(b_eq)
-                for vid, coeff in cons.expr.coeffs.items():
-                    eq_rows.append(r)
-                    eq_cols.append(vid)
-                    eq_data.append(coeff)
-                b_eq.append(cons.rhs - cons.expr.constant)
-            else:
-                sign = 1.0 if cons.sense is Sense.LE else -1.0
-                r = len(b_ub)
-                for vid, coeff in cons.expr.coeffs.items():
-                    ub_rows.append(r)
-                    ub_cols.append(vid)
-                    ub_data.append(sign * coeff)
-                b_ub.append(sign * (cons.rhs - cons.expr.constant))
-
-        A_ub = (sp.csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-                if b_ub else None)
-        A_eq = (sp.csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-                if b_eq else None)
+        lb, ub, sense, rhs, alive, A = self._arrays()
+        c = np.zeros(self.num_variables)
+        c[cols] = coefs
+        eq = np.flatnonzero(alive & (sense == _EQ))
+        ineq = np.flatnonzero(alive & (sense != _EQ))
+        # GE rows enter A_ub negated
+        sign = np.where(sense[ineq] == _GE, -1.0, 1.0)
+        A_ub = A_eq = b_ub = b_eq = None
+        if ineq.size:
+            A_ub, b_ub = A[ineq], sign * rhs[ineq]
+            A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+        if eq.size:
+            A_eq, b_eq = A[eq], rhs[eq]
+        bounds = np.column_stack((lb, ub))
 
         def attempt(options):
-            return linprog(c, A_ub=A_ub,
-                           b_ub=np.asarray(b_ub) if b_ub else None,
-                           A_eq=A_eq, b_eq=np.asarray(b_eq) if b_eq else None,
-                           bounds=list(zip(self._lb, self._ub)),
-                           method=_SOLVER_METHOD, options=options)
+            return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                           bounds=bounds, method=_SOLVER_METHOD, options=options)
 
         res = attempt(_TIGHT_OPTIONS)
         if res.status not in (0, 3):
@@ -352,58 +386,73 @@ class LpModel:
             return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None,
                               "solver returned an infeasible point: "
                               + "; ".join(violations[:5]))
-        return LpSolution(LpStatus.OPTIMAL, self.objective.evaluate(x), x,
-                          res.message)
+        return LpSolution(LpStatus.OPTIMAL,
+                          math.fsum((coefs * x[cols]).tolist()) + constant, x, res.message)
 
     # -- export -------------------------------------------------------
 
     def write_lp(self, path) -> None:
         """Write the model in LP text format: Minimize / Subject To /
         Bounds / End, variables and constraints in id order."""
-        labels = _unique_labels(self._var_names, "x")
-        lines = ["\\ h2grid linear program", "Minimize"]
-        lines.append(" obj: " + _format_terms(self.objective, labels))
-        lines.append("Subject To")
-        clabels = _unique_labels([c.name for c in self._constraints.values()], "c",
-                                 ids=list(self._constraints))
-        for (cid, cons), label in zip(self._constraints.items(), clabels):
-            body = _format_terms(LinearExpr(cons.expr.coeffs), labels)
-            rhs = cons.rhs - cons.expr.constant
-            lines.append(f" {label}: {body} {cons.sense.value} {rhs!r}")
+        labels = _unique_labels(self._var_names, "x", range(self.num_variables))
+        lb, ub, sense, rhs, alive, A = self._arrays()
+        cols, coefs, constant = self._obj
+        lines = ["\\ h2grid linear program", "Minimize",
+                 " obj: " + _format_terms(cols.tolist(), coefs.tolist(), labels, constant),
+                 "Subject To"]
+        cids = np.flatnonzero(alive).tolist()
+        clabels = _unique_labels([self._row_names[i] for i in cids], "c", cids)
+        indptr, cols, coefs = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+        for cid, label in zip(cids, clabels):
+            body = _format_terms(cols[indptr[cid]:indptr[cid + 1]],
+                                 coefs[indptr[cid]:indptr[cid + 1]], labels)
+            lines.append(f" {label}: {body} {_SENSES[sense[cid]].value} {float(rhs[cid])!r}")
         lines.append("Bounds")
-        for vid, (lo, hi) in enumerate(zip(self._lb, self._ub)):
+        for label, lo, hi in zip(labels, lb.tolist(), ub.tolist()):
             if lo == -math.inf and hi == math.inf:
-                lines.append(f" {labels[vid]} free")
+                lines.append(f" {label} free")
             elif hi == math.inf:
-                lines.append(f" {labels[vid]} >= {lo!r}")
+                lines.append(f" {label} >= {lo!r}")
             elif lo == -math.inf:
-                lines.append(f" {labels[vid]} <= {hi!r}")
+                lines.append(f" {label} <= {hi!r}")
             else:
-                lines.append(f" {lo!r} <= {labels[vid]} <= {hi!r}")
+                lines.append(f" {lo!r} <= {label} <= {hi!r}")
         lines.append("End")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _constant_row_ok(cons: Constraint) -> bool:
-    lhs = cons.expr.constant
-    if cons.sense is Sense.LE:
-        return lhs <= cons.rhs + FEASIBILITY_TOL
-    if cons.sense is Sense.GE:
-        return lhs >= cons.rhs - FEASIBILITY_TOL
-    return abs(lhs - cons.rhs) <= FEASIBILITY_TOL
+def _merge(rows, cols, coefs, n: int):
+    """Sort entries by (row, column), sum the ones that share both in
+    their given order, and drop exact zeros."""
+    order = np.argsort(rows * max(n, 1) + cols, kind="stable")
+    rows, cols, coefs = rows[order], cols[order], coefs[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    # bincount adds each slot's weights in order, starting from 0.0
+    rows, cols = rows[first], cols[first]
+    coefs = np.bincount(np.cumsum(first) - 1, weights=coefs, minlength=rows.size)
+    keep = coefs != 0.0
+    return rows[keep], cols[keep], coefs[keep]
+
+
+def _residual(sense, lhs, rhs):
+    """How far lhs falls on the wrong side of rhs (<= 0 when satisfied)."""
+    return np.where(sense == _LE, lhs - rhs,
+                    np.where(sense == _GE, rhs - lhs, np.abs(lhs - rhs)))
+
+
+_UNSAFE_LABEL_CHARS = re.compile(r"[^A-Za-z0-9_]")
 
 
 def _sanitize(name: str) -> str:
-    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    out = _UNSAFE_LABEL_CHARS.sub("_", name)
     if out and out[0].isdigit():
         out = "_" + out
     return out
 
 
-def _unique_labels(names: list[str], prefix: str, ids: list[int] | None = None) -> list[str]:
-    if ids is None:
-        ids = list(range(len(names)))
+def _unique_labels(names: list[str], prefix: str, ids: Iterable[int]) -> list[str]:
     used: set[str] = set()
     labels = []
     for i, name in zip(ids, names):
@@ -415,64 +464,13 @@ def _unique_labels(names: list[str], prefix: str, ids: list[int] | None = None) 
     return labels
 
 
-def _format_terms(expr: LinearExpr, labels: list[str]) -> str:
-    parts = []
-    for vid in sorted(expr.coeffs):
-        coeff = expr.coeffs[vid]
-        if not parts:
-            parts.append(f"{coeff!r} {labels[vid]}")
-        elif coeff >= 0:
-            parts.append(f"+ {coeff!r} {labels[vid]}")
-        else:
-            parts.append(f"- {-coeff!r} {labels[vid]}")
-    if expr.constant:
-        parts.append((f"+ {expr.constant!r}" if expr.constant > 0
-                      else f"- {-expr.constant!r}") if parts
-                     else f"{expr.constant!r}")
+def _format_terms(cols: list[int], coefs: list[float], labels: list[str],
+                  constant: float = 0.0) -> str:
+    parts = [f"+ {c!r} {labels[j]}" if c >= 0 else f"- {-c!r} {labels[j]}"
+             for j, c in zip(cols, coefs)]
+    if parts:
+        parts[0] = f"{coefs[0]!r} {labels[cols[0]]}"
+    if constant:
+        parts.append((f"+ {constant!r}" if constant > 0 else f"- {-constant!r}")
+                     if parts else f"{constant!r}")
     return " ".join(parts) if parts else "0"
-
-
-def solve(model: LpModel) -> LpSolution:
-    return model.solve()
-
-
-def enumerate_solve(model: LpModel) -> LpSolution:
-    """Reference solver for tiny LPs: enumerate candidate vertices from
-    all n-subsets of constraint/bound hyperplanes and take the best
-    feasible one. Requires <= 3 variables and finite bounds (so the
-    feasible region is a polytope and the optimum sits on a vertex)."""
-    n = model.num_variables
-    if n == 0 or n > 3:
-        raise ValueError(f"reference solver handles 1-3 variables, got {n}")
-    planes: list[tuple[np.ndarray, float]] = []
-    for vid in range(n):
-        lo, hi = model.bounds(vid)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"reference solver requires finite bounds, "
-                             f"variable {vid} has [{lo}, {hi}]")
-        e = np.zeros(n)
-        e[vid] = 1.0
-        planes.append((e.copy(), lo))
-        planes.append((e, hi))
-    for cons in model.constraints().values():
-        a = np.zeros(n)
-        for vid, coeff in cons.expr.coeffs.items():
-            a[vid] = coeff
-        planes.append((a, cons.rhs - cons.expr.constant))
-
-    best_x, best_obj = None, math.inf
-    for combo in combinations(planes, n):
-        A = np.vstack([a for a, _ in combo])
-        b = np.array([v for _, v in combo])
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if model.check_feasibility(x, tol=1e-7):
-            continue
-        obj = model.objective.evaluate(x)
-        if obj < best_obj:
-            best_obj, best_x = obj, x
-    if best_x is None:
-        return LpSolution(LpStatus.INFEASIBLE, math.nan, None, "no feasible vertex")
-    return LpSolution(LpStatus.OPTIMAL, best_obj, best_x, "vertex enumeration")

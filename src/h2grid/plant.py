@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearExpr, LpModel, LpSolution, Sense, term
+from .lp import LpModel, LpSolution, Sense, term
 from .types import CapacitySpec, HourlySeries, Mode, PlantParameters, Unit, expect_unit
 
 
@@ -47,7 +47,7 @@ class PlantVars:
     a_pv: np.ndarray
     # electricity-bus balance constraint ids, one per hour (replaced when
     # the model is rewired for a two-grid split)
-    balance_cids: list[int]
+    balance_cids: np.ndarray
     mu_comp2: float
 
 
@@ -79,6 +79,25 @@ class Dispatch:
         return int(self.import_kw.size)
 
 
+def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
+    """Append row k*t + f = family f at hour t, named f"{name}_{t}", for
+    k families (name, sense, rhs, terms). A term is (variable ids,
+    coefficients), each one value or one per hour. Returns the row ids,
+    shape (horizon, k)."""
+    k = len(families)
+    rows, cols, coefs = [], [], []
+    for f, (_, _, _, terms) in enumerate(families):
+        for vids, coef in terms:
+            rows.append(k * np.arange(horizon) + f)
+            cols.append(np.broadcast_to(vids, (horizon,)))
+            coefs.append(np.broadcast_to(np.asarray(coef, dtype=float), (horizon,)))
+    names = [f"{name}_{t}" for t in range(horizon) for name, *_ in families]
+    ids = model.add_rows(names, [sense for _, sense, _, _ in families] * horizon,
+                         np.tile([rhs for _, _, rhs, _ in families], horizon),
+                         np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
+    return ids.reshape(horizon, k)
+
+
 def build_plant(params: PlantParameters, ref_wind: HourlySeries,
                 ref_pv: HourlySeries, caps: CapacitySpec, mode: Mode,
                 horizon: int, mu_comp2: float | None = None) -> tuple[LpModel, PlantVars]:
@@ -107,8 +126,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     T = horizon
 
     def var_block(name: str, upper=math.inf) -> np.ndarray:
-        return np.array([model.add_variable(0.0, upper, f"{name}_{t}")
-                         for t in range(T)], dtype=int)
+        return model.add_variables([f"{name}_{t}" for t in range(T)], 0.0, upper)
 
     e_el = var_block("e_el")
     e_comp1 = var_block("e_comp1")
@@ -133,37 +151,30 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     a_wind = ref_wind.values / params.c_ref_wind_kw
     a_pv = ref_pv.values / params.c_ref_pv_kw
     h_per_e = params.eta_el / params.hhv    # kg H2 per kWh into the electrolyser
+    gen = [(c_wind, -a_wind), (c_pv, -a_pv)]
+    soc_prev = np.concatenate(([soc0], soc[:-1]))
 
-    balance_cids = []
-    for t in range(T):
-        gen = term(c_wind, a_wind[t]) + term(c_pv, a_pv[t])
+    rows = add_hourly_rows(model, T, [
         # electricity bus: consumption + export + curtailment = generation + import
-        bus = (term(e_el[t]) + term(e_comp1[t]) + term(e_comp2[t])
-               + term(export_kw[t]) + term(curtail_kw[t])
-               - term(import_kw[t]) - gen)
-        balance_cids.append(model.add_constraint(bus, Sense.EQ, 0.0, f"balance_{t}"))
+        ("balance", Sense.EQ, 0.0, [(e_el, 1.0), (e_comp1, 1.0), (e_comp2, 1.0),
+                                    (export_kw, 1.0), (curtail_kw, 1.0),
+                                    (import_kw, -1.0), *gen]),
         # curtailment is surplus renewable generation, so it cannot exceed it
         # (without this, negative prices would let the model import-and-dump)
-        model.add_constraint(term(curtail_kw[t]) - gen, Sense.LE, 0.0, f"curtail_cap_{t}")
+        ("curtail_cap", Sense.LE, 0.0, [(curtail_kw, 1.0), *gen]),
         # conversion chain
-        model.add_constraint(term(h_el[t]) - term(e_el[t], h_per_e),
-                             Sense.EQ, 0.0, f"electrolysis_{t}")
-        model.add_constraint(term(h_el[t]) - term(h_comp1[t]) - term(h_comp2[t]),
-                             Sense.EQ, 0.0, f"h_split_{t}")
-        model.add_constraint(term(h_comp1[t]) + term(h_from_store[t]),
-                             Sense.EQ, params.load_kg_per_h, f"load_{t}")
-        model.add_constraint(term(e_comp1[t]) - term(h_comp1[t], params.mu_comp1),
-                             Sense.EQ, 0.0, f"comp1_{t}")
-        model.add_constraint(term(e_comp2[t]) - term(h_comp2[t], mu_comp2),
-                             Sense.EQ, 0.0, f"comp2_{t}")
+        ("electrolysis", Sense.EQ, 0.0, [(h_el, 1.0), (e_el, -h_per_e)]),
+        ("h_split", Sense.EQ, 0.0, [(h_el, 1.0), (h_comp1, -1.0), (h_comp2, -1.0)]),
+        ("load", Sense.EQ, params.load_kg_per_h, [(h_comp1, 1.0), (h_from_store, 1.0)]),
+        ("comp1", Sense.EQ, 0.0, [(e_comp1, 1.0), (h_comp1, -params.mu_comp1)]),
+        ("comp2", Sense.EQ, 0.0, [(e_comp2, 1.0), (h_comp2, -mu_comp2)]),
         # storage level recursion
-        prev = term(soc0) if t == 0 else term(soc[t - 1])
-        model.add_constraint(term(soc[t]) - prev - term(h_comp2[t]) + term(h_from_store[t]),
-                             Sense.EQ, 0.0, f"soc_step_{t}")
+        ("soc_step", Sense.EQ, 0.0, [(soc, 1.0), (soc_prev, -1.0), (h_comp2, -1.0),
+                                     (h_from_store, 1.0)]),
         # capacity limits
-        model.add_constraint(term(e_el[t]) - term(c_el), Sense.LE, 0.0, f"el_cap_{t}")
-        model.add_constraint(term(soc[t]) - term(c_store), Sense.LE, 0.0, f"soc_cap_{t}")
-
+        ("el_cap", Sense.LE, 0.0, [(e_el, 1.0), (c_el, -1.0)]),
+        ("soc_cap", Sense.LE, 0.0, [(soc, 1.0), (c_store, -1.0)]),
+    ])
     model.add_constraint(term(soc0) - term(c_store), Sense.LE, 0.0, "soc0_cap")
     # storage returns to its starting level, so net charge over the horizon is zero
     model.add_constraint(term(soc[T - 1]) - term(soc0), Sense.EQ, 0.0, "soc_cyclic")
@@ -174,7 +185,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         h_el=h_el, h_comp1=h_comp1, h_comp2=h_comp2,
         h_from_store=h_from_store, soc=soc,
         c_wind=c_wind, c_pv=c_pv, c_el=c_el, c_store=c_store, soc0=soc0,
-        a_wind=a_wind, a_pv=a_pv, balance_cids=balance_cids, mu_comp2=mu_comp2,
+        a_wind=a_wind, a_pv=a_pv, balance_cids=rows[:, 0], mu_comp2=mu_comp2,
     )
     return model, pvars
 

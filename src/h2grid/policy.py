@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearExpr, LpModel, Sense, lin_sum, term
-from .plant import PlantVars
+from .lp import LpModel, Sense, term
+from .plant import PlantVars, add_hourly_rows
 from .types import HourlySeries, PlantParameters, TcInterval, Unit, expect_unit
 
 # calendar month lengths (hours, non-leap year) used when the horizon is
@@ -66,19 +66,18 @@ def make_partition(interval: TcInterval, horizon: int) -> IntervalPartition:
 
 
 def apply_temporal_correlation(model: LpModel, pvars: PlantVars,
-                               partition: IntervalPartition) -> list[int]:
+                               partition: IntervalPartition) -> np.ndarray:
     """Within each interval, electricity sold must cover electricity
     bought: sum(export - import) >= 0. Returns the new constraint ids."""
     if partition.horizon != pvars.horizon:
         raise ValueError(f"partition covers {partition.horizon} hours, "
                          f"model has {pvars.horizon}")
-    cids = []
-    for start, end in partition.intervals:
-        expr = lin_sum([term(pvars.export_kw[t]) - term(pvars.import_kw[t])
-                        for t in range(start, end)])
-        cids.append(model.add_constraint(expr, Sense.GE, 0.0,
-                                         f"tc_{start}_{end}"))
-    return cids
+    row = np.repeat(np.arange(len(partition.intervals)),
+                    [end - start for start, end in partition.intervals])
+    return model.add_rows([f"tc_{start}_{end}" for start, end in partition.intervals],
+                          Sense.GE, 0.0, np.concatenate([row, row]),
+                          np.concatenate([pvars.export_kw, pvars.import_kw]),
+                          np.repeat([1.0, -1.0], pvars.horizon))
 
 
 def apply_emission_cap(model: LpModel, pvars: PlantVars,
@@ -93,11 +92,10 @@ def apply_emission_cap(model: LpModel, pvars: PlantVars,
         raise ValueError("emission-factor series length differs from horizon")
     if annual_h2_kg <= 0:
         raise ValueError(f"annual hydrogen mass must be positive, got {annual_h2_kg}")
-    expr = lin_sum([term(pvars.import_kw[t], mef_buy.values[t])
-                    - term(pvars.export_kw[t], mef_sell.values[t])
-                    for t in range(pvars.horizon)])
-    return model.add_constraint(expr, Sense.LE, cap_kg_per_kgh2 * annual_h2_kg,
-                                "emission_cap")
+    return int(model.add_rows(["emission_cap"], Sense.LE, cap_kg_per_kgh2 * annual_h2_kg,
+                              np.zeros(2 * pvars.horizon, dtype=int),
+                              np.concatenate([pvars.import_kw, pvars.export_kw]),
+                              np.concatenate([mef_buy.values, -mef_sell.values]))[0])
 
 
 def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
@@ -118,21 +116,19 @@ def wire_two_grid(model: LpModel, pvars: PlantVars) -> None:
     """Split the single electricity bus into two: the renewable farm
     trades only in its own (sell-side) market, and the plant is fed only
     by imports from the buy-side market. Replaces every hourly balance
-    with a farm-side and a plant-side balance.
+    with a farm-side and a plant-side balance, appended after all
+    existing rows.
 
     Farm side keeps the curtailment outlet; with non-negative sell prices
     it is never used, but it remains the only legal response to negative
     prices once generation cannot flow to the plant directly.
     """
-    for cid in pvars.balance_cids:
-        model.remove_constraint(cid)
-    plant_cids = []
-    for t in range(pvars.horizon):
-        gen = term(pvars.c_wind, pvars.a_wind[t]) + term(pvars.c_pv, pvars.a_pv[t])
-        farm = term(pvars.export_kw[t]) + term(pvars.curtail_kw[t]) - gen
-        model.add_constraint(farm, Sense.EQ, 0.0, f"farm_balance_{t}")
-        plant = (term(pvars.e_el[t]) + term(pvars.e_comp1[t])
-                 + term(pvars.e_comp2[t]) - term(pvars.import_kw[t]))
-        plant_cids.append(model.add_constraint(plant, Sense.EQ, 0.0,
-                                               f"plant_balance_{t}"))
-    pvars.balance_cids = plant_cids
+    model.remove_constraint(pvars.balance_cids)
+    rows = add_hourly_rows(model, pvars.horizon, [
+        ("farm_balance", Sense.EQ, 0.0, [(pvars.export_kw, 1.0), (pvars.curtail_kw, 1.0),
+                                         (pvars.c_wind, -pvars.a_wind),
+                                         (pvars.c_pv, -pvars.a_pv)]),
+        ("plant_balance", Sense.EQ, 0.0, [(pvars.e_el, 1.0), (pvars.e_comp1, 1.0),
+                                          (pvars.e_comp2, 1.0), (pvars.import_kw, -1.0)]),
+    ])
+    pvars.balance_cids = rows[:, 1]

@@ -15,6 +15,7 @@ from h2grid.certification import certify
 from h2grid.economics import (
     CostBreakdown,
     StorageTech,
+    build_scenario_model,
     capex_usd,
     crf,
     electricity_cost,
@@ -23,6 +24,7 @@ from h2grid.economics import (
     storage_unit_cost,
     zone_pair,
 )
+from h2grid.lp import LpModel
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
@@ -252,3 +254,37 @@ def test_export_lp_writes_file(tmp_path, flat_week, params):
     text = path.read_text()
     assert text.startswith("\\ h2grid linear program")
     assert "Subject To" in text and text.endswith("End\n")
+
+
+def test_export_lp_written_once_from_deciding_model(tmp_path, monkeypatch,
+                                                    walk_week, params):
+    """The storage loop re-solves the scenario; the export is written once,
+    from the model of the final iteration."""
+    calls = []
+    original = LpModel.write_lp
+
+    def counting(model, path):
+        calls.append(path)
+        original(model, path)
+
+    monkeypatch.setattr(LpModel, "write_lp", counting)
+    sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec())
+    path = tmp_path / "island.lp"
+    report, _ = optimize_plant(sc, params, walk_week, export_lp_path=path)
+    assert report.is_optimal and report.converged
+    assert report.iterations > 1
+    assert calls == [path]
+    final, _ = build_scenario_model(sc, params, walk_week,
+                                    report.storage_unit_cost_usd_per_kg,
+                                    report.storage_tech)
+    final.write_lp(tmp_path / "final.lp")
+    assert path.read_bytes() == (tmp_path / "final.lp").read_bytes()
+
+
+def test_export_lp_written_on_failed_solve(tmp_path, flat_week, params):
+    sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"),
+                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0)))
+    path = tmp_path / "island.lp"
+    report, _ = optimize_plant(sc, params, flat_week, export_lp_path=path)
+    assert not report.is_optimal
+    assert path.read_text().endswith("End\n")

@@ -1,6 +1,8 @@
-"""LP layer: model construction, solve contract, reference enumerator."""
+"""LP layer: model construction, solve contract, and a brute-force
+vertex enumerator that serves as the reference solver for tiny LPs."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,12 +13,52 @@ from h2grid.lp import (
     LinearExpr,
     LpModel,
     LpStatus,
+    LpSolution,
     Sense,
-    enumerate_solve,
-    lin_sum,
-    solve,
     term,
 )
+
+
+def enumerate_solve(model: LpModel) -> LpSolution:
+    """Reference solver for tiny LPs: enumerate candidate vertices from
+    all n-subsets of constraint/bound hyperplanes and take the best
+    feasible one. Requires <= 3 variables and finite bounds (so the
+    feasible region is a polytope and the optimum sits on a vertex)."""
+    n = model.num_variables
+    if n == 0 or n > 3:
+        raise ValueError(f"reference solver handles 1-3 variables, got {n}")
+    planes: list[tuple[np.ndarray, float]] = []
+    for vid in range(n):
+        lo, hi = model.bounds(vid)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"reference solver requires finite bounds, "
+                             f"variable {vid} has [{lo}, {hi}]")
+        e = np.zeros(n)
+        e[vid] = 1.0
+        planes.append((e.copy(), lo))
+        planes.append((e, hi))
+    for cons in model.constraints().values():
+        a = np.zeros(n)
+        for vid, coeff in cons.expr.coeffs.items():
+            a[vid] = coeff
+        planes.append((a, cons.rhs - cons.expr.constant))
+
+    best_x, best_obj = None, math.inf
+    for combo in combinations(planes, n):
+        A = np.vstack([a for a, _ in combo])
+        b = np.array([v for _, v in combo])
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            continue
+        if model.check_feasibility(x, tol=1e-7):
+            continue
+        obj = model.objective.evaluate(x)
+        if obj < best_obj:
+            best_obj, best_x = obj, x
+    if best_x is None:
+        return LpSolution(LpStatus.INFEASIBLE, math.nan, None, "no feasible vertex")
+    return LpSolution(LpStatus.OPTIMAL, best_obj, best_x, "vertex enumeration")
 
 
 class TestLinearExpr:
@@ -51,15 +93,6 @@ class TestLinearExpr:
         e = term(0)
         with pytest.raises(AttributeError):
             e.constant = 3.0
-
-    def test_lin_sum_matches_chained_add(self):
-        parts = [term(i % 3, float(i)) + float(i) for i in range(10)]
-        total = lin_sum(parts)
-        chained = parts[0]
-        for p in parts[1:]:
-            chained = chained + p
-        assert total.coeffs == chained.coeffs
-        assert total.constant == chained.constant
 
     def test_evaluate(self):
         e = term(0, 2.0) + term(2, -1.0) + 3.0
@@ -120,13 +153,99 @@ class TestModelConstruction:
             m.add_constraint(term(x), "!=", 0.0)
 
 
+class TestBlocks:
+    def test_add_variables_block(self):
+        m = LpModel()
+        ids = m.add_variables(["a", "b", "c"], 0.0, [1.0, 2.0, math.inf])
+        assert ids.tolist() == [0, 1, 2]
+        assert m.bounds(1) == (0.0, 2.0)
+        assert m.variable_name(2) == "c"
+        with pytest.raises(ValueError, match="exceeds.*'e'"):
+            m.add_variables(["d", "e"], [0.0, 3.0], 2.0)
+        with pytest.raises(ValueError, match="NaN.*'f'"):
+            m.add_variables(["f"], math.nan)
+        assert m.num_variables == 3
+
+    def test_add_rows_merges_like_linear_expr(self):
+        m = LpModel()
+        m.add_variables(["x", "y", "z"])
+        cids = m.add_rows(["r0", "r1"], [Sense.LE, ">="], [4.0, -1.0],
+                          rows=[1, 0, 0, 0, 1, 0],
+                          cols=[2, 1, 0, 1, 1, 2],
+                          coefs=[5.0, 0.1, 3.0, 0.2, -5.0, -3.0])
+        rows = m.constraints()
+        assert cids.tolist() == [0, 1]
+        # duplicates sum in the order given, exact zeros drop after the sum
+        expected = LinearExpr([(1, 0.1), (0, 3.0), (1, 0.2), (2, -3.0)])
+        assert rows[0].expr.coeffs == expected.coeffs == {0: 3.0, 1: 0.1 + 0.2, 2: -3.0}
+        assert rows[1].expr.coeffs == {1: -5.0, 2: 5.0}
+        assert (rows[0].sense, rows[0].rhs, rows[0].name) == (Sense.LE, 4.0, "r0")
+        assert (rows[1].sense, rows[1].rhs) == (Sense.GE, -1.0)
+        m.add_rows(["gone"], "=", 0.0, [0, 0], [0, 0], [1.5, -1.5])
+        assert m.constraints()[2].expr.coeffs == {}
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(coefs=[math.inf]), "non-finite coefficient"),
+        (dict(coefs=[math.nan]), "non-finite coefficient"),
+        (dict(rhs=math.nan), "non-finite rhs"),
+        (dict(rhs=[0.0, -math.inf]), "non-finite rhs.*'b'"),
+        (dict(cols=[5]), "unregistered variable 5"),
+        (dict(cols=[-1]), "unregistered variable -1"),
+        (dict(sense="!="), "sense"),
+        (dict(sense=[Sense.LE, "<>"]), "sense"),
+        (dict(rows=[2]), r"one row in \[0, 2\)"),
+    ])
+    def test_add_rows_rejects(self, kwargs, match):
+        m = LpModel()
+        m.add_variables(["x", "y"])
+        args = dict(names=["a", "b"], sense=Sense.LE, rhs=0.0,
+                    rows=[0], cols=[1], coefs=[1.0])
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            m.add_rows(**args)
+        assert m.num_constraints == 0
+
+    def test_constant_moves_to_rhs(self):
+        m = LpModel()
+        x = m.add_variable(0, 10)
+        cid = m.add_constraint(term(x) + 2.0, "<=", 5.0)
+        assert m.constraints()[cid].rhs == 3.0
+        m.set_objective(term(x, -1.0))
+        assert m.solve().value(x) == pytest.approx(3.0)
+
+    def test_remove_constraint_array(self):
+        m = LpModel()
+        x = m.add_variable(0, 10)
+        cids = m.add_rows(["a", "b", "c"], ">=", [1.0, 2.0, 3.0],
+                          [0, 1, 2], [x, x, x], [1.0, 1.0, 1.0])
+        m.remove_constraint(cids[[0, 2]])
+        assert list(m.constraints()) == [1]
+        with pytest.raises(ValueError, match="no constraint with id 2"):
+            m.remove_constraint([1, 2])
+        assert m.num_constraints == 1
+
+    def test_solve_leaves_model_unchanged(self, tmp_path):
+        m = LpModel()
+        x = m.add_variable(0, 10)
+        y = m.add_variable(0, 10)
+        m.add_constraint(term(x) + term(y), ">=", 4.0)
+        m.add_constraint(term(x) - term(y), "<=", 1.0)
+        m.set_objective(term(x, 2.0) + term(y))
+        m.write_lp(tmp_path / "before.lp")
+        first = m.solve()
+        second = m.solve()
+        m.write_lp(tmp_path / "after.lp")
+        assert (tmp_path / "before.lp").read_bytes() == (tmp_path / "after.lp").read_bytes()
+        assert first.objective_value == second.objective_value == pytest.approx(4.0)
+
+
 class TestSolve:
     def test_minimize_with_lower_bound_constraint(self):
         m = LpModel()
         x = m.add_variable(0, 10)
         m.add_constraint(term(x), ">=", 3.0)
         m.set_objective(term(x))
-        sol = solve(m)
+        sol = m.solve()
         assert sol.status is LpStatus.OPTIMAL
         assert sol.value(x) == pytest.approx(3.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
@@ -198,7 +317,6 @@ class TestSolve:
         y = m.add_variable(3, 3)
         m.set_objective(term(x))
         sol = m.solve()
-        assert sol.value_of(term(x) + term(y) + 1.0) == pytest.approx(6.0)
         assert sol.series([y, x]).tolist() == pytest.approx([3.0, 2.0])
 
     def test_empty_model(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
-from h2grid.lp import solve
 from h2grid.plant import build_plant, extract_dispatch, verify_conservation
 from h2grid.types import (
     CapacitySpec,
@@ -161,7 +160,7 @@ def test_extract_dispatch_snaps_solver_noise(flat_week, params):
     model, pvars = build_scenario_model(sc, params, flat_week,
                                         u_store=609.958,
                                         tech=StorageTech.PIPELINE)
-    solution = solve(model)
+    solution = model.solve()
     assert solution.is_optimal
     d = extract_dispatch(solution, pvars)
     for arr in (d.import_kw, d.export_kw, d.curtail_kw, d.soc_kg):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
-from h2grid.lp import solve
 from h2grid.plant import build_plant, extract_dispatch, verify_conservation
 from h2grid.policy import (
     IntervalPartition,
