@@ -4,7 +4,8 @@ The storage unit cost depends on the storage capacity being chosen (two
 log-linear cost curves, one per technology), which an LP cannot express
 directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity, repeat until the price and
-technology stop moving.
+technology stop moving. Each re-solve starts from the optimal basis of
+the solve before it.
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     iterations = 0
     for iterations in range(1, STORAGE_MAX_ITERATIONS + 1):
         model, pvars = build_scenario_model(scenario, params, dataset, u_store, tech)
-        solution = model.solve()
+        # only c_store's cost (and, after a technology flip, the comp2 and
+        # CAPEX-cap coefficients) differ from the last model, so its
+        # optimal basis is a near-optimal start
+        solution = model.solve(warm=solution)
         if not solution.is_optimal:
             break
         c_store_val = solution.value(pvars.c_store)

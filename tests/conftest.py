@@ -4,6 +4,7 @@ expensive part of the suite."""
 
 import pytest
 
+from h2grid import lp
 from h2grid.economics import optimize_plant
 from h2grid.ingest import synth_fixture
 from h2grid.types import (
@@ -16,6 +17,23 @@ from h2grid.types import (
 )
 
 WEEK = 168
+
+
+def pytest_addoption(parser):
+    parser.addoption("--public-linprog", action="store_true",
+                     help="solve through scipy.optimize.linprog, as on a scipy "
+                          "without the HiGHS binding h2grid.lp uses")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def solver_backend(request):
+    """Under --public-linprog, hide the HiGHS binding for the whole run."""
+    if not request.config.getoption("--public-linprog"):
+        yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_load_highs", lambda: None)
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +59,21 @@ def walk_week():
 @pytest.fixture(scope="session")
 def contrast_week():
     return synth_fixture("two-zone-contrast", horizon=WEEK, seed=0)
+
+
+def recording_backend(monkeypatch, replace=None):
+    """Patch lp.linprog to record (warm?, result) per call; replace(basis)
+    may return a result to use instead of the real run."""
+    calls, inner = [], lp.linprog
+
+    def backend(c, basis=None, **kwargs):
+        res = replace(basis) if replace is not None else None
+        res = res if res is not None else inner(c, basis=basis, **kwargs)
+        calls.append((basis is not None, res))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", backend)
+    return calls
 
 
 def grid_only_scenario(name="grid_only"):

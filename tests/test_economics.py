@@ -5,6 +5,10 @@ recompute them with the code under test.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from h2grid.types import (
     constant_series,
 )
 
-from conftest import grid_only_scenario
+from conftest import grid_only_scenario, recording_backend
 
 CRF_6_25 = 0.07822671821227395
 LCOH_FLAT_GRID_ONLY = 51.35458976732293   # (crf*1343.3+37.4)*10131.43/30240 + 0.02 + 57.1157*0.063
@@ -288,3 +292,49 @@ def test_export_lp_written_on_failed_solve(tmp_path, flat_week, params):
     report, _ = optimize_plant(sc, params, flat_week, export_lp_path=path)
     assert not report.is_optimal
     assert path.read_text().endswith("End\n")
+
+
+# -- warm-started storage loop -----------------------------------------------
+
+def storage_loop(monkeypatch, sc, params, dataset, cold=False):
+    """optimize_plant with every HiGHS run recorded as (warm?, iterations);
+    cold=True drops the warm start from each solve."""
+    solve = LpModel.solve
+    with monkeypatch.context() as mp:
+        calls = recording_backend(mp)
+        if cold:
+            mp.setattr(LpModel, "solve", lambda model, warm=None: solve(model))
+        report, breakdown = optimize_plant(sc, params, dataset)
+    return report, breakdown, [(warm, res.nit) for warm, res in calls]
+
+
+def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
+    sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec())
+    warm, warm_cost, warm_runs = storage_loop(monkeypatch, sc, params, walk_week)
+    cold, cold_cost, cold_runs = storage_loop(monkeypatch, sc, params, walk_week,
+                                              cold=True)
+    assert warm.iterations >= 2
+    assert (warm.status, warm.iterations, warm.converged, warm.storage_tech) == (
+        cold.status, cold.iterations, cold.converged, cold.storage_tech)
+    assert warm_cost.lcoh_usd_per_kg == pytest.approx(cold_cost.lcoh_usd_per_kg,
+                                                      rel=1e-9)
+    assert [w for w, _ in warm_runs] == [False] + [True] * (warm.iterations - 1)
+    assert not any(w for w, _ in cold_runs)
+    # the first solve is the same cold run; each re-solve is cheaper warm
+    assert warm_runs[0] == cold_runs[0]
+    for (_, warm_nit), (_, cold_nit) in zip(warm_runs[1:], cold_runs[1:]):
+        assert warm_nit < cold_nit
+
+
+def test_results_hold_on_public_linprog():
+    """The economics and acceptance tests pass when scipy lacks the HiGHS
+    binding h2grid.lp uses, so every solve is a cold scipy.optimize.linprog."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--public-linprog", "-k", "not warm_storage_loop and not public_linprog",
+         "tests/test_economics.py", "tests/test_acceptance.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

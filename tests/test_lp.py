@@ -6,8 +6,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from h2grid import lp
+from h2grid.economics import build_scenario_model, storage_unit_cost
 from h2grid.lp import (
     FEASIBILITY_TOL,
     LinearExpr,
@@ -15,8 +18,12 @@ from h2grid.lp import (
     LpStatus,
     LpSolution,
     Sense,
+    SolverResult,
     term,
 )
+from h2grid.types import PlantParameters
+from conftest import recording_backend
+from test_golden_lp import CASES as GOLDEN_CASES
 
 
 def enumerate_solve(model: LpModel) -> LpSolution:
@@ -324,6 +331,90 @@ class TestSolve:
         sol = m.solve()
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == 0.0
+
+
+def golden_model(name: str) -> LpModel:
+    scenario, dataset, tech = GOLDEN_CASES[name]()
+    model, _ = build_scenario_model(scenario, PlantParameters(), dataset,
+                                    storage_unit_cost(5000.0, tech), tech)
+    return model
+
+
+class TestBackend:
+    @pytest.mark.parametrize("options", ["_TIGHT_OPTIONS", "_TIGHT_NO_PRESOLVE",
+                                         "_STOCK_OPTIONS"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_cold_run_matches_public_linprog(self, name, options):
+        c, problem = golden_model(name)._solver_input()
+        opts = getattr(lp, options)
+        got = lp.linprog(c, **problem, options=opts)
+        ref = scipy.optimize.linprog(c, **problem, method="highs-ds", options=opts)
+        assert (got.status, got.nit, got.message) == (ref.status, ref.nit, ref.message)
+        if ref.x is None:
+            assert got.x is None
+        else:
+            assert got.x.tobytes() == ref.x.tobytes()
+
+    def test_infeasible_message_matches_public_path(self, monkeypatch):
+        model = golden_model("grid_daily_capped")
+        got = model.solve()
+        monkeypatch.setattr(lp, "_load_highs", lambda: None)
+        ref = model.solve()
+        assert got.status is ref.status is LpStatus.INFEASIBLE
+        assert got.message == ref.message
+
+    def test_public_path_gives_no_basis(self, monkeypatch):
+        monkeypatch.setattr(lp, "_load_highs", lambda: None)
+        model = golden_model("offgrid_night")
+        sol = model.solve()
+        assert sol.is_optimal and sol.basis is None
+        calls = recording_backend(monkeypatch)
+        assert model.solve(warm=sol).values.tobytes() == sol.values.tobytes()
+        assert [warm for warm, _ in calls] == [False]
+
+    def test_warm_start_reaches_cold_optimum(self, monkeypatch):
+        model = golden_model("offgrid_night")
+        cold = model.solve()
+        calls = recording_backend(monkeypatch)
+        warm = model.solve(warm=cold)
+        assert [w for w, _ in calls] == [True]
+        assert calls[0][1].nit < 5
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+        assert warm.basis is not None
+
+    def test_non_optimal_warm_run_falls_back_to_cold(self, monkeypatch):
+        model = golden_model("split_yearly")
+        cold = model.solve()
+        calls = recording_backend(monkeypatch, lambda basis: (
+            SolverResult(4, None, 0, "forced failure") if basis is not None else None))
+        got = model.solve(warm=cold)
+        assert [w for w, _ in calls] == [True, False]
+        assert got.values.tobytes() == cold.values.tobytes()
+        assert got.message == cold.message
+
+    def test_warm_point_failing_the_gate_falls_back_to_cold(self, monkeypatch):
+        model = golden_model("split_yearly")
+        cold = model.solve()
+        checked = []
+        original = LpModel.check_feasibility
+
+        def gate(self, x, tol=FEASIBILITY_TOL):
+            checked.append(x)
+            return ["forced violation"] if len(checked) == 1 else original(self, x, tol)
+
+        monkeypatch.setattr(LpModel, "check_feasibility", gate)
+        calls = recording_backend(monkeypatch)
+        got = model.solve(warm=cold)
+        assert [w for w, _ in calls] == [True, False] and len(checked) == 2
+        assert got.values.tobytes() == cold.values.tobytes()
+
+    def test_basis_of_another_shape_falls_back_to_cold(self, monkeypatch):
+        other = golden_model("offgrid_night").solve()
+        model = golden_model("split_yearly")
+        calls = recording_backend(monkeypatch)
+        got = model.solve(warm=other)
+        assert [(w, r.status) for w, r in calls] == [(True, 4), (False, 0)]
+        assert got.values.tobytes() == model.solve().values.tobytes()
 
 
 class TestWriteLp:
