@@ -94,24 +94,6 @@ def re_capacity_factor(gen_wind, gen_pv, c_wind_kw: float, c_pv_kw: float) -> fl
     return float((gw.sum() + gp.sum()) / ((c_wind_kw + c_pv_kw) * gw.size))
 
 
-def arpp(e_re: float, e_ad: float, e_ac: float, e_ex: float) -> float:
-    """Regulated renewable share of purchased electricity: certified
-    renewable output (plus deemed additions) over consumption net of
-    exempted use."""
-    if e_ac - e_ex <= 0:
-        raise ValueError(f"denominator {e_ac} - {e_ex} must be positive")
-    return (e_re + e_ad) / (e_ac - e_ex)
-
-
-def rmf(e_kg: float, q_mwh: float, recs_mwh: float) -> float:
-    """Residual-mix factor [kgCO2e/kWh]: grid emissions divided by
-    generation net of certificate-claimed output."""
-    residual_kwh = (q_mwh - recs_mwh) * 1000.0
-    if residual_kwh <= 0:
-        raise ValueError(f"residual generation {residual_kwh} kWh must be positive")
-    return e_kg / residual_kwh
-
-
 @dataclass(frozen=True)
 class EmissionsReport:
     """All four accounting results for one batch window, as totals and

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LpModel, LpStatus, term
+from .lp import LpModel, LpStatus
 from .plant import Dispatch, PlantVars, build_plant, extract_dispatch
 from .policy import (
     apply_capex_cap,
@@ -192,16 +192,18 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
         apply_capex_cap(model, pvars, params, u_store, scenario.capex_cap_usd)
 
     annuity = crf(params.interest, params.lifetime_years)
-    fixed = (term(pvars.c_el, annuity * params.capex_el + params.fom_el)
-             + term(pvars.c_wind, annuity * params.capex_wind + params.fom_wind)
-             + term(pvars.c_pv, annuity * params.capex_pv + params.fom_pv)
-             + term(pvars.c_store, annuity * u_store))
-    # minimizing annual cost is exact for LCOH because annual hydrogen
-    # mass is fixed by the constant delivery rate
-    model.set_objective(fixed + params.vom_el * annual_h2,
-                        np.concatenate([pvars.import_kw, pvars.export_kw]),
-                        np.concatenate([buy.spot_price.values + params.ts_fee,
-                                        -sell.spot_price.values]))
+    # fixed costs of the four capacities, then trade; minimizing annual
+    # cost is exact for LCOH because annual hydrogen mass is fixed by the
+    # constant delivery rate
+    model.set_objective(
+        np.concatenate([[pvars.c_el, pvars.c_wind, pvars.c_pv, pvars.c_store],
+                        pvars.import_kw, pvars.export_kw]),
+        np.concatenate([[annuity * params.capex_el + params.fom_el,
+                         annuity * params.capex_wind + params.fom_wind,
+                         annuity * params.capex_pv + params.fom_pv,
+                         annuity * u_store],
+                        buy.spot_price.values + params.ts_fee, -sell.spot_price.values]),
+        params.vom_el * annual_h2)
     return model, pvars
 
 

@@ -322,6 +322,14 @@ class RunConfig:
     scenarios: list[ScenarioSpec] = field(default_factory=list)
 
 
+def _number(value, where: str, key: str) -> float:
+    """value as a float, or a ValueError that names where and key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: {key} must be a number, got {value!r}") from None
+
+
 def _parse_caps(doc, where: str) -> CapacitySpec:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: capacities must be an object")
@@ -331,22 +339,21 @@ def _parse_caps(doc, where: str) -> CapacitySpec:
     kwargs = {}
     for name, val in doc.items():
         if isinstance(val, (int, float)) and not isinstance(val, bool):
-            kwargs[name] = Fixed(float(val))
-        elif isinstance(val, dict):
-            extra = set(val) - _CAP_SUBKEYS
-            if extra:
-                raise ValueError(f"{where}: unknown keys {sorted(extra)} in "
-                                 f"{name}")
-            if "fixed" in val:
-                if len(val) > 1:
-                    raise ValueError(f"{where}: {name} mixes 'fixed' with bounds")
-                kwargs[name] = Fixed(float(val["fixed"]))
-            else:
-                upper = val.get("upper")
-                kwargs[name] = Free(float(val.get("lower", 0.0)),
-                                    math.inf if upper is None else float(upper))
-        else:
+            val = {"fixed": val}
+        if not isinstance(val, dict):
             raise ValueError(f"{where}: {name} must be a number or an object")
+        extra = set(val) - _CAP_SUBKEYS
+        if extra:
+            raise ValueError(f"{where}: unknown keys {sorted(extra)} in {name}")
+        if "fixed" in val and len(val) > 1:
+            raise ValueError(f"{where}: {name} mixes 'fixed' with bounds")
+        bound = {key: math.inf if key == "upper" and v is None
+                 else _number(v, where, f"{name}.{key}") for key, v in val.items()}
+        try:
+            kwargs[name] = (Fixed(bound["fixed"]) if "fixed" in bound else
+                            Free(bound.get("lower", 0.0), bound.get("upper", math.inf)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {name}: {exc}") from None
     return CapacitySpec(**kwargs)
 
 
@@ -381,13 +388,12 @@ def _parse_scenario(doc, default_zone: str, default_caps: CapacitySpec,
         geo = CoLocated(default_zone)
     caps = (_parse_caps(doc["capacities"], f"{where} ({name})")
             if "capacities" in doc else default_caps)
+    ei_cap, capex_cap = (None if doc.get(key) is None
+                         else _number(doc[key], f"{where}: scenario {name!r}", key)
+                         for key in ("ei_mef_cap", "capex_cap_usd"))
     try:
-        return ScenarioSpec(
-            name=name, mode=mode, geo=geo, capacities=caps, tc_interval=tc,
-            ei_mef_cap=(None if doc.get("ei_mef_cap") is None
-                        else float(doc["ei_mef_cap"])),
-            capex_cap_usd=(None if doc.get("capex_cap_usd") is None
-                           else float(doc["capex_cap_usd"])))
+        return ScenarioSpec(name=name, mode=mode, geo=geo, capacities=caps, tc_interval=tc,
+                            ei_mef_cap=ei_cap, capex_cap_usd=capex_cap)
     except ValueError as exc:
         raise ValueError(f"{where}: scenario {name!r}: {exc}") from None
 
@@ -408,11 +414,15 @@ def load_config(path) -> RunConfig:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    for key, kind, what in (("out_dir", str, "a path"), ("re_profile_file", str, "a path"),
+                            ("zone_files", dict, "an object"), ("scenarios", list, "a list")):
+        if key in doc and not isinstance(doc[key], kind):
+            raise ValueError(f"{path}: {key} must be {what}, got {doc[key]!r}")
 
     horizon = doc.get("horizon", 8760)
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError(f"{path}: horizon must be a positive integer")
-    fx = float(doc.get("fx_usd_per_aud", 0.7))
+    fx = _number(doc.get("fx_usd_per_aud", 0.7), path, "fx_usd_per_aud")
     if fx <= 0:
         raise ValueError(f"{path}: fx_usd_per_aud must be positive")
 
@@ -426,7 +436,11 @@ def load_config(path) -> RunConfig:
         if fixture_kind not in FIXTURE_KINDS:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
                              f"{FIXTURE_KINDS}")
-        fixture_seed = int(fixture.get("seed", 0))
+        try:
+            fixture_seed = int(fixture.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{path}: fixture seed must be an integer, "
+                             f"got {fixture['seed']!r}") from None
 
     # structural checks first, then file existence
     zone_file_doc = doc.get("zone_files") or {}
@@ -441,6 +455,8 @@ def load_config(path) -> RunConfig:
 
     zone_files = {}
     for zone_id, rel in zone_file_doc.items():
+        if not isinstance(rel, str):
+            raise ValueError(f"{path}: zone_files.{zone_id} must be a path, got {rel!r}")
         full = str(base / rel)
         if not os.path.exists(full):
             raise ValueError(f"{path}: zone file {full} does not exist")
@@ -456,12 +472,16 @@ def load_config(path) -> RunConfig:
     plant_doc = doc.get("plant", {})
     if not isinstance(plant_doc, dict):
         raise ValueError(f"{path}: plant must be an object")
+    unknown = set(plant_doc) - set(PlantParameters().__dict__)
+    if unknown:
+        raise ValueError(f"{path}: unknown plant parameters {sorted(unknown)}")
+    for key, value in plant_doc.items():
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ValueError(f"{path}: plant parameter {key} must be a finite number, "
+                             f"got {value!r}")
     try:
         params = PlantParameters(**plant_doc)
-    except TypeError:
-        known = set(PlantParameters().__dict__)
-        raise ValueError(f"{path}: unknown plant parameters "
-                         f"{sorted(set(plant_doc) - known)}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: invalid plant parameters: {exc}") from None
 

@@ -1,10 +1,10 @@
 """Minimal LP layer: build a model, solve it, verify the result.
 
 Only this module talks to a solver. A model keeps its rows as numpy
-blocks: callers append variables and constraint rows in bulk from index
-arrays (`add_variables`, `add_rows`). LinearExpr is the small-expression
-API for hand-written rows and objectives; `add_constraint` and
-`set_objective` merge it into the same arrays.
+blocks, and index arrays are the one way to fill it: `add_variables`
+(or `add_variable`) appends variables, `add_rows` appends constraint
+rows, `set_objective` sets the objective; entries that share a row and
+a variable are summed in one place, `_merge`.
 
 Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, loaded with the model exactly as
@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class Sense(Enum):
 # a row's sense is stored as its index in _SENSES
 _SENSES = (Sense.LE, Sense.EQ, Sense.GE)
 _LE, _EQ, _GE = range(3)
-_SENSE_CODES = {Sense.LE: _LE, "<=": _LE, "=<": _LE, Sense.EQ: _EQ, "=": _EQ, "==": _EQ,
-                Sense.GE: _GE, ">=": _GE, "=>": _GE}
+_SENSE_CODES = {key: code for code, sense in enumerate(_SENSES)
+                for key in (sense, sense.value)}
 
 
 class LpStatus(Enum):
@@ -76,80 +76,6 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     SOLVER_FAILURE = "solver_failure"
-
-
-class LinearExpr:
-    """Immutable linear expression sum(coeff * var) + constant.
-
-    Duplicate variables merge additively; exact-zero coefficients are
-    dropped (coefficient() reports them as 0.0 either way).
-    """
-
-    __slots__ = ("coeffs", "constant")
-
-    def __init__(self, terms: Mapping[int, float] | Iterable[tuple[int, float]] = (),
-                 constant: float = 0.0):
-        merged: dict[int, float] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for vid, coeff in items:
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient {coeff} on variable {vid}")
-            merged[int(vid)] = merged.get(int(vid), 0.0) + c
-        constant = float(constant)
-        if not math.isfinite(constant):
-            raise ValueError(f"non-finite constant {constant}")
-        object.__setattr__(self, "coeffs", {v: c for v, c in merged.items() if c != 0.0})
-        object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearExpr is immutable")
-
-    def coefficient(self, vid: VarId) -> float:
-        return self.coeffs.get(vid, 0.0)
-
-    def __add__(self, other: "LinearExpr | float") -> "LinearExpr":
-        if isinstance(other, LinearExpr):
-            merged = dict(self.coeffs)
-            for vid, c in other.coeffs.items():
-                merged[vid] = merged.get(vid, 0.0) + c
-            return LinearExpr(merged, self.constant + other.constant)
-        return LinearExpr(self.coeffs, self.constant + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LinearExpr | float") -> "LinearExpr":
-        return self + (-other if isinstance(other, LinearExpr) else -float(other))
-
-    def __neg__(self) -> "LinearExpr":
-        return self * -1.0
-
-    def __mul__(self, k: float) -> "LinearExpr":
-        k = float(k)
-        if not math.isfinite(k):
-            raise ValueError(f"non-finite scale factor {k}")
-        return LinearExpr({v: c * k for v, c in self.coeffs.items()}, self.constant * k)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return math.fsum(c * float(x[v]) for v, c in self.coeffs.items()) + self.constant
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*x{v}" for v, c in sorted(self.coeffs.items()))
-        return f"LinearExpr({body or '0'} + {self.constant})"
-
-
-def term(vid: VarId, coeff: float = 1.0) -> LinearExpr:
-    return LinearExpr([(vid, coeff)])
-
-
-@dataclass(frozen=True)
-class Constraint:
-    expr: LinearExpr
-    sense: Sense
-    rhs: float
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -219,7 +145,7 @@ class LpModel:
         if not rows.size == cols.size == coefs.size or np.any((rows < 0) | (rows >= m)):
             raise ValueError(f"need one row in [0, {m}), variable and coefficient per entry")
         for i in np.flatnonzero((cols < 0) | (cols >= self.num_variables))[:1]:
-            raise ValueError(f"expression references unregistered variable {cols[i]}")
+            raise ValueError(f"entry references unregistered variable {cols[i]}")
         for i in np.flatnonzero(~np.isfinite(coefs))[:1]:
             raise ValueError(f"non-finite coefficient {coefs[i]} on variable {cols[i]}")
         return _merge(rows, cols, coefs, self.num_variables)
@@ -246,13 +172,6 @@ class LpModel:
         self._cache = None
         return np.arange(first, first + m)
 
-    def add_constraint(self, expr: LinearExpr, sense: Sense | str,
-                       rhs: float = 0.0, name: str = "") -> int:
-        """One row from an expression; its constant moves to the rhs."""
-        return int(self.add_rows([name], sense, float(rhs) - expr.constant,
-                                 np.zeros(len(expr.coeffs), np.int64),
-                                 list(expr.coeffs), list(expr.coeffs.values()))[0])
-
     def remove_constraint(self, cids) -> None:
         """Remove one constraint id, or an array of them."""
         ids = np.atleast_1d(np.asarray(cids, dtype=np.int64))
@@ -263,34 +182,18 @@ class LpModel:
         self._removed.append(ids)
         alive[ids] = False
 
-    def set_objective(self, expr: LinearExpr, cols=(), coefs=()) -> None:
-        """Minimize expr plus sum(coefs[k] * x[cols[k]])."""
-        cols = np.concatenate([list(expr.coeffs), cols])
-        _, cols, coefs = self._entries(np.zeros(cols.size), cols, np.concatenate(
-            [list(expr.coeffs.values()), coefs]), 1)
-        self._obj = (cols, coefs, expr.constant)
+    def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
+        """Minimize sum(coefs[k] * x[cols[k]]) + constant."""
+        if not math.isfinite(constant):
+            raise ValueError(f"non-finite objective constant {constant}")
+        _, cols, coefs = self._entries(np.zeros(np.size(cols)), cols, coefs, 1)
+        self._obj = (cols, coefs, float(constant))
 
     # -- inspection ---------------------------------------------------
 
     @property
     def num_variables(self) -> int:
         return len(self._var_names)
-
-    @property
-    def num_constraints(self) -> int:
-        return int(np.count_nonzero(self._arrays()[4]))
-
-    @property
-    def objective(self) -> LinearExpr:
-        cols, coefs, constant = self._obj
-        return LinearExpr(dict(zip(cols.tolist(), coefs.tolist())), constant)
-
-    def bounds(self, vid: VarId) -> tuple[float, float]:
-        lb, ub = self._arrays()[:2]
-        return (float(lb[vid]), float(ub[vid]))
-
-    def variable_name(self, vid: VarId) -> str:
-        return self._var_names[vid]
 
     def _arrays(self) -> tuple:
         """The blocks so far, concatenated: lb, ub, sense (index into
@@ -307,15 +210,6 @@ class LpModel:
             A = sp.csr_matrix((coefs, cols, indptr), shape=(m, self.num_variables))
             self._cache = (lb, ub, sense, rhs, alive, A)
         return self._cache
-
-    def constraints(self) -> dict[int, Constraint]:
-        lb, ub, sense, rhs, alive, A = self._arrays()
-        out = {}
-        for i in np.flatnonzero(alive).tolist():
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            expr = LinearExpr(dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())))
-            out[i] = Constraint(expr, _SENSES[sense[i]], float(rhs[i]), self._row_names[i])
-        return out
 
     # -- feasibility --------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpModel, LpSolution, Sense, term
+from .lp import LpModel, LpSolution, Sense
 from .types import CapacitySpec, HourlySeries, Mode, PlantParameters, Unit, expect_unit
 
 
@@ -175,9 +175,10 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         ("el_cap", Sense.LE, 0.0, [(e_el, 1.0), (c_el, -1.0)]),
         ("soc_cap", Sense.LE, 0.0, [(soc, 1.0), (c_store, -1.0)]),
     ])
-    model.add_constraint(term(soc0) - term(c_store), Sense.LE, 0.0, "soc0_cap")
-    # storage returns to its starting level, so net charge over the horizon is zero
-    model.add_constraint(term(soc[T - 1]) - term(soc0), Sense.EQ, 0.0, "soc_cyclic")
+    # the starting level fits in storage, and storage returns to it, so
+    # net charge over the horizon is zero
+    model.add_rows(["soc0_cap", "soc_cyclic"], [Sense.LE, Sense.EQ], 0.0,
+                   [0, 0, 1, 1], [soc0, c_store, soc[T - 1], soc0], [1.0, -1.0, 1.0, -1.0])
 
     pvars = PlantVars(
         horizon=T, e_el=e_el, e_comp1=e_comp1, e_comp2=e_comp2,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpModel, Sense, term
+from .lp import LpModel, Sense
 from .plant import PlantVars, add_hourly_rows
 from .types import HourlySeries, PlantParameters, TcInterval, Unit, expect_unit
 
@@ -105,11 +105,10 @@ def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
     every iteration of that loop."""
     if storage_unit_cost < 0:
         raise ValueError(f"storage unit cost must be >= 0, got {storage_unit_cost}")
-    expr = (term(pvars.c_el, params.capex_el)
-            + term(pvars.c_wind, params.capex_wind)
-            + term(pvars.c_pv, params.capex_pv)
-            + term(pvars.c_store, storage_unit_cost))
-    return model.add_constraint(expr, Sense.LE, cap_usd, "capex_cap")
+    return int(model.add_rows(["capex_cap"], Sense.LE, cap_usd, np.zeros(4, dtype=int),
+                              [pvars.c_el, pvars.c_wind, pvars.c_pv, pvars.c_store],
+                              [params.capex_el, params.capex_wind, params.capex_pv,
+                               storage_unit_cost])[0])
 
 
 def wire_two_grid(model: LpModel, pvars: PlantVars) -> None:

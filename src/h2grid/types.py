@@ -13,15 +13,13 @@ from enum import Enum
 
 import numpy as np
 
-DEFAULT_HORIZON = 8760
-
 # Default component bound: study-scale RE and electrolyser capacities sit
 # in the 10-50 MW project range; 0 is allowed so fixings stay expressible.
 DEFAULT_CAPACITY_UPPER_KW = 50_000.0
 
 
 class UnitError(ValueError):
-    """Arithmetic or assembly mixed incompatible unit tags."""
+    """Assembly mixed incompatible unit tags."""
 
 
 class Unit(Enum):
@@ -42,7 +40,6 @@ class HourlySeries:
 
     values: np.ndarray
     unit: Unit
-    start_hour_index: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).copy()
@@ -58,32 +55,6 @@ class HourlySeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def _check_compatible(self, other: "HourlySeries") -> None:
-        if self.unit is not other.unit:
-            raise UnitError(f"cannot combine {self.unit.value} with {other.unit.value}")
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-
-    def __add__(self, other: "HourlySeries") -> "HourlySeries":
-        self._check_compatible(other)
-        return HourlySeries(self.values + other.values, self.unit, self.start_hour_index)
-
-    def __sub__(self, other: "HourlySeries") -> "HourlySeries":
-        self._check_compatible(other)
-        return HourlySeries(self.values - other.values, self.unit, self.start_hour_index)
-
-    def scale(self, k: float) -> "HourlySeries":
-        if not math.isfinite(k):
-            raise ValueError("scale factor must be finite")
-        return HourlySeries(self.values * k, self.unit, self.start_hour_index)
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def constant_series(value: float, unit: Unit, horizon: int) -> HourlySeries:
-    return HourlySeries(np.full(horizon, float(value)), unit)
 
 
 def expect_unit(series: HourlySeries, unit: Unit, what: str) -> HourlySeries:
@@ -178,11 +149,6 @@ class PlantParameters:
                      "storage_tech_threshold_kg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def kwh_per_kg_direct(self) -> float:
-        """Electricity per kg H2 on the electrolyser->comp1->pipeline path."""
-        return self.hhv / self.eta_el + self.mu_comp1
 
 
 @dataclass(frozen=True)

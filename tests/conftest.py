@@ -1,7 +1,12 @@
 """Shared fixtures: synthetic week-long datasets and solved scenarios
 that several test modules reuse. Session-scoped because solves are the
-expensive part of the suite."""
+expensive part of the suite. Also the helpers several modules import:
+`constant_series`, `read_back`, `recording_backend`, `grid_only_scenario`."""
 
+import math
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
 from h2grid import lp
@@ -11,12 +16,53 @@ from h2grid.types import (
     CapacitySpec,
     CoLocated,
     Fixed,
+    HourlySeries,
     Mode,
     PlantParameters,
     ScenarioSpec,
 )
 
 WEEK = 168
+
+
+def constant_series(value, unit, horizon):
+    """value at every hour of the horizon."""
+    return HourlySeries(np.full(horizon, float(value)), unit)
+
+
+class Row(NamedTuple):
+    name: str
+    sense: lp.Sense
+    rhs: float
+    coeffs: dict  # variable id -> coefficient, in column order
+
+
+class ModelView(NamedTuple):
+    """An LpModel read back from its arrays as plain Python values."""
+
+    names: list        # variable names
+    bounds: list       # (lower, upper) per variable
+    rows: dict         # constraint id -> Row, live rows only
+    objective: dict    # variable id -> coefficient
+    constant: float    # objective constant
+
+    def value(self, x) -> float:
+        """The objective at x, summed exactly."""
+        return math.fsum(c * float(x[v]) for v, c in self.objective.items()) + self.constant
+
+
+def read_back(model: lp.LpModel) -> ModelView:
+    """What the model holds, read from its private arrays, so that tests
+    and the reference checks need no read-back API in h2grid.lp."""
+    lb, ub, sense, rhs, alive, A = model._arrays()
+    rows = {}
+    for cid in np.flatnonzero(alive).tolist():
+        lo, hi = A.indptr[cid], A.indptr[cid + 1]
+        rows[cid] = Row(model._row_names[cid], lp._SENSES[sense[cid]], float(rhs[cid]),
+                        dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())))
+    cols, coefs, constant = model._obj
+    return ModelView(list(model._var_names), list(zip(lb.tolist(), ub.tolist())), rows,
+                     dict(zip(cols.tolist(), coefs.tolist())), constant)
 
 
 def pytest_addoption(parser):

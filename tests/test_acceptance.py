@@ -38,9 +38,10 @@ from h2grid.types import (
     Split,
     TcInterval,
     Unit,
-    constant_series,
     HourlySeries,
 )
+
+from conftest import constant_series
 
 WEEK = 168
 LOAD = 180.0

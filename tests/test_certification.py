@@ -8,14 +8,12 @@ import pytest
 
 from h2grid.certification import (
     EmissionsReport,
-    arpp,
     certify,
     difference_metrics,
     emissions_factor_tracked,
     emissions_location,
     emissions_market,
     re_capacity_factor,
-    rmf,
 )
 from h2grid.economics import optimize_plant
 from h2grid.types import (
@@ -105,21 +103,6 @@ def test_re_capacity_factor():
     assert re_capacity_factor(gw, gp, 100.0, 100.0) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         re_capacity_factor(gw, gp, 0.0, 0.0)
-
-
-def test_arpp_example():
-    # 18.72% renewable share: (15 + 3.72) certified over (105 - 5) consumed
-    assert arpp(15.0, 3.72, 105.0, 5.0) == pytest.approx(0.1872)
-    with pytest.raises(ValueError):
-        arpp(1.0, 0.0, 5.0, 5.0)
-
-
-def test_rmf_example():
-    # 810 t over 1000 MWh with no certificates claimed: 0.81 kg/kWh
-    assert rmf(810_000.0, 1000.0, 0.0) == pytest.approx(0.81)
-    assert rmf(810_000.0, 2000.0, 1000.0) == pytest.approx(0.81)
-    with pytest.raises(ValueError):
-        rmf(810_000.0, 1000.0, 1000.0)
 
 
 # -- batch windows ----------------------------------------------------------

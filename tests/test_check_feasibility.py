@@ -1,7 +1,7 @@
 """LpModel.check_feasibility against a per-row reference.
 
-The reference walks bounds and rows one at a time, through
-`constraints()` and `LinearExpr.evaluate`, with the per-row scale
+The reference walks bounds and rows one at a time, as `read_back` gives
+them, with an exactly rounded sum per row and the per-row scale
 max(1, |rhs|, max_j |a_ij x_j|). Both must return the same violation
 messages in the same order.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from h2grid.economics import StorageTech, build_scenario_model
 from h2grid.lp import FEASIBILITY_TOL, Sense
+from conftest import read_back
 from h2grid.ingest import synth_fixture
 from h2grid.types import (
     CapacitySpec,
@@ -27,29 +28,28 @@ CAPEX_CAP = 2e7
 
 
 def reference_violations(model, x, tol=FEASIBILITY_TOL):
+    view = read_back(model)
     violations = []
-    for vid in range(model.num_variables):
-        lo, hi = model.bounds(vid)
+    for vid, (lo, hi) in enumerate(view.bounds):
         xv = float(x[vid])
         scale = max(1.0, abs(lo) if math.isfinite(lo) else 1.0,
                     abs(hi) if math.isfinite(hi) else 1.0)
         if xv < lo - tol * scale or xv > hi + tol * scale:
-            violations.append(f"variable {vid} ({model.variable_name(vid)!r}) "
+            violations.append(f"variable {vid} ({view.names[vid]!r}) "
                               f"value {xv} outside [{lo}, {hi}]")
-    for cid, cons in model.constraints().items():
-        lhs = cons.expr.evaluate(x)
-        scale = max(1.0, abs(cons.rhs),
-                    max((abs(c * float(x[v])) for v, c in cons.expr.coeffs.items()),
-                        default=0.0))
-        if cons.sense is Sense.LE:
-            resid = lhs - cons.rhs
-        elif cons.sense is Sense.GE:
-            resid = cons.rhs - lhs
+    for cid, row in view.rows.items():
+        lhs = math.fsum(c * float(x[v]) for v, c in row.coeffs.items())
+        scale = max(1.0, abs(row.rhs),
+                    max((abs(c * float(x[v])) for v, c in row.coeffs.items()), default=0.0))
+        if row.sense is Sense.LE:
+            resid = lhs - row.rhs
+        elif row.sense is Sense.GE:
+            resid = row.rhs - lhs
         else:
-            resid = abs(lhs - cons.rhs)
+            resid = abs(lhs - row.rhs)
         if resid > tol * scale:
-            violations.append(f"constraint {cid} ({cons.name!r}) violated by "
-                              f"{resid:.3e} (lhs {lhs}, {cons.sense.value} rhs {cons.rhs})")
+            violations.append(f"constraint {cid} ({row.name!r}) violated by "
+                              f"{resid:.3e} (lhs {lhs}, {row.sense.value} rhs {row.rhs})")
     return violations
 
 
@@ -76,7 +76,7 @@ def capped():
 
 
 def row_id(model, name):
-    return next(cid for cid, c in model.constraints().items() if c.name == name)
+    return next(cid for cid, row in read_back(model).rows.items() if row.name == name)
 
 
 def test_policy_rows_flagged_at_base_optimum(capped):
@@ -96,7 +96,7 @@ def test_random_points(capped, seed):
     near = x_opt * (1.0 + rng.normal(0.0, 2e-6, x_opt.size))
     got = model.check_feasibility(near)
     assert got == reference_violations(model, near)
-    assert 0 < len(got) < model.num_constraints
+    assert 0 < len(got) < len(read_back(model).rows)
 
 
 @pytest.mark.parametrize("factor, flagged", [(0.99, False), (1.01, True)])
@@ -122,11 +122,12 @@ def test_capex_row_scaled_by_its_rhs(capped, factor, flagged):
     1.01 times that fails."""
     model, pvars, x = capped
     cid = row_id(model, "capex_cap")
-    expr = model.constraints()[cid].expr
+    coeffs = read_back(model).rows[cid].coeffs
     target = CAPEX_CAP * (1.0 + factor * FEASIBILITY_TOL)
     point = x.copy()
-    point[pvars.c_store] += (target - expr.evaluate(x)) / expr.coefficient(pvars.c_store)
-    assert max(abs(c * point[v]) for v, c in expr.coeffs.items()) < 0.9 * CAPEX_CAP
+    lhs = math.fsum(c * float(x[v]) for v, c in coeffs.items())
+    point[pvars.c_store] += (target - lhs) / coeffs[pvars.c_store]
+    assert max(abs(c * point[v]) for v, c in coeffs.items()) < 0.9 * CAPEX_CAP
     got = model.check_feasibility(point)
     assert got == reference_violations(model, point)
     assert any(m.startswith(f"constraint {cid} ") for m in got) is flagged

@@ -116,6 +116,30 @@ def test_bad_override_values(tmp_path, capsys):
                  "--fx", "-2"]) == 1
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"plant": {"eta_el": "x"}}, "eta_el"),
+    ({"fx_usd_per_aud": [1]}, "fx_usd_per_aud"),
+    ({"capacities": {"wind_kw": {"lower": [1]}}}, "wind_kw.lower"),
+    ({"fixture": {"kind": "flat", "seed": "x"}}, "seed"),
+    ({"capacities": {"wind_kw": -1}}, "wind_kw"),
+    ({"scenarios": [{"name": "a", "mode": "grid", "ei_mef_cap": [1]}]}, "ei_mef_cap"),
+    ({"scenarios": 5}, "scenarios"),
+    ({"out_dir": [1]}, "out_dir"),
+    ({"plant": {"capex_el": float("nan")}}, "capex_el"),
+    ({"fixture": None, "zone_files": ["z1.csv"], "re_profile_file": "re.csv"},
+     "zone_files"),
+    ({"fixture": None, "zone_files": {"Z1": 5}, "re_profile_file": "re.csv"},
+     "zone_files.Z1"),
+], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "capacity-value",
+        "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
+        "zone-file"])
+def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
+    config = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and key in err
+
+
 def test_suite_runs_all_members(tmp_path):
     config = write_config(tmp_path)
     code = main(["suite", "--config", str(config)])

@@ -37,10 +37,9 @@ from h2grid.types import (
     ScenarioSpec,
     Split,
     Unit,
-    constant_series,
 )
 
-from conftest import grid_only_scenario, recording_backend
+from conftest import constant_series, grid_only_scenario, recording_backend
 
 CRF_6_25 = 0.07822671821227395
 LCOH_FLAT_GRID_ONLY = 51.35458976732293   # (crf*1343.3+37.4)*10131.43/30240 + 0.02 + 57.1157*0.063

@@ -24,10 +24,9 @@ from h2grid.types import (
     Split,
     TcInterval,
     Unit,
-    constant_series,
 )
 
-from conftest import grid_only_scenario
+from conftest import constant_series, grid_only_scenario, read_back
 
 
 # -- partitions ---------------------------------------------------------
@@ -81,13 +80,13 @@ def build_flat(params, horizon=24, mode=Mode.GRID, caps=None):
 
 def test_tc_adds_one_row_per_interval(params):
     model, pvars = build_flat(params)
-    before = model.num_constraints
+    before = len(read_back(model).rows)
     cids = apply_temporal_correlation(model, pvars,
                                       make_partition(TcInterval.DAILY, 24))
     assert len(cids) == 1
-    assert model.num_constraints == before + 1
-    con = model.constraints()[cids[0]]
-    assert con.name == "tc_0_24"
+    rows = read_back(model).rows
+    assert len(rows) == before + 1
+    assert rows[cids[0]].name == "tc_0_24"
 
 
 def test_tc_horizon_mismatch_rejected(params):
@@ -208,13 +207,13 @@ def test_capex_cap_expression_coefficients(params):
     model, pvars = build_flat(params)
     cid = apply_capex_cap(model, pvars, params, storage_unit_cost=500.0,
                           cap_usd=2e7)
-    con = model.constraints()[cid]
-    assert con.name == "capex_cap"
-    assert con.rhs == 2e7
-    assert con.expr.coefficient(pvars.c_el) == pytest.approx(1343.3)
-    assert con.expr.coefficient(pvars.c_wind) == pytest.approx(2126.6)
-    assert con.expr.coefficient(pvars.c_pv) == pytest.approx(1068.2)
-    assert con.expr.coefficient(pvars.c_store) == pytest.approx(500.0)
+    row = read_back(model).rows[cid]
+    assert row.name == "capex_cap"
+    assert row.rhs == 2e7
+    assert row.coeffs[pvars.c_el] == pytest.approx(1343.3)
+    assert row.coeffs[pvars.c_wind] == pytest.approx(2126.6)
+    assert row.coeffs[pvars.c_pv] == pytest.approx(1068.2)
+    assert row.coeffs[pvars.c_store] == pytest.approx(500.0)
 
 
 # -- two-market rewiring -------------------------------------------------
@@ -222,7 +221,7 @@ def test_capex_cap_expression_coefficients(params):
 def test_wire_two_grid_splits_the_bus(params):
     model, pvars = build_flat(params)
     wire_two_grid(model, pvars)
-    names = {c.name for c in model.constraints().values()}
+    names = {row.name for row in read_back(model).rows.values()}
     assert "farm_balance_0" in names and "plant_balance_0" in names
     assert "balance_0" not in names
     assert len(pvars.balance_cids) == pvars.horizon

@@ -21,11 +21,12 @@ from h2grid.types import (
     TcInterval,
     Unit,
     UnitError,
-    constant_series,
     convert_price,
     expect_unit,
     validate_profile,
 )
+
+from conftest import constant_series
 
 
 def kw_series(values):
@@ -54,28 +55,11 @@ class TestHourlySeries:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
-    def test_add_same_unit(self):
-        s = kw_series([1.0, 2.0]) + kw_series([3.0, 4.0])
-        assert s.values.tolist() == [4.0, 6.0]
-
-    def test_add_unit_mismatch_rejected(self):
-        price = HourlySeries(np.ones(2), Unit.USD_PER_KWH)
-        with pytest.raises(UnitError):
-            kw_series([1.0, 2.0]) + price
-
-    def test_sub_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            kw_series([1.0, 2.0]) - kw_series([1.0])
-
-    def test_scale_and_total(self):
-        s = kw_series([1.0, 2.0, 3.0]).scale(2.0)
-        assert s.total() == 12.0
-        assert s.unit is Unit.KW
-
     def test_constant_series(self):
         s = constant_series(5.0, Unit.KG_PER_H, 4)
         assert len(s) == 4
-        assert s.total() == 20.0
+        assert s.values.tolist() == [5.0] * 4
+        assert s.unit is Unit.KG_PER_H
 
     def test_expect_unit(self):
         s = kw_series([1.0])
@@ -160,10 +144,6 @@ class TestPlantParameters:
         p = PlantParameters()
         assert p.eta_el == 0.70
         assert p.load_kg_per_h == 180.0
-
-    def test_direct_path_energy(self):
-        p = PlantParameters()
-        assert p.kwh_per_kg_direct == pytest.approx(39.4 / 0.7 + 0.83, rel=1e-12)
 
     def test_bad_efficiency_rejected(self):
         with pytest.raises(ValueError, match="eta_el"):
