@@ -199,6 +199,26 @@ def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
             "emissions": None if emissions is None else emissions_to_dict(emissions)}
 
 
+def _write_sweep(name: str, points: list, header: list[str], cells, summary: dict,
+                 config: RunConfig, dataset: Dataset, out_dir: Path,
+                 export_lp: bool) -> None:
+    """Solve each (value, scenario) point and write <name>.csv, one row
+    per point (the value, the status, then cells(report, breakdown,
+    emissions) when optimal, else empty cells), and <name>.json (schema
+    version, summary, inputs and one entry per point, keyed header[0])."""
+    rows, entries = [], []
+    for value, scenario in points:
+        report, breakdown, emissions = _solve_one(scenario, config, dataset,
+                                                  out_dir, export_lp)
+        rows.append([value, report.status.value] + (
+            cells(report, breakdown, emissions) if report.is_optimal
+            else [None] * (len(header) - 2)))
+        entries.append(_point_entry(header[0], value, report, breakdown, emissions))
+    _write_csv(out_dir / f"{name}.csv", header, rows)
+    dump_json({"schema_version": 1, **summary, "inputs": _inputs_block(config),
+               "points": entries}, out_dir / f"{name}.json")
+
+
 def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
     """Fix the electrolyser at the isolated optimum's size, then sweep
     installed renewable capacity from zero to 1.5x the isolated optimum's
@@ -223,46 +243,36 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
     wind_share = c_wind / re_total if re_total > 0 else 1.0
     r_max = 1.5 * re_total / c_el if c_el > 0 else 0.0
 
-    header = ["re_factor", "status", "lcoh_usd_per_kg", "ei_market", "ei_recs",
-              "ei_location", "ei_mef", "ei_aef", "d_market", "d_location",
-              "re_capacity_factor", "c_wind_kw", "c_pv_kw", "c_el_kw",
-              "c_store_kg"]
-    rows, entries = [], []
-    for i in range(n_points):
-        r = r_max * i / (n_points - 1)
+    def scenario(i: int, r: float) -> ScenarioSpec:
         caps = CapacitySpec(
             wind_kw=Fixed(r * c_el * wind_share),
             pv_kw=Fixed(r * c_el * (1.0 - wind_share)),
             electrolyser_kw=Fixed(c_el),
             storage_kg=Free(),
         )
-        scenario = ScenarioSpec(f"re_{i:03d}", Mode.GRID, CoLocated(config.zone),
-                                capacities=caps)
-        report, breakdown, emissions = _solve_one(scenario, config, dataset,
-                                                  out_dir, export_lp)
-        if report.is_optimal:
-            disp = report.dispatch
-            cf = (None if disp.c_wind_kw + disp.c_pv_kw <= 0 else
-                  re_capacity_factor(disp.gen_wind_kw, disp.gen_pv_kw,
-                                     disp.c_wind_kw, disp.c_pv_kw))
-            rows.append([r, report.status.value, breakdown.lcoh_usd_per_kg,
-                         emissions.ei_market, emissions.ei_recs,
-                         emissions.ei_location, emissions.ei_mef,
-                         emissions.ei_aef, emissions.d_market,
-                         emissions.d_location, cf, disp.c_wind_kw,
-                         disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg])
-        else:
-            rows.append([r, report.status.value] + [None] * (len(header) - 2))
-        entries.append(_point_entry("re_factor", r, report, breakdown, emissions))
-    _write_csv(out_dir / "sweep_re.csv", header, rows)
-    dump_json({
-        "schema_version": 1,
-        "baseline_capacities": base_report.capacities,
-        "notes": "electrolyser and renewable split fixed at the isolated "
-                 "optimum; storage re-optimized at every point",
-        "inputs": _inputs_block(config),
-        "points": entries,
-    }, out_dir / "sweep_re.json")
+        return ScenarioSpec(f"re_{i:03d}", Mode.GRID, CoLocated(config.zone),
+                            capacities=caps)
+
+    def cells(report, breakdown, emissions) -> list:
+        disp = report.dispatch
+        cf = (None if disp.c_wind_kw + disp.c_pv_kw <= 0 else
+              re_capacity_factor(disp.gen_wind_kw, disp.gen_pv_kw,
+                                 disp.c_wind_kw, disp.c_pv_kw))
+        return [breakdown.lcoh_usd_per_kg, emissions.ei_market,
+                emissions.ei_recs, emissions.ei_location, emissions.ei_mef,
+                emissions.ei_aef, emissions.d_market, emissions.d_location, cf,
+                disp.c_wind_kw, disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
+
+    rs = [r_max * i / (n_points - 1) for i in range(n_points)]
+    _write_sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
+                 ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
+                  "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
+                  "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
+                  "c_el_kw", "c_store_kg"], cells,
+                 {"baseline_capacities": base_report.capacities,
+                  "notes": "electrolyser and renewable split fixed at the "
+                           "isolated optimum; storage re-optimized at every point"},
+                 config, dataset, out_dir, export_lp)
     return EXIT_OK
 
 
@@ -302,33 +312,23 @@ def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
         baseline_block["lcoh_with_recs_usd_per_kg"] = [
             base_breakdown.lcoh_usd_per_kg + a for a in adders]
 
-    header = ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market", "ei_recs",
-              "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw", "c_store_kg"]
-    rows, entries = [], []
-    for zone in sell_zones:
-        scenario = ScenarioSpec(f"geo_{zone}", Mode.GRID,
-                                Split(sell_zone=zone, buy_zone=config.zone),
-                                capacities=config.capacities,
-                                tc_interval=TcInterval.YEARLY)
-        report, breakdown, emissions = _solve_one(scenario, config, dataset,
-                                                  out_dir, export_lp)
-        if report.is_optimal:
-            disp = report.dispatch
-            rows.append([zone, report.status.value, breakdown.lcoh_usd_per_kg,
-                         emissions.ei_market, emissions.ei_recs,
-                         emissions.ei_mef, disp.c_wind_kw, disp.c_pv_kw,
-                         disp.c_el_kw, disp.c_store_kg])
-        else:
-            rows.append([zone, report.status.value] + [None] * (len(header) - 2))
-        entries.append(_point_entry("sell_zone", zone, report, breakdown, emissions))
-    _write_csv(out_dir / "sweep_geo.csv", header, rows)
-    dump_json({
-        "schema_version": 1,
-        "buy_zone": config.zone,
-        "grid_only_baseline": baseline_block,
-        "inputs": _inputs_block(config),
-        "points": entries,
-    }, out_dir / "sweep_geo.json")
+    def cells(report, breakdown, emissions) -> list:
+        disp = report.dispatch
+        return [breakdown.lcoh_usd_per_kg, emissions.ei_market,
+                emissions.ei_recs, emissions.ei_mef, disp.c_wind_kw,
+                disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
+
+    points = [(zone, ScenarioSpec(f"geo_{zone}", Mode.GRID,
+                                  Split(sell_zone=zone, buy_zone=config.zone),
+                                  capacities=config.capacities,
+                                  tc_interval=TcInterval.YEARLY))
+              for zone in sell_zones]
+    _write_sweep("sweep_geo", points,
+                 ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
+                  "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
+                  "c_store_kg"], cells,
+                 {"buy_zone": config.zone, "grid_only_baseline": baseline_block},
+                 config, dataset, out_dir, export_lp)
     return EXIT_OK
 
 

@@ -13,16 +13,22 @@ gives the same point and the same messages. `LpModel.solve(warm=...)`
 hands the backend the optimal basis of an earlier solve of a model of
 the same shape; primal simplex starts there, and a warm result that is
 not optimal or fails `check_feasibility` is discarded for the cold
-attempt order. When this scipy lacks the binding, the backend calls
-`scipy.optimize.linprog` itself and every solve is cold. scipy is
-imported on first use, not with this module.
+attempt order. The binding is loaded from its extension file inside
+the installed scipy package, and the matrices are plain numpy arrays,
+so no scipy module is imported; only when the binding is missing does
+the backend import and call `scipy.optimize.linprog`, and every solve
+is then cold.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -200,14 +206,13 @@ class LpModel:
         _SENSES), rhs, alive (False for removed rows) and A, the CSR
         matrix of every row added, removed ones included."""
         if self._cache is None:
-            import scipy.sparse as sp
             lb, ub = (np.concatenate(part) for part in zip(*self._vars))
             sense, rhs, rows, cols, coefs = (np.concatenate(part) for part in zip(*self._rows))
             m = len(self._row_names)
             alive = np.ones(m, dtype=bool)
             alive[np.concatenate(self._removed)] = False
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
-            A = sp.csr_matrix((coefs, cols, indptr), shape=(m, self.num_variables))
+            A = CsrMatrix(_offsets(np.bincount(rows, minlength=m)), cols, coefs,
+                          (m, self.num_variables))
             self._cache = (lb, ub, sense, rhs, alive, A)
         return self._cache
 
@@ -217,8 +222,8 @@ class LpModel:
         """Violations of constraints and bounds at x, scaled per row by
         max(1, |rhs|, max |a_ij x_j|). Empty list means feasible.
 
-        A row within the rounding error of A @ x of its threshold is
-        decided again with an exactly rounded sum."""
+        A row within the rounding error of its floating-point row sum of
+        its threshold is decided again with an exactly rounded sum."""
         x = np.asarray(x, dtype=float)
         lb, ub, sense, rhs, alive, A = self._arrays()
         scale = np.maximum(1.0, np.maximum(np.where(np.isfinite(lb), np.abs(lb), 1.0),
@@ -230,14 +235,16 @@ class LpModel:
 
         prod = A.data * x[A.indices]
         nnz = np.diff(A.indptr)
-        row_max, row_abs = np.zeros(nnz.size), np.zeros(nnz.size)
+        row_sum, row_max, row_abs = np.zeros((3, nnz.size))
         if prod.size:
             starts = A.indptr[:-1][nnz > 0]
+            row_sum[nnz > 0] = np.add.reduceat(prod, starts)
             row_max[nnz > 0] = np.maximum.reduceat(np.abs(prod), starts)
             row_abs[nnz > 0] = np.add.reduceat(np.abs(prod), starts)
         limit = tol * np.maximum(1.0, np.maximum(np.abs(rhs), row_max))
+        # bounds the error of any order of summing a row, and of the residual
         rounding = np.finfo(float).eps * (nnz * row_abs + np.abs(rhs))
-        near = np.flatnonzero(alive & (_residual(sense, A @ x, rhs) + rounding > limit))
+        near = np.flatnonzero(alive & (_residual(sense, row_sum, rhs) + rounding > limit))
         lhs = np.array([math.fsum(prod[A.indptr[i]:A.indptr[i + 1]].tolist())
                         for i in near.tolist()])
         resid = _residual(sense[near], lhs, rhs[near])
@@ -315,10 +322,9 @@ class LpModel:
         sign = np.where(sense[ineq] == _GE, -1.0, 1.0)
         A_ub = A_eq = b_ub = b_eq = None
         if ineq.size:
-            A_ub, b_ub = A[ineq], sign * rhs[ineq]
-            A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+            A_ub, b_ub = A.take_rows(ineq, sign), sign * rhs[ineq]
         if eq.size:
-            A_eq, b_eq = A[eq], rhs[eq]
+            A_eq, b_eq = A.take_rows(eq), rhs[eq]
         return c, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                        bounds=np.column_stack((lb, ub)))
 
@@ -376,6 +382,35 @@ def _residual(sense, lhs, rhs):
                     np.where(sense == _GE, rhs - lhs, np.abs(lhs - rhs)))
 
 
+class CsrMatrix(NamedTuple):
+    """A sparse matrix by rows, as plain numpy arrays: row i has the
+    entries data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def take_rows(self, rows: np.ndarray, scale=None) -> CsrMatrix:
+        """The listed rows in order, each times its entry of scale."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _offsets(counts)
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        data = self.data[pos] if scale is None else self.data[pos] * np.repeat(scale, counts)
+        return CsrMatrix(indptr, self.indices[pos], data, (rows.size, self.shape[1]))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of these lengths starts, then the end."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
 class SolverResult(NamedTuple):
     """What one solver run reports, in scipy.optimize.linprog's terms:
     status 0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4
@@ -388,57 +423,151 @@ class SolverResult(NamedTuple):
     basis: object = None
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
 @functools.cache
 def _load_highs():
-    """scipy's bundled HiGHS binding and the helpers linprog uses to
-    read its result, or None when this scipy does not have them (they
-    are private API)."""
-    try:
-        from scipy.optimize._highspy import _core
-        from scipy.optimize._linprog_highs import (_highs_to_scipy_status_message,
-                                                   _replace_inf)
-        from scipy.optimize._linprog_util import _check_result
-    except ImportError:
+    """scipy's bundled HiGHS binding, or None when this scipy does not
+    have it (it is private API). The extension is loaded from its file in
+    the installed scipy package, which imports no scipy module, and is
+    registered under its dotted name, so that a later `import
+    scipy.optimize` reuses this very module."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
         return None
-    return _core, _highs_to_scipy_status_message, _replace_inf, _check_result
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(_HIGHS_MODULE, None)
+        return None
+    return module
+
+
+# scipy's _highs_to_scipy_status_message: linprog's status code and the
+# start of its message, per HiGHS model status
+_SCIPY_STATUS = {
+    "kNotset": (4, ""),
+    "kLoadError": (4, ""),
+    "kModelError": (2, ""),
+    "kPresolveError": (4, ""),
+    "kSolveError": (4, ""),
+    "kPostsolveError": (4, ""),
+    "kModelEmpty": (4, ""),
+    "kObjectiveBound": (4, ""),
+    "kObjectiveTarget": (4, ""),
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+}
+
+
+def _scipy_status(status, message: str) -> tuple[int, str]:
+    """A HiGHS model status and its message as linprog reports them."""
+    if status is None:
+        code, head = 4, "HiGHS did not provide a status code. "
+    else:
+        code, head = _SCIPY_STATUS.get(getattr(status, "name", None),
+                                       (4, "The HiGHS status code was not recognized. "))
+    return code, f"{head}(HiGHS Status {None if status is None else int(status)}: {message})"
+
+
+def _replace_inf(x: np.ndarray, highs_inf: float) -> np.ndarray:
+    """A copy of x with each infinity replaced by HiGHS's infinity of
+    that sign."""
+    x = x.copy()
+    infs = np.isinf(x)
+    x[infs] = np.sign(x[infs]) * highs_inf
+    return x
+
+
+def _check_optimal(x, fun, slack, con, bounds, message) -> tuple[int, str]:
+    """linprog's re-check of an optimal point (scipy's _check_result for
+    status 0 and tolerance 1e-9): status 4 with linprog's message when x
+    leaves its bounds, an A_ub row or an A_eq row by more than
+    sqrt(1e-9) * 10, or anything is NaN; else (0, message)."""
+    tol = np.sqrt(1e-9) * 10
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+            or np.isnan(con).any()
+            or not np.all((x >= bounds[:, 0] - tol) & (x <= bounds[:, 1] + tol))
+            or (slack < -tol).any() or (np.abs(con) > tol).any()):
+        return 4, ("The solution does not satisfy the constraints within the "
+                   "required tolerance of " + f"{tol:.2E}" + ", yet "
+                   "no errors were raised and there is no certificate of "
+                   "infeasibility or unboundedness. Check whether "
+                   "the slack and constraint residuals are acceptable; "
+                   "if not, consider enabling presolve, adjusting the "
+                   "tolerance option(s), and/or using a different method. "
+                   "Please consider submitting a bug report.")
+    return 0, message
+
+
+def _stacked_csc(blocks: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the blocks, one block after the other, by columns
+    (start, row index, value), rows ascending within each column: the
+    layout of scipy.sparse.vstack(blocks, format="csc")."""
+    if not blocks:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    row_counts = np.concatenate([np.diff(a.indptr) for a in blocks])
+    rows = np.repeat(np.arange(row_counts.size), row_counts)
+    cols = np.concatenate([a.indices for a in blocks])
+    order = np.argsort(cols, kind="stable")
+    return (_offsets(np.bincount(cols, minlength=n)), rows[order],
+            np.concatenate([a.data for a in blocks])[order])
 
 
 # The one place a solver runs. It keeps scipy.optimize.linprog's name, its
 # keywords (c positional, A_ub=, A_eq=, ...) and its result's status, x,
 # nit and message: the benchmark harness times the HiGHS layer by wrapping
-# this module attribute by name and reads those fields.
+# this module attribute by name, and reads those fields and the shape[0]
+# and nnz of A_ub and A_eq.
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
             options=_TIGHT_OPTIONS, basis=None) -> SolverResult:
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
     bounds (an (n, 2) array) with HiGHS simplex, under linprog's options
     (presolve and the two feasibility tolerances; simplex_strategy 4
-    selects primal simplex). basis, from an earlier result of a model of
-    the same shape, is the starting basis."""
-    highs = _load_highs()
-    if highs is None:
+    selects primal simplex). A_ub and A_eq are CsrMatrix (or anything
+    with the same indptr, indices, data and shape). basis, from an
+    earlier result of a model of the same shape, is the starting basis."""
+    core = _load_highs()
+    if core is None:
+        import scipy.sparse as sp
         from scipy.optimize import linprog as scipy_linprog
+        A_ub, A_eq = (None if a is None else
+                      sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+                      for a in (A_ub, A_eq))
         res = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                             bounds=bounds, method=_SOLVER_METHOD, options=options)
         return SolverResult(res.status, res.x, res.nit, res.message)
-    core, to_scipy_status, replace_inf, check_result = highs
-    import scipy.sparse as sp
 
-    # the model as _linprog_highs loads it: A_ub rows then A_eq rows, by
+    # the model as scipy's linprog loads it: A_ub rows then A_eq rows, by
     # columns, each row as lhs <= a x <= rhs, infinities as kHighsInf
     n = len(c)
     b_ub = np.zeros(0) if b_ub is None else b_ub
     b_eq = np.zeros(0) if b_eq is None else b_eq
-    blocks = [a for a in (A_ub, A_eq) if a is not None]
-    A = sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, n))
     rhs = np.concatenate((b_ub, b_eq))
     model = core.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n
     model.num_row_ = model.a_matrix_.num_row_ = rhs.size
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-        A.indptr, A.indices, A.data)
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = _stacked_csc(
+        [a for a in (A_ub, A_eq) if a is not None], n)
     model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = (replace_inf(b.copy()) for b in bounds.T)
+    model.col_lower_, model.col_upper_ = (_replace_inf(b, core.kHighsInf) for b in bounds.T)
     model.row_lower_ = np.concatenate((np.full(b_ub.size, -core.kHighsInf), b_eq))
     model.row_upper_ = rhs
 
@@ -469,15 +598,14 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
         if status != core.HighsModelStatus.kOptimal:
             message = (f"model_status is {message}; primal_status is "
                        f"{solver.solutionStatusToString(info.primal_solution_status)}")
-    code, message = to_scipy_status(status, message)
+    code, message = _scipy_status(status, message)
     if status == core.HighsModelStatus.kOptimal:
         solution = solver.getSolution()
         x = np.array(solution.col_value)
         slack = rhs - solution.row_value
         # linprog's own re-check of the point, which can turn 0 into 4
-        code, message = check_result(x, solver.getInfo().objective_function_value, code,
-                                     slack[:b_ub.size], slack[b_ub.size:],
-                                     bounds, 1e-9, message, None)
+        code, message = _check_optimal(x, solver.getInfo().objective_function_value,
+                                       slack[:b_ub.size], slack[b_ub.size:], bounds, message)
         out_basis = solver.getBasis()
     return SolverResult(code, x, nit, message, out_basis)
 

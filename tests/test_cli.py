@@ -2,6 +2,11 @@
 byte-stable reruns."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +209,32 @@ def test_sweep_geo_unknown_zone_is_input_error(tmp_path, capsys):
     assert main(["sweep-geo", "--config", str(config),
                  "--sell-zones", "Z9"]) == 1
     assert "Z9" in capsys.readouterr().err
+
+
+def test_solve_imports_no_scipy_package(tmp_path):
+    """A CLI solve loads only scipy's HiGHS binding, not scipy.sparse or
+    scipy.optimize; importing scipy.optimize afterwards reuses that
+    binding, and the public linprog still solves."""
+    config = write_config(tmp_path, {"horizon": 168})
+    script = textwrap.dedent(f"""
+        import sys
+        from h2grid import cli, lp
+        assert cli.main(["solve", "--config", {str(config)!r},
+                         "--scenario", "flexible"]) == 0
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        name = "scipy.optimize._highspy._core"
+        assert name in loaded, loaded
+        assert all(m.startswith(name) for m in loaded), loaded
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        assert _core is lp._load_highs() is sys.modules[name]
+        res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                                     method="highs-ds")
+        assert res.status == 0 and list(res.x) == [1.0, 0.0], res
+        """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

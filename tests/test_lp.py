@@ -1,12 +1,18 @@
 """LP layer: model construction, solve contract, and a brute-force
 vertex enumerator that serves as the reference solver for tiny LPs."""
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message, _replace_inf
+from scipy.optimize._linprog_util import _check_result
 from hypothesis import given, settings, strategies as st
 
 from h2grid import lp
@@ -288,6 +294,19 @@ def golden_model(name: str) -> LpModel:
     return model
 
 
+def to_scipy(matrix):
+    """A CsrMatrix as a scipy CSR matrix (None stays None)."""
+    if matrix is None:
+        return None
+    return scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                                   shape=matrix.shape)
+
+
+def activity(matrix, x):
+    """matrix @ x, or an empty array for no matrix."""
+    return np.zeros(0) if matrix is None else to_scipy(matrix) @ x
+
+
 class TestBackend:
     @pytest.mark.parametrize("options", ["_TIGHT_OPTIONS", "_TIGHT_NO_PRESOLVE",
                                          "_STOCK_OPTIONS"])
@@ -296,7 +315,9 @@ class TestBackend:
         c, problem = golden_model(name)._solver_input()
         opts = getattr(lp, options)
         got = lp.linprog(c, **problem, options=opts)
-        ref = scipy.optimize.linprog(c, **problem, method="highs-ds", options=opts)
+        ref = scipy.optimize.linprog(c, **dict(problem, A_ub=to_scipy(problem["A_ub"]),
+                                               A_eq=to_scipy(problem["A_eq"])),
+                                     method="highs-ds", options=opts)
         assert (got.status, got.nit, got.message) == (ref.status, ref.nit, ref.message)
         if ref.x is None:
             assert got.x is None
@@ -363,6 +384,82 @@ class TestBackend:
         got = model.solve(warm=other)
         assert [(w, r.status) for w, r in calls] == [(True, 4), (False, 0)]
         assert got.values.tobytes() == model.solve().values.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_stacked_matrix_is_scipy_vstack(self, name):
+        c, problem = golden_model(name)._solver_input()
+        blocks = [problem["A_ub"], problem["A_eq"]]
+        ref = scipy.sparse.vstack([to_scipy(a) for a in blocks], format="csc")
+        got = lp._stacked_csc(blocks, c.size)
+        for arr, want in zip(got, (ref.indptr, ref.indices, ref.data)):
+            assert arr.tolist() == want.tolist()
+
+    def test_status_messages_match_scipy(self):
+        statuses = [*lp._load_highs().HighsModelStatus.__members__.values(), None, 99]
+        for status in statuses:
+            assert (lp._scipy_status(status, "detail")
+                    == _highs_to_scipy_status_message(status, "detail")), status
+
+    def test_replace_inf_matches_scipy(self):
+        values = np.array([-math.inf, -2.5, 0.0, -0.0, 3.0, math.inf])
+        got = lp._replace_inf(values, lp._load_highs().kHighsInf)
+        assert got.tobytes() == _replace_inf(values.copy()).tobytes()
+        assert values[0] == -math.inf  # the input is left as it was
+
+    @pytest.mark.parametrize("where", ["bound", "le_row", "eq_row", "nan"])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_optimal_point_check_matches_scipy(self, where, factor):
+        c, problem = golden_model("split_yearly")._solver_input()
+        res = lp.linprog(c, **problem)
+        assert res.status == 0
+        x, bounds = res.x.copy(), problem["bounds"]
+        slack = problem["b_ub"] - activity(problem["A_ub"], x)
+        con = problem["b_eq"] - activity(problem["A_eq"], x)
+        step = factor * np.sqrt(1e-9) * 10
+        if where == "bound":
+            j = int(np.flatnonzero(np.isfinite(bounds[:, 1]))[0])
+            x[j] = bounds[j, 1] + step
+        elif where == "le_row":
+            slack[int(np.argmin(slack))] = -step
+        elif where == "eq_row":
+            con[len(con) // 2] = step
+        elif where == "nan":
+            con[0] = math.nan
+        fun = float(c @ x)
+        got = lp._check_optimal(x, fun, slack, con, bounds, res.message)
+        ref = _check_result(x, fun, 0, slack, con, bounds, 1e-9, res.message, None)
+        assert got == ref
+        assert got[0] == (4 if where == "nan" or factor > 1 else 0)
+
+    def test_missing_binding_file_falls_back_to_public_linprog(self, monkeypatch, tmp_path):
+        model = golden_model("offgrid_night")
+        binding = model.solve()
+        # a scipy package whose optimize/_highspy folder has no _core extension
+        (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: (
+            empty if name == "scipy" else find_spec(name, package)))
+        monkeypatch.delitem(sys.modules, lp._HIGHS_MODULE, raising=False)
+        inputs, public = [], scipy.optimize.linprog
+
+        def recording_linprog(c, **kwargs):
+            inputs.append(kwargs)
+            return public(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+        lp._load_highs.cache_clear()
+        try:
+            assert lp._load_highs() is None
+            got = model.solve()
+        finally:
+            lp._load_highs.cache_clear()
+        assert len(inputs) == 1
+        assert all(scipy.sparse.issparse(inputs[0][key]) for key in ("A_ub", "A_eq"))
+        assert got.status is binding.status is LpStatus.OPTIMAL
+        assert got.values.tobytes() == binding.values.tobytes()
+        assert got.basis is None
 
 
 class TestWriteLp:
