@@ -78,7 +78,7 @@ def resolve_scenario(config: RunConfig, name: str) -> ScenarioSpec:
     return builtin_scenario(name, config)
 
 
-def _inputs_block(config: RunConfig, seed_used: int | None = None) -> dict:
+def _inputs_block(config: RunConfig) -> dict:
     return {
         "horizon": config.horizon,
         "fx_usd_per_aud": config.fx_usd_per_aud,
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
             zones = [z.strip() for z in args.sell_zones.split(",") if z.strip()]
             return cmd_sweep_geo(config, zones, args.export_lp)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

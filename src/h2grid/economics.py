@@ -176,10 +176,12 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
                          tech: StorageTech) -> tuple[LpModel, PlantVars]:
     """One LP instance for the scenario at a trial storage unit cost."""
     buy, sell = zone_pair(scenario, dataset)
+    two_bus = isinstance(scenario.geo, Split)
     model, pvars = build_plant(params, dataset.ref_wind, dataset.ref_pv,
                                scenario.capacities, scenario.mode,
-                               dataset.horizon, mu_comp2=tech.mu_comp2(params))
-    if isinstance(scenario.geo, Split):
+                               dataset.horizon, mu_comp2=tech.mu_comp2(params),
+                               two_bus=two_bus)
+    if two_bus:
         wire_two_grid(model, pvars)
     if scenario.tc_interval is not None:
         apply_temporal_correlation(

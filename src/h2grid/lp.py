@@ -15,9 +15,8 @@ the same shape; primal simplex starts there, and a warm result that is
 not optimal or fails `check_feasibility` is discarded for the cold
 attempt order. The binding is loaded from its extension file inside
 the installed scipy package, and the matrices are plain numpy arrays,
-so no scipy module is imported; only when the binding is missing does
-the backend import and call `scipy.optimize.linprog`, and every solve
-is then cold.
+so no scipy module is imported; a scipy without that file raises a
+named ImportError, as there is no other solver path.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,9 +58,6 @@ _STOCK_OPTIONS = {"presolve": True}
 # simplex from the same basis took longer than a cold solve; presolve
 # would discard the basis
 _WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
-# dual simplex: deterministic and returns vertex solutions (so degenerate
-# ties like simultaneous import/export resolve to a basic solution)
-_SOLVER_METHOD = "highs-ds"
 
 
 class Sense(Enum):
@@ -90,7 +86,8 @@ class LpSolution:
     objective_value: float
     values: np.ndarray | None
     message: str = ""
-    # the solver's optimal basis, opaque; None when the backend gives none
+    # HiGHS's optimal basis, opaque; None when no solver run ended optimal
+    # (every result that is not optimal, and a model without variables)
     basis: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -107,10 +104,9 @@ class LpSolution:
 
 
 class LpModel:
-    """LP under construction: bounded variables, removable constraints,
-    minimize objective. Variables and rows are numbered in insertion
-    order; a constraint's id is its row number, and a removed row is
-    masked, so ids never shift."""
+    """LP under construction: bounded variables, constraints, minimize
+    objective. Variables and rows are numbered in insertion order; a
+    constraint's id is its row number."""
 
     def __init__(self):
         self._var_names: list[str] = []
@@ -118,7 +114,6 @@ class LpModel:
         self._vars = [(np.zeros(0), np.zeros(0))]        # (lower, upper) per block
         self._rows = [(np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int64),
                        np.zeros(0, np.int64), np.zeros(0))]  # (sense, rhs, row, col, coef)
-        self._removed = [np.zeros(0, np.int64)]
         self._obj = (np.zeros(0, np.int64), np.zeros(0), 0.0)  # (cols, coefs, constant)
         self._cache = None
 
@@ -178,16 +173,6 @@ class LpModel:
         self._cache = None
         return np.arange(first, first + m)
 
-    def remove_constraint(self, cids) -> None:
-        """Remove one constraint id, or an array of them."""
-        ids = np.atleast_1d(np.asarray(cids, dtype=np.int64))
-        alive = self._arrays()[4]
-        missing = ids[(ids < 0) | (ids >= alive.size)]
-        for cid in (missing if missing.size else ids[~alive[ids]])[:1]:
-            raise ValueError(f"no constraint with id {cid}")
-        self._removed.append(ids)
-        alive[ids] = False
-
     def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
         """Minimize sum(coefs[k] * x[cols[k]]) + constant."""
         if not math.isfinite(constant):
@@ -203,17 +188,14 @@ class LpModel:
 
     def _arrays(self) -> tuple:
         """The blocks so far, concatenated: lb, ub, sense (index into
-        _SENSES), rhs, alive (False for removed rows) and A, the CSR
-        matrix of every row added, removed ones included."""
+        _SENSES), rhs and A, the CSR matrix of the rows."""
         if self._cache is None:
             lb, ub = (np.concatenate(part) for part in zip(*self._vars))
             sense, rhs, rows, cols, coefs = (np.concatenate(part) for part in zip(*self._rows))
             m = len(self._row_names)
-            alive = np.ones(m, dtype=bool)
-            alive[np.concatenate(self._removed)] = False
             A = CsrMatrix(_offsets(np.bincount(rows, minlength=m)), cols, coefs,
                           (m, self.num_variables))
-            self._cache = (lb, ub, sense, rhs, alive, A)
+            self._cache = (lb, ub, sense, rhs, A)
         return self._cache
 
     # -- feasibility --------------------------------------------------
@@ -225,7 +207,7 @@ class LpModel:
         A row within the rounding error of its floating-point row sum of
         its threshold is decided again with an exactly rounded sum."""
         x = np.asarray(x, dtype=float)
-        lb, ub, sense, rhs, alive, A = self._arrays()
+        lb, ub, sense, rhs, A = self._arrays()
         scale = np.maximum(1.0, np.maximum(np.where(np.isfinite(lb), np.abs(lb), 1.0),
                                            np.where(np.isfinite(ub), np.abs(ub), 1.0)))
         violations = [
@@ -244,7 +226,7 @@ class LpModel:
         limit = tol * np.maximum(1.0, np.maximum(np.abs(rhs), row_max))
         # bounds the error of any order of summing a row, and of the residual
         rounding = np.finfo(float).eps * (nnz * row_abs + np.abs(rhs))
-        near = np.flatnonzero(alive & (_residual(sense, row_sum, rhs) + rounding > limit))
+        near = np.flatnonzero(_residual(sense, row_sum, rhs) + rounding > limit)
         lhs = np.array([math.fsum(prod[A.indptr[i]:A.indptr[i + 1]].tolist())
                         for i in near.tolist()])
         resid = _residual(sense[near], lhs, rhs[near])
@@ -310,15 +292,15 @@ class LpModel:
         return optimal(res, x)
 
     def _solver_input(self) -> tuple[np.ndarray, dict]:
-        """The model as linprog's c and keyword arguments: live LE and
-        GE rows in A_ub (GE negated), EQ rows in A_eq, bounds as an
-        (n, 2) array."""
+        """The model as linprog's c and keyword arguments: LE and GE
+        rows in A_ub (GE negated), EQ rows in A_eq, bounds as an (n, 2)
+        array."""
         cols, coefs, _ = self._obj
-        lb, ub, sense, rhs, alive, A = self._arrays()
+        lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
         c[cols] = coefs
-        eq = np.flatnonzero(alive & (sense == _EQ))
-        ineq = np.flatnonzero(alive & (sense != _EQ))
+        eq = np.flatnonzero(sense == _EQ)
+        ineq = np.flatnonzero(sense != _EQ)
         sign = np.where(sense[ineq] == _GE, -1.0, 1.0)
         A_ub = A_eq = b_ub = b_eq = None
         if ineq.size:
@@ -333,20 +315,19 @@ class LpModel:
     def write_lp(self, path) -> None:
         """Write the model in LP text format: Minimize / Subject To /
         Bounds / End, variables and constraints in id order."""
-        labels = _unique_labels(self._var_names, "x", range(self.num_variables))
-        lb, ub, sense, rhs, alive, A = self._arrays()
+        labels = _unique_labels(self._var_names, "x")
+        lb, ub, sense, rhs, A = self._arrays()
         cols, coefs, constant = self._obj
         objective = _format_rows(np.array([0, cols.size]), cols, coefs, labels)[0]
         if constant:
             tail = f"+ {constant!r}" if constant > 0 else f"- {-constant!r}"
             objective = f"{constant!r}" if not cols.size else f"{objective} {tail}"
         lines = ["\\ h2grid linear program", "Minimize", " obj: " + objective, "Subject To"]
-        cids = np.flatnonzero(alive)
-        clabels = _unique_labels([self._row_names[i] for i in cids.tolist()], "c", cids.tolist())
         lines.extend(f" {label}: {body} {op} {b!r}" for label, body, op, b in zip(
-            clabels, _format_rows(A.indptr, A.indices, A.data, labels, cids),
-            np.array([s.value for s in _SENSES], dtype=object)[sense[cids]].tolist(),
-            rhs[cids].tolist()))
+            _unique_labels(self._row_names, "c"),
+            _format_rows(A.indptr, A.indices, A.data, labels),
+            np.array([s.value for s in _SENSES], dtype=object)[sense].tolist(),
+            rhs.tolist()))
         lines.append("Bounds")
         for label, lo, hi in zip(labels, lb.tolist(), ub.tolist()):
             if lo == -math.inf and hi == math.inf:
@@ -428,31 +409,38 @@ _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 @functools.cache
 def _load_highs():
-    """scipy's bundled HiGHS binding, or None when this scipy does not
-    have it (it is private API). The extension is loaded from its file in
-    the installed scipy package, which imports no scipy module, and is
-    registered under its dotted name, so that a later `import
-    scipy.optimize` reuses this very module."""
+    """scipy's bundled HiGHS binding. The extension is loaded from its
+    file in the installed scipy package, which imports no scipy module,
+    and is registered under its dotted name, so that a later `import
+    scipy.optimize` reuses this very module. It is private API: a scipy
+    without it raises ImportError naming the file and the scipy version."""
     if _HIGHS_MODULE in sys.modules:
         return sys.modules[_HIGHS_MODULE]
     scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        return None
-    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    folder = os.path.join(roots[0] if roots else "<scipy>", "optimize", "_highspy")
     paths = [os.path.join(folder, "_core" + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        return None
-    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    reason = "no such file"
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_MODULE] = module
+            spec.loader.exec_module(module)
+            return module
+        except ImportError as err:
+            sys.modules.pop(_HIGHS_MODULE, None)
+            reason = str(err)
+    from importlib import metadata  # only here: importing it takes tens of ms
     try:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS_MODULE] = module
-        spec.loader.exec_module(module)
-    except ImportError:
-        sys.modules.pop(_HIGHS_MODULE, None)
-        return None
-    return module
+        installed = "scipy " + metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        installed = "no scipy"
+    raise ImportError(f"cannot load scipy's HiGHS binding {path or paths[0]} ({reason}); "
+                      f"{installed} is installed, and h2grid needs scipy>=1.17,<1.18",
+                      name=_HIGHS_MODULE, path=path or paths[0])
 
 
 # scipy's _highs_to_scipy_status_message: linprog's status code and the
@@ -542,18 +530,10 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     (presolve and the two feasibility tolerances; simplex_strategy 4
     selects primal simplex). A_ub and A_eq are CsrMatrix (or anything
     with the same indptr, indices, data and shape). basis, from an
-    earlier result of a model of the same shape, is the starting basis."""
+    earlier result of a model of the same shape, is the starting basis.
+    Dual simplex is the default: deterministic, and its vertex solutions
+    resolve degenerate ties such as simultaneous import and export."""
     core = _load_highs()
-    if core is None:
-        import scipy.sparse as sp
-        from scipy.optimize import linprog as scipy_linprog
-        A_ub, A_eq = (None if a is None else
-                      sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-                      for a in (A_ub, A_eq))
-        res = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                            bounds=bounds, method=_SOLVER_METHOD, options=options)
-        return SolverResult(res.status, res.x, res.nit, res.message)
-
     # the model as scipy's linprog loads it: A_ub rows then A_eq rows, by
     # columns, each row as lhs <= a x <= rhs, infinities as kHighsInf
     n = len(c)
@@ -622,39 +602,37 @@ def _sanitize(name: str) -> str:
     return out
 
 
-def _unique_labels(names: list[str], prefix: str, ids: Iterable[int]) -> list[str]:
+def _unique_labels(names: list[str], prefix: str) -> list[str]:
     """LP-safe labels: a name that is already a plain identifier as is,
-    any other sanitized, an empty one prefix + id; a repeated label gets
-    "_" + id appended."""
-    ids = list(ids)
+    any other sanitized, an empty one prefix + its position; a repeated
+    label gets "_" + its position appended."""
     if _PLAIN_NAMES.fullmatch("\n".join(names)):
         labels = list(names)
     else:
         labels = [name if name.isascii() and name.isidentifier()
                   else _sanitize(name) if name else f"{prefix}{i}"
-                  for i, name in zip(ids, names)]
+                  for i, name in enumerate(names)]
     if len(set(labels)) == len(labels):
         return labels
     used: set[str] = set()
-    for k, (i, label) in enumerate(zip(ids, labels)):
+    for i, label in enumerate(labels):
         if label in used:
-            labels[k] = label = f"{label}_{i}"
+            labels[i] = label = f"{label}_{i}"
         used.add(label)
     return labels
 
 
 def _format_rows(indptr: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
-                 labels: list[str], rows=None) -> list[str]:
-    """The terms of each CSR row (of the listed rows, default all) as LP
-    text: "2.0 x - 1.5 y + 3.0 z", or "0" for a row without terms."""
-    rows = np.arange(indptr.size - 1) if rows is None else np.asarray(rows)
+                 labels: list[str]) -> list[str]:
+    """The terms of each CSR row as LP text: "2.0 x - 1.5 y + 3.0 z", or
+    "0" for a row without terms."""
     # words: sign, |coefficient|, label per entry; a row's text joins its
     # words from its first coefficient, which carries its own sign
     words = [""] * (3 * coefs.size)
     words[0::3] = np.where(coefs < 0, "-", "+").tolist()
     words[1::3] = _reprs(np.abs(coefs))
     words[2::3] = np.array(labels, dtype=object)[cols].tolist()
-    starts, ends = indptr[rows], indptr[rows + 1]
+    starts, ends = indptr[:-1], indptr[1:]
     firsts = starts[starts < ends]
     for lo, c in zip(firsts.tolist(), coefs[firsts].tolist()):
         words[3 * lo + 1] = repr(c)

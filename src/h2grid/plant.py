@@ -45,10 +45,6 @@ class PlantVars:
     # per-kW-installed generation coefficients: gen_wind(t) = a_wind[t] * c_wind
     a_wind: np.ndarray
     a_pv: np.ndarray
-    # electricity-bus balance constraint ids, one per hour (replaced when
-    # the model is rewired for a two-grid split)
-    balance_cids: np.ndarray
-    mu_comp2: float
 
 
 @dataclass(frozen=True)
@@ -100,13 +96,18 @@ def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
 
 def build_plant(params: PlantParameters, ref_wind: HourlySeries,
                 ref_pv: HourlySeries, caps: CapacitySpec, mode: Mode,
-                horizon: int, mu_comp2: float | None = None) -> tuple[LpModel, PlantVars]:
+                horizon: int, mu_comp2: float | None = None,
+                two_bus: bool = False) -> tuple[LpModel, PlantVars]:
     """Build the LP skeleton: flow variables, bus balance, conversion
     chains, storage recursion with cyclic closure, capacity limits.
 
     mu_comp2 is the storage-compressor coefficient for the currently
     selected storage technology (defaults to the pipeline value); it must
     be a scalar for the model to stay linear.
+
+    two_bus leaves the electricity bus out: the model then has no
+    balance rows, and policy.wire_two_grid must append the farm-side and
+    plant-side balances before any other rows are added.
     """
     expect_unit(ref_wind, Unit.KW, "ref_wind")
     expect_unit(ref_pv, Unit.KW, "ref_pv")
@@ -154,11 +155,13 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     gen = [(c_wind, -a_wind), (c_pv, -a_pv)]
     soc_prev = np.concatenate(([soc0], soc[:-1]))
 
-    rows = add_hourly_rows(model, T, [
-        # electricity bus: consumption + export + curtailment = generation + import
+    # electricity bus: consumption + export + curtailment = generation + import
+    bus = [] if two_bus else [
         ("balance", Sense.EQ, 0.0, [(e_el, 1.0), (e_comp1, 1.0), (e_comp2, 1.0),
                                     (export_kw, 1.0), (curtail_kw, 1.0),
-                                    (import_kw, -1.0), *gen]),
+                                    (import_kw, -1.0), *gen])]
+    add_hourly_rows(model, T, [
+        *bus,
         # curtailment is surplus renewable generation, so it cannot exceed it
         # (without this, negative prices would let the model import-and-dump)
         ("curtail_cap", Sense.LE, 0.0, [(curtail_kw, 1.0), *gen]),
@@ -186,7 +189,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         h_el=h_el, h_comp1=h_comp1, h_comp2=h_comp2,
         h_from_store=h_from_store, soc=soc,
         c_wind=c_wind, c_pv=c_pv, c_el=c_el, c_store=c_store, soc0=soc0,
-        a_wind=a_wind, a_pv=a_pv, balance_cids=rows[:, 0], mu_comp2=mu_comp2,
+        a_wind=a_wind, a_pv=a_pv,
     )
     return model, pvars
 

@@ -1,6 +1,7 @@
 """Policy constraints layered onto a built plant model: interval-matched
-trading, emission-intensity caps, CAPEX caps, and the two-grid rewiring
-that separates the renewable farm's market from the plant's market."""
+trading, emission-intensity caps, CAPEX caps, and the two bus balances
+that separate the renewable farm's market from the plant's market in a
+model built without its one bus."""
 
 from __future__ import annotations
 
@@ -112,22 +113,20 @@ def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
 
 
 def wire_two_grid(model: LpModel, pvars: PlantVars) -> None:
-    """Split the single electricity bus into two: the renewable farm
-    trades only in its own (sell-side) market, and the plant is fed only
-    by imports from the buy-side market. Replaces every hourly balance
-    with a farm-side and a plant-side balance, appended after all
-    existing rows.
+    """Give a plant built with two_bus=True its two electricity buses:
+    the renewable farm trades only in its own (sell-side) market, and the
+    plant is fed only by imports from the buy-side market. Appends a
+    farm-side and a plant-side balance per hour after all existing rows;
+    call it right after build_plant.
 
     Farm side keeps the curtailment outlet; with non-negative sell prices
     it is never used, but it remains the only legal response to negative
     prices once generation cannot flow to the plant directly.
     """
-    model.remove_constraint(pvars.balance_cids)
-    rows = add_hourly_rows(model, pvars.horizon, [
+    add_hourly_rows(model, pvars.horizon, [
         ("farm_balance", Sense.EQ, 0.0, [(pvars.export_kw, 1.0), (pvars.curtail_kw, 1.0),
                                          (pvars.c_wind, -pvars.a_wind),
                                          (pvars.c_pv, -pvars.a_pv)]),
         ("plant_balance", Sense.EQ, 0.0, [(pvars.e_el, 1.0), (pvars.e_comp1, 1.0),
                                           (pvars.e_comp2, 1.0), (pvars.import_kw, -1.0)]),
     ])
-    pvars.balance_cids = rows[:, 1]

@@ -42,7 +42,7 @@ class ModelView(NamedTuple):
 
     names: list        # variable names
     bounds: list       # (lower, upper) per variable
-    rows: dict         # constraint id -> Row, live rows only
+    rows: dict         # constraint id -> Row
     objective: dict    # variable id -> coefficient
     constant: float    # objective constant
 
@@ -54,32 +54,15 @@ class ModelView(NamedTuple):
 def read_back(model: lp.LpModel) -> ModelView:
     """What the model holds, read from its private arrays, so that tests
     and the reference checks need no read-back API in h2grid.lp."""
-    lb, ub, sense, rhs, alive, A = model._arrays()
+    lb, ub, sense, rhs, A = model._arrays()
     rows = {}
-    for cid in np.flatnonzero(alive).tolist():
+    for cid in range(A.shape[0]):
         lo, hi = A.indptr[cid], A.indptr[cid + 1]
         rows[cid] = Row(model._row_names[cid], lp._SENSES[sense[cid]], float(rhs[cid]),
                         dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())))
     cols, coefs, constant = model._obj
     return ModelView(list(model._var_names), list(zip(lb.tolist(), ub.tolist())), rows,
                      dict(zip(cols.tolist(), coefs.tolist())), constant)
-
-
-def pytest_addoption(parser):
-    parser.addoption("--public-linprog", action="store_true",
-                     help="solve through scipy.optimize.linprog, as on a scipy "
-                          "without the HiGHS binding h2grid.lp uses")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def solver_backend(request):
-    """Under --public-linprog, hide the HiGHS binding for the whole run."""
-    if not request.config.getoption("--public-linprog"):
-        yield
-        return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_load_highs", lambda: None)
-        yield
 
 
 @pytest.fixture(scope="session")

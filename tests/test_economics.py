@@ -5,10 +5,6 @@ recompute them with the code under test.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,17 +319,3 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
     assert warm_runs[0] == cold_runs[0]
     for (_, warm_nit), (_, cold_nit) in zip(warm_runs[1:], cold_runs[1:]):
         assert warm_nit < cold_nit
-
-
-def test_results_hold_on_public_linprog():
-    """The economics and acceptance tests pass when scipy lacks the HiGHS
-    binding h2grid.lp uses, so every solve is a cold scipy.optimize.linprog."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--public-linprog", "-k", "not warm_storage_loop and not public_linprog",
-         "tests/test_economics.py", "tests/test_acceptance.py"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

@@ -57,11 +57,11 @@ def test_mode_bounds():
 def test_comp2_coefficient_follows_storage_tech():
     params = PlantParameters()
     rw, rp = refs(4)
-    _, pv_pipe = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID, 4)
-    _, pv_lrc = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID, 4,
-                            mu_comp2=params.mu_comp2_lrc)
-    assert pv_pipe.mu_comp2 == pytest.approx(0.83)
-    assert pv_lrc.mu_comp2 == pytest.approx(1.24)
+    for mu_comp2, coef in [(None, -0.83), (params.mu_comp2_lrc, -1.24)]:
+        model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID, 4,
+                                   mu_comp2=mu_comp2)
+        [row] = [r for r in read_back(model).rows.values() if r.name == "comp2_0"]
+        assert row.coeffs[pvars.h_comp2[0]] == pytest.approx(coef)
 
 
 def test_ref_profile_validation():

@@ -72,10 +72,11 @@ def test_partition_rejects_gaps_and_disorder():
 
 # -- temporal correlation ----------------------------------------------
 
-def build_flat(params, horizon=24, mode=Mode.GRID, caps=None):
+def build_flat(params, horizon=24, mode=Mode.GRID, caps=None, two_bus=False):
     rw = constant_series(0.4 * 320_000.0, Unit.KW, horizon)
     rp = constant_series(0.25 * 1_000.0, Unit.KW, horizon)
-    return build_plant(params, rw, rp, caps or CapacitySpec(), mode, horizon)
+    return build_plant(params, rw, rp, caps or CapacitySpec(), mode, horizon,
+                       two_bus=two_bus)
 
 
 def test_tc_adds_one_row_per_interval(params):
@@ -218,13 +219,20 @@ def test_capex_cap_expression_coefficients(params):
 
 # -- two-market rewiring -------------------------------------------------
 
-def test_wire_two_grid_splits_the_bus(params):
-    model, pvars = build_flat(params)
+def test_wire_two_grid_splits_the_bus(params, tmp_path):
+    T = 24
+    model, pvars = build_flat(params, horizon=T, two_bus=True)
     wire_two_grid(model, pvars)
-    names = {row.name for row in read_back(model).rows.values()}
+    names = [row.name for row in read_back(model).rows.values()]
     assert "farm_balance_0" in names and "plant_balance_0" in names
-    assert "balance_0" not in names
-    assert len(pvars.balance_cids) == pvars.horizon
+    assert not any(name.startswith("balance_") for name in names)
+    # 9 hourly plant families, soc0_cap and soc_cyclic, then 2 buses per
+    # hour: every row the model holds is a row of its LP text
+    assert len(names) == 9 * T + 2 + 2 * T
+    model.write_lp(tmp_path / "split.lp")
+    text = (tmp_path / "split.lp").read_text()
+    body = text.split("Subject To\n")[1].split("Bounds\n")[0]
+    assert [line.split(":")[0].strip() for line in body.splitlines()] == names
 
 
 def test_split_dispatch_keeps_markets_separate(contrast_week, params):
