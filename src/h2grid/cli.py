@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .certification import certify, re_capacity_factor
-from .economics import capex_usd, optimize_plant, zone_pair
+from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     RunConfig,
     dataset_from_config,
@@ -90,12 +90,17 @@ def _inputs_block(config: RunConfig) -> dict:
 
 
 def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
-               out_dir: Path, export_lp: bool):
-    """Optimize, certify, and write one scenario's outputs. Returns
-    (report, breakdown, emissions)."""
+               out_dir: Path, export_lp: bool, start=None, keep_solution=False):
+    """Optimize, certify, and write one scenario's outputs; start seeds
+    the first solve (see optimize_plant). Returns (report, breakdown,
+    emissions). The report keeps its final LP solution only with
+    keep_solution, for a caller that seeds its next solve with it; any
+    other caller would keep it alive through later solves for nothing."""
     lp_path = out_dir / f"{scenario.name}.lp" if export_lp else None
     report, breakdown = optimize_plant(scenario, config.params, dataset,
-                                       export_lp_path=lp_path)
+                                       export_lp_path=lp_path, start=start)
+    if not keep_solution:
+        report = replace(report, solution=None)
     emissions = None
     if report.is_optimal:
         buy, sell = zone_pair(scenario, dataset)
@@ -130,7 +135,8 @@ def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
 
 def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     """Run the standard scenario set in dependency order: the isolated
-    plant first, whose capital cost caps every grid-connected member."""
+    plant first, whose capital cost, rounded up to a whole cent, caps
+    every grid-connected member."""
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,7 +152,7 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
                                                   out_dir, export_lp)
         _print_outcome(report, breakdown)
         if name == "offgrid" and report.is_optimal:
-            cap = capex_usd(report, config.params)
+            cap = capex_cap_usd(report, config.params)
         if not report.is_optimal and worst == EXIT_OK:
             worst = _STATUS_EXIT[report.status]
         rows.append({
@@ -205,11 +211,16 @@ def _write_sweep(name: str, points: list, header: list[str], cells, summary: dic
     """Solve each (value, scenario) point and write <name>.csv, one row
     per point (the value, the status, then cells(report, breakdown,
     emissions) when optimal, else empty cells), and <name>.json (schema
-    version, summary, inputs and one entry per point, keyed header[0])."""
+    version, summary, inputs and one entry per point, keyed header[0]).
+
+    The points' models have the same variables and rows, so each point
+    after the first starts from the final solution of the point before."""
     rows, entries = [], []
+    start = None
     for value, scenario in points:
-        report, breakdown, emissions = _solve_one(scenario, config, dataset,
-                                                  out_dir, export_lp)
+        report, breakdown, emissions = _solve_one(scenario, config, dataset, out_dir,
+                                                  export_lp, start, keep_solution=True)
+        start = report.solution
         rows.append([value, report.status.value] + (
             cells(report, breakdown, emissions) if report.is_optimal
             else [None] * (len(header) - 2)))

@@ -5,18 +5,19 @@ log-linear cost curves, one per technology), which an LP cannot express
 directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity, repeat until the price and
 technology stop moving. Each re-solve starts from the optimal basis of
-the solve before it.
+the solve before it, and the first solve can start from the final
+solution of a similar scenario (the previous point of a sweep).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .lp import LpModel, LpStatus
+from .lp import LpModel, LpSolution, LpStatus
 from .plant import Dispatch, PlantVars, build_plant, extract_dispatch
 from .policy import (
     apply_capex_cap,
@@ -149,6 +150,9 @@ class SolutionReport:
     objective_usd: float = math.nan
     annual_h2_kg: float = math.nan
     dispatch: Dispatch | None = None
+    # the solve that decided the report, which can start the next
+    # optimize_plant; not written out and not compared
+    solution: LpSolution | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -210,20 +214,26 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
 
 
 def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
-                   dataset: Dataset,
-                   export_lp_path=None) -> tuple[SolutionReport, CostBreakdown | None]:
+                   dataset: Dataset, export_lp_path=None,
+                   start: LpSolution | None = None) -> tuple[SolutionReport, CostBreakdown | None]:
     """Size and dispatch the plant for one scenario.
 
     Storage pricing loop: seed with pipeline storage priced at 1000 kg,
     solve, re-price at the solved capacity, and repeat until the unit
     cost moves less than 1% with a stable technology choice (at most 20
-    solves). Returns the report plus a cost breakdown when optimal.
+    solves). Returns the report plus a cost breakdown when optimal; the
+    report's solution is the last solve's.
+
+    start, the solution of another scenario whose model has the same
+    variables and rows (such as report.solution of the previous sweep
+    point), warm-starts the first solve (see LpModel.solve); the loop
+    then runs as it would from a cold first solve.
     """
     tech = StorageTech.PIPELINE
     u_store = storage_unit_cost(STORAGE_SEED_CAPACITY_KG, tech)
     annual_h2 = params.load_kg_per_h * dataset.horizon
 
-    solution = model = pvars = None
+    solution, model, pvars = start, None, None
     converged = False
     iterations = 0
     for iterations in range(1, STORAGE_MAX_ITERATIONS + 1):
@@ -253,7 +263,8 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             scenario_name=scenario.name, status=solution.status,
             message=f"iteration {iterations}: {solution.message}",
             iterations=iterations, storage_tech=tech,
-            storage_unit_cost_usd_per_kg=u_store, annual_h2_kg=annual_h2)
+            storage_unit_cost_usd_per_kg=u_store, annual_h2_kg=annual_h2,
+            solution=solution)
         return report, None
     dispatch = extract_dispatch(solution, pvars)
     buy, sell = zone_pair(scenario, dataset)
@@ -281,7 +292,7 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
         converged=converged, iterations=iterations, storage_tech=tech,
         storage_unit_cost_usd_per_kg=u_store,
         objective_usd=solution.objective_value, annual_h2_kg=annual_h2,
-        dispatch=dispatch)
+        dispatch=dispatch, solution=solution)
     return report, breakdown
 
 
@@ -295,3 +306,13 @@ def capex_usd(report: SolutionReport, params: PlantParameters) -> float:
                if d.c_store_kg > 0 else 0.0)
     return (params.capex_el * d.c_el_kw + params.capex_wind * d.c_wind_kw
             + params.capex_pv * d.c_pv_kw + storage)
+
+
+def capex_cap_usd(report: SolutionReport, params: PlantParameters) -> float:
+    """capex_usd rounded up to a whole cent: a budget that never falls
+    below the plant's own cost, and that does not move with the last bits
+    of the solve (which depend on the solver's path to the optimum)."""
+    cost = capex_usd(report, params)
+    cents = math.ceil(cost * 100.0)
+    # dividing can round below cost; the next cent cannot
+    return cents / 100.0 if cents / 100.0 >= cost else (cents + 1) / 100.0

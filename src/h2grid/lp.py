@@ -11,9 +11,16 @@ bundled HiGHS binding, loaded with the model exactly as
 `scipy.optimize.linprog(method="highs-ds")` loads it, so a cold solve
 gives the same point and the same messages. `LpModel.solve(warm=...)`
 hands the backend the optimal basis of an earlier solve of a model of
-the same shape; primal simplex starts there, and a warm result that is
-not optimal or fails `check_feasibility` is discarded for the cold
-attempt order. The binding is loaded from its extension file inside
+the same shape. The data picks the simplex variant that starts there:
+primal simplex when the earlier point passes this model's
+`check_feasibility` (only costs moved, as between storage-pricing
+re-solves; primal needs a few iterations, dual from the same basis took
+longer than a cold solve), else dual simplex (bounds moved, as between
+sweep points; the basis is no longer primal feasible, and dual simplex
+needed fewer iterations than primal from it). A warm result that is not
+optimal or fails `check_feasibility` is discarded for the cold attempt
+order, so infeasible and unbounded verdicts come only from cold runs.
+The binding is loaded from its extension file inside
 the installed scipy package, and the matrices are plain numpy arrays,
 so no scipy module is imported; a scipy without that file raises a
 named ImportError, as there is no other solver path.
@@ -53,17 +60,22 @@ _TIGHT_OPTIONS = {
 }
 _TIGHT_NO_PRESOLVE = dict(_TIGHT_OPTIONS, presolve=False)
 _STOCK_OPTIONS = {"presolve": True}
-# a warm start keeps the earlier basis primal feasible when only costs
-# changed, so primal simplex finishes in a few iterations where dual
-# simplex from the same basis took longer than a cold solve; presolve
-# would discard the basis
+# warm starts skip presolve, which would discard the basis; LpModel.solve
+# picks primal or dual simplex from the data
 _WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
+_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
 
 
 class Sense(Enum):
     LE = "<="
     EQ = "="
     GE = ">="
+
+    @property
+    def code(self) -> int:
+        """How a row of this sense is stored; add_rows takes an integer
+        array of codes, one per row, without a lookup per row."""
+        return _SENSE_CODES[self]
 
 
 # a row's sense is stored as its index in _SENSES
@@ -156,14 +168,20 @@ class LpModel:
 
         Entry k puts coefs[k] on variable cols[k] in row rows[k] of the
         block (0-based). sense is a Sense (or its symbol) for the whole
-        block or one per row; rhs is one value or one per row."""
+        block, or one per row: Senses or symbols, or an integer array of
+        their codes (Sense.code); rhs is one value or one per row."""
         m, first = len(names), len(self._row_names)
-        try:
-            codes = (np.full(m, _SENSE_CODES[sense], dtype=np.int8)
-                     if isinstance(sense, (Sense, str)) else
-                     np.fromiter(map(_SENSE_CODES.__getitem__, sense), np.int8, count=m))
-        except KeyError as err:
-            raise ValueError(f"unknown constraint sense {err.args[0]!r}") from None
+        if isinstance(sense, np.ndarray) and sense.dtype.kind in "iu":
+            codes = np.array(np.broadcast_to(sense, (m,)), dtype=np.int8)
+            for code in sense[(sense < 0) | (sense >= len(_SENSES))][:1].tolist():
+                raise ValueError(f"unknown constraint sense code {code}")
+        else:
+            try:
+                codes = (np.full(m, _SENSE_CODES[sense], dtype=np.int8)
+                         if isinstance(sense, (Sense, str)) else
+                         np.fromiter(map(_SENSE_CODES.__getitem__, sense), np.int8, count=m))
+            except KeyError as err:
+                raise ValueError(f"unknown constraint sense {err.args[0]!r}") from None
         rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
         for i in np.flatnonzero(~np.isfinite(rhs))[:1]:
             raise ValueError(f"non-finite rhs {rhs[i]} on constraint {names[i]!r}")
@@ -207,13 +225,24 @@ class LpModel:
         A row within the rounding error of its floating-point row sum of
         its threshold is decided again with an exactly rounded sum."""
         x = np.asarray(x, dtype=float)
+        lb, ub, sense, rhs, _ = self._arrays()
+        vids, cids, lhs, resid = self._violated(x, tol)
+        return [
+            f"variable {vid} ({self._var_names[vid]!r}) value {float(x[vid])} outside "
+            f"[{float(lb[vid])}, {float(ub[vid])}]" for vid in vids.tolist()
+        ] + [
+            f"constraint {cid} ({self._row_names[cid]!r}) violated by {r:.3e} "
+            f"(lhs {lhs_i}, {_SENSES[sense[cid]].value} rhs {float(rhs[cid])})"
+            for cid, lhs_i, r in zip(cids.tolist(), lhs.tolist(), resid.tolist())]
+
+    def _violated(self, x: np.ndarray, tol: float) -> tuple:
+        """check_feasibility's verdict as arrays: the variables outside
+        their bounds, then the violated rows with their exact lhs and
+        residual."""
         lb, ub, sense, rhs, A = self._arrays()
         scale = np.maximum(1.0, np.maximum(np.where(np.isfinite(lb), np.abs(lb), 1.0),
                                            np.where(np.isfinite(ub), np.abs(ub), 1.0)))
-        violations = [
-            f"variable {vid} ({self._var_names[vid]!r}) value {float(x[vid])} outside "
-            f"[{float(lb[vid])}, {float(ub[vid])}]"
-            for vid in np.flatnonzero((x < lb - tol * scale) | (x > ub + tol * scale)).tolist()]
+        vids = np.flatnonzero((x < lb - tol * scale) | (x > ub + tol * scale))
 
         prod = A.data * x[A.indices]
         nnz = np.diff(A.indptr)
@@ -231,20 +260,28 @@ class LpModel:
                         for i in near.tolist()])
         resid = _residual(sense[near], lhs, rhs[near])
         bad = resid > limit[near]
-        violations += [
-            f"constraint {cid} ({self._row_names[cid]!r}) violated by {r:.3e} "
-            f"(lhs {lhs_i}, {_SENSES[sense[cid]].value} rhs {float(rhs[cid])})"
-            for cid, lhs_i, r in zip(near[bad].tolist(), lhs[bad].tolist(),
-                                     resid[bad].tolist())]
-        return violations
+        return vids, near[bad], lhs[bad], resid[bad]
+
+    def _feasible(self, x) -> bool:
+        """Whether x, if it has one value per variable, passes
+        check_feasibility."""
+        x = np.asarray(x, dtype=float)
+        return x.shape == (self.num_variables,) and not any(
+            a.size for a in self._violated(x, FEASIBILITY_TOL)[:2])
 
     # -- solving ------------------------------------------------------
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
         """Minimize the objective. warm is an optimal solution of an
         earlier model with the same variables and rows; its basis starts
-        one primal simplex run, and the cold attempts decide whenever
-        that run does not end at a point that passes check_feasibility."""
+        one simplex run, and the cold attempts decide whenever that run
+        does not end at a point that passes check_feasibility.
+
+        The run is primal simplex when warm's point is feasible here
+        (only costs moved, as between storage-pricing re-solves: the
+        basis stays primal feasible and a few primal iterations finish),
+        else dual simplex (bounds moved, as between sweep points: primal
+        simplex would first have to regain feasibility)."""
         cols, coefs, constant = self._obj
         if self.num_variables == 0:  # every row is a constant
             if self.check_feasibility(np.zeros(0)):
@@ -263,7 +300,8 @@ class LpModel:
                               res.message, res.basis)
 
         if warm is not None and warm.basis is not None:
-            res = attempt(_WARM_OPTIONS, warm.basis)
+            res = attempt(_WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS,
+                          warm.basis)
             if res.status == 0:
                 x = np.asarray(res.x, dtype=float)
                 if not self.check_feasibility(x):

@@ -10,6 +10,7 @@ the bus balance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,13 @@ class Dispatch:
         return int(self.import_kw.size)
 
 
+@functools.cache
+def hour_suffixes(horizon: int) -> tuple[str, ...]:
+    """"_0" ... f"_{horizon - 1}": an hourly name is its family's name
+    plus one of these."""
+    return tuple(f"_{t}" for t in range(horizon))
+
+
 def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
     """Append row k*t + f = family f at hour t, named f"{name}_{t}", for
     k families (name, sense, rhs, terms). A term is (variable ids,
@@ -87,8 +95,9 @@ def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
             rows.append(k * np.arange(horizon) + f)
             cols.append(np.broadcast_to(vids, (horizon,)))
             coefs.append(np.broadcast_to(np.asarray(coef, dtype=float), (horizon,)))
-    names = [f"{name}_{t}" for t in range(horizon) for name, *_ in families]
-    ids = model.add_rows(names, [sense for _, sense, _, _ in families] * horizon,
+    family_names = [name for name, *_ in families]
+    names = [name + suffix for suffix in hour_suffixes(horizon) for name in family_names]
+    ids = model.add_rows(names, np.tile([sense.code for _, sense, _, _ in families], horizon),
                          np.tile([rhs for _, _, rhs, _ in families], horizon),
                          np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
     return ids.reshape(horizon, k)
@@ -127,7 +136,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     T = horizon
 
     def var_block(name: str, upper=math.inf) -> np.ndarray:
-        return model.add_variables([f"{name}_{t}" for t in range(T)], 0.0, upper)
+        return model.add_variables([name + suffix for suffix in hour_suffixes(T)], 0.0, upper)
 
     e_el = var_block("e_el")
     e_comp1 = var_block("e_comp1")

@@ -90,15 +90,18 @@ def contrast_week():
     return synth_fixture("two-zone-contrast", horizon=WEEK, seed=0)
 
 
-def recording_backend(monkeypatch, replace=None):
-    """Patch lp.linprog to record (warm?, result) per call; replace(basis)
-    may return a result to use instead of the real run."""
+def recording_backend(monkeypatch, replace=None, options=None):
+    """Patch lp.linprog to record (warm?, result) per call, and each
+    call's solver options in the list options when one is given;
+    replace(basis) may return a result to use instead of the real run."""
     calls, inner = [], lp.linprog
 
     def backend(c, basis=None, **kwargs):
         res = replace(basis) if replace is not None else None
         res = res if res is not None else inner(c, basis=basis, **kwargs)
         calls.append((basis is not None, res))
+        if options is not None:
+            options.append(kwargs["options"])
         return res
 
     monkeypatch.setattr(lp, "linprog", backend)

@@ -5,17 +5,20 @@ recompute them with the code under test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2grid import cli
 from h2grid.certification import certify
 from h2grid.economics import (
     CostBreakdown,
     StorageTech,
     build_scenario_model,
+    capex_cap_usd,
     capex_usd,
     crf,
     electricity_cost,
@@ -25,6 +28,7 @@ from h2grid.economics import (
     zone_pair,
 )
 from h2grid.lp import LpModel
+from h2grid.plant import verify_conservation
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
@@ -36,6 +40,7 @@ from h2grid.types import (
 )
 
 from conftest import constant_series, grid_only_scenario, recording_backend
+from test_cli import write_config
 
 CRF_6_25 = 0.07822671821227395
 LCOH_FLAT_GRID_ONLY = 51.35458976732293   # (crf*1343.3+37.4)*10131.43/30240 + 0.02 + 57.1157*0.063
@@ -224,6 +229,22 @@ def test_capex_usd_unannualized(flat_grid_only, params):
         1343.3 * 10131.428571428572, rel=1e-9)
 
 
+def test_capex_cap_rounds_up_to_a_cent(walk_week, params):
+    island = ScenarioSpec("offgrid", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec())
+    report, _ = optimize_plant(island, params, walk_week)
+    cap = capex_cap_usd(report, params)
+    assert round(cap, 2) == cap
+    assert capex_usd(report, params) <= cap < capex_usd(report, params) + 0.01
+    d = report.dispatch
+    for factor in (1 - 1e-15, 1 + 1e-15):
+        moved = replace(report, dispatch=replace(
+            d, c_el_kw=d.c_el_kw * factor, c_wind_kw=d.c_wind_kw * factor,
+            c_pv_kw=d.c_pv_kw * factor, c_store_kg=d.c_store_kg * factor))
+        assert capex_usd(moved, params) != capex_usd(report, params)
+        assert capex_cap_usd(moved, params) == cap
+        assert cap >= capex_usd(moved, params)
+
+
 def test_zone_pair_colocated_and_split(contrast_week):
     co = ScenarioSpec("a", Mode.GRID, CoLocated("Z1"), CapacitySpec())
     buy, sell = zone_pair(co, contrast_week)
@@ -319,3 +340,40 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
     assert warm_runs[0] == cold_runs[0]
     for (_, warm_nit), (_, cold_nit) in zip(warm_runs[1:], cold_runs[1:]):
         assert warm_nit < cold_nit
+
+
+def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
+    """Each sweep-re point after the first starts dual simplex from the
+    final basis of the point before; its report is the cold solve's."""
+    config = write_config(tmp_path, {"horizon": 168,
+                                     "fixture": {"kind": "random-walk", "seed": 2}})
+    points, options = [], []
+    solve_plant = cli.optimize_plant
+    with monkeypatch.context() as mp:
+        calls = recording_backend(mp, options=options)
+
+        def recorded(scenario, params, dataset, **kwargs):
+            first = len(calls)
+            report, breakdown = solve_plant(scenario, params, dataset, **kwargs)
+            points.append((scenario, params, dataset, first, report, breakdown))
+            return report, breakdown
+
+        mp.setattr(cli, "optimize_plant", recorded)
+        assert cli.main(["sweep-re", "--config", str(config), "--points", "5"]) == 0
+    assert [p[0].name for p in points] == ["offgrid"] + [f"re_00{i}" for i in range(5)]
+    for k, (scenario, params, dataset, first, report, breakdown) in enumerate(points):
+        # the offgrid baseline and the first point are cold
+        assert calls[first][0] is (k >= 2)
+        if k >= 2:
+            assert options[first]["simplex_strategy"] == 1
+        cold, cold_breakdown = optimize_plant(scenario, params, dataset)
+        assert (report.status, report.iterations, report.converged, report.storage_tech) == (
+            cold.status, cold.iterations, cold.converged, cold.storage_tech)
+        assert breakdown.lcoh_usd_per_kg == pytest.approx(cold_breakdown.lcoh_usd_per_kg,
+                                                          rel=1e-9)
+        assert report.capacities == pytest.approx(cold.capacities, rel=1e-9)
+        zone = dataset.zone("Z1")
+        got, ref = certify(report.dispatch, zone), certify(cold.dispatch, zone)
+        for name in ("ei_market", "ei_recs", "ei_location", "ei_mef", "ei_aef"):
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-9)
+        assert verify_conservation(report.dispatch, params.load_kg_per_h) == []

@@ -5,6 +5,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,8 @@ from h2grid.lp import (
     Sense,
     SolverResult,
 )
-from h2grid.types import PlantParameters
+from h2grid.plant import add_hourly_rows
+from h2grid.types import Fixed, PlantParameters
 from conftest import read_back, recording_backend
 from test_cli import write_config
 from test_golden_lp import CASES as GOLDEN_CASES
@@ -163,6 +165,7 @@ class TestBlocks:
         (dict(sense=[Sense.LE, "<>"]), "sense"),
         (dict(rows=[2]), r"one row in \[0, 2\)"),
         (dict(sense="=="), "sense"),
+        (dict(sense=np.array([0, 3])), "sense"),
     ])
     def test_add_rows_rejects(self, kwargs, match):
         m = LpModel()
@@ -173,6 +176,22 @@ class TestBlocks:
         with pytest.raises(ValueError, match=match):
             m.add_rows(**args)
         assert read_back(m).rows == {}
+
+    def test_sense_codes_build_the_rows_of_a_sense_list(self):
+        families = [("up", Sense.LE, 1.0, [(0, 1.0)]), ("eq", Sense.EQ, 2.0, [(1, 1.0)]),
+                    ("down", Sense.GE, 3.0, [(0, 1.0), (1, -1.0)])]
+        by_codes = LpModel()
+        by_codes.add_variables(["x", "y"])
+        add_hourly_rows(by_codes, 4, families)
+        by_list = LpModel()
+        by_list.add_variables(["x", "y"])
+        by_list.add_rows([f"{name}_{t}" for t in range(4) for name, *_ in families],
+                         [sense for _, sense, _, _ in families] * 4, [1.0, 2.0, 3.0] * 4,
+                         np.repeat(np.arange(12), [1, 1, 2] * 4), [0, 1, 0, 1] * 4,
+                         [1.0, 1.0, 1.0, -1.0] * 4)
+        assert read_back(by_codes).rows == read_back(by_list).rows
+        assert [row.sense for row in read_back(by_list).rows.values()] == [
+            Sense.LE, Sense.EQ, Sense.GE] * 4
 
     def test_solve_leaves_model_unchanged(self, tmp_path):
         m = LpModel()
@@ -273,6 +292,15 @@ def golden_model(name: str) -> LpModel:
     return model
 
 
+def golden_variant(name: str, storage_kg: float = 5000.0, **capacities):
+    """A golden model with storage priced at another size, or with other
+    capacity bounds: same variables and rows, other costs or bounds."""
+    scenario, dataset, tech = GOLDEN_CASES[name]()
+    scenario = replace(scenario, capacities=replace(scenario.capacities, **capacities))
+    return build_scenario_model(scenario, PlantParameters(), dataset,
+                                storage_unit_cost(storage_kg, tech), tech)
+
+
 def to_scipy(matrix):
     """A CsrMatrix as a scipy CSR matrix (None stays None)."""
     if matrix is None:
@@ -346,6 +374,60 @@ class TestBackend:
         got = model.solve(warm=other)
         assert [(w, r.status) for w, r in calls] == [(True, 4), (False, 0)]
         assert got.values.tobytes() == model.solve().values.tobytes()
+
+    def test_cost_change_starts_primal(self, monkeypatch):
+        seed = golden_model("offgrid_night").solve()
+        model, _ = golden_variant("offgrid_night", storage_kg=20000.0)
+        cold = model.solve()
+        options = []
+        calls = recording_backend(monkeypatch, options=options)
+        got = model.solve(warm=seed)
+        assert [w for w, _ in calls] == [True]
+        assert options[0]["simplex_strategy"] == 4 and not options[0]["presolve"]
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+
+    def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch):
+        seed = golden_model("offgrid_night").solve()
+        _, pvars = golden_variant("offgrid_night")
+        model, _ = golden_variant("offgrid_night",
+                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
+        assert model.check_feasibility(seed.values)
+        cold = model.solve()
+        options = []
+        calls = recording_backend(monkeypatch, options=options)
+        got = model.solve(warm=seed)
+        assert [w for w, _ in calls] == [True]
+        assert options[0]["simplex_strategy"] == 1 and not options[0]["presolve"]
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
+
+    def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch):
+        seed = golden_model("offgrid_night").solve()
+        _, pvars = golden_variant("offgrid_night")
+        model, _ = golden_variant("offgrid_night",
+                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
+        cold = model.solve()
+        options = []
+        calls = recording_backend(monkeypatch, lambda basis: (
+            SolverResult(1, None, 0, "forced limit") if basis is not None else None),
+            options=options)
+        got = model.solve(warm=seed)
+        assert [w for w, _ in calls] == [True, False]
+        assert options[0]["simplex_strategy"] == 1
+        assert (got.status, got.message) == (cold.status, cold.message)
+        assert got.values.tobytes() == cold.values.tobytes()
+
+    def test_model_the_seed_makes_infeasible_gets_the_cold_verdict(self, monkeypatch):
+        seed = golden_model("offgrid_night").solve()
+        model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
+        cold = model.solve()
+        assert cold.status is LpStatus.INFEASIBLE
+        options = []
+        calls = recording_backend(monkeypatch, options=options)
+        got = model.solve(warm=seed)
+        assert calls[0][0] and not any(w for w, _ in calls[1:]) and len(calls) > 1
+        assert options[0]["simplex_strategy"] == 1
+        assert (got.status, got.message) == (cold.status, cold.message)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_stacked_matrix_is_scipy_vstack(self, name):
