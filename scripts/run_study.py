@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Desk-scale study: scenario suite, renewable-capacity sweep, and
 two-market sweep on one synthetic week, with a compact summary table.
+Each command writes its reports and each scenario's LP text (.lp).
 
 Usage: python3 scripts/run_study.py [--kind KIND] [--seed N] [--out DIR]
 """
@@ -37,12 +38,13 @@ def main() -> None:
         "fixture": {"kind": args.kind, "seed": args.seed},
     }, indent=2, sort_keys=True) + "\n")
 
-    run(["suite", "--config", str(config), "--out", str(out / "suite")])
-    run(["sweep-re", "--config", str(config), "--points", "7",
-         "--out", str(out / "sweep_re")])
+    # every command also writes each scenario's LP text, so that comparing
+    # two study directories compares the models as well as the reports
+    common = ["--config", str(config), "--export-lp"]
+    run(["suite", *common, "--out", str(out / "suite")])
+    run(["sweep-re", *common, "--points", "7", "--out", str(out / "sweep_re")])
     if args.kind == "two-zone-contrast":
-        run(["sweep-geo", "--config", str(config), "--sell-zones", "Z2",
-             "--out", str(out / "sweep_geo")])
+        run(["sweep-geo", *common, "--sell-zones", "Z2", "--out", str(out / "sweep_geo")])
 
     doc = json.loads((out / "suite" / "suite_report.json").read_text())
     print(f"\n{'scenario':<12} {'status':<10} {'LCOH':>9} {'EI_mkt':>8} "

@@ -57,17 +57,6 @@ def emissions_market(import_kw, export_kw, arpp: float, rmf: float,
     return 0.0, raw
 
 
-def emissions_location(import_kw, export_kw, ef_location: float,
-                       t_range: tuple[int, int] | None = None) -> float:
-    """Location-method emissions [kgCO2e]: net consumption times the
-    zone's annual factor. Negative when the plant is a net seller."""
-    if ef_location < 0:
-        raise ValueError(f"ef_location {ef_location} must be >= 0")
-    imp = _window(_values(import_kw), t_range)
-    exp = _window(_values(export_kw), t_range)
-    return (float(imp.sum()) - float(exp.sum())) * ef_location
-
-
 def emissions_factor_tracked(import_kw, export_kw, ef_buy, ef_sell,
                              t_range: tuple[int, int] | None = None) -> float:
     """Hourly factor-tracked emissions [kgCO2e]: imports charged at the

@@ -27,6 +27,7 @@ from .policy import (
     wire_two_grid,
 )
 from .types import (
+    CAPACITIES,
     Dataset,
     GridProfile,
     HourlySeries,
@@ -109,14 +110,14 @@ def _as_values(series, unit: Unit | None = None) -> np.ndarray:
 class CostBreakdown:
     """Annual cost components of one solved configuration."""
 
-    capex_annualized_usd: dict[str, float]   # electrolyser / wind / pv / storage
+    capex_annualized_usd: dict[str, float]   # keyed by types.CAPACITIES
     om_usd: dict[str, float]                 # same keys
     grid_electricity_usd: float              # net, negative = net seller
     annual_h2_kg: float
     lcoh_usd_per_kg: float
 
     def __post_init__(self):
-        expected_keys = {"electrolyser", "wind", "pv", "storage"}
+        expected_keys = set(CAPACITIES)
         if set(self.capex_annualized_usd) != expected_keys:
             raise ValueError(f"capex components {set(self.capex_annualized_usd)} "
                              f"!= {expected_keys}")
@@ -197,17 +198,13 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
     if scenario.capex_cap_usd is not None:
         apply_capex_cap(model, pvars, params, u_store, scenario.capex_cap_usd)
 
-    annuity = crf(params.interest, params.lifetime_years)
+    capex, fom = params.capacity_costs(u_store)
     # fixed costs of the four capacities, then trade; minimizing annual
     # cost is exact for LCOH because annual hydrogen mass is fixed by the
     # constant delivery rate
     model.set_objective(
-        np.concatenate([[pvars.c_el, pvars.c_wind, pvars.c_pv, pvars.c_store],
-                        pvars.import_kw, pvars.export_kw]),
-        np.concatenate([[annuity * params.capex_el + params.fom_el,
-                         annuity * params.capex_wind + params.fom_wind,
-                         annuity * params.capex_pv + params.fom_pv,
-                         annuity * u_store],
+        np.concatenate([pvars.capacities, pvars.import_kw, pvars.export_kw]),
+        np.concatenate([crf(params.interest, params.lifetime_years) * capex + fom,
                         buy.spot_price.values + params.ts_fee, -sell.spot_price.values]),
         params.vom_el * annual_h2)
     return model, pvars
@@ -270,19 +267,12 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     buy, sell = zone_pair(scenario, dataset)
     grid_cost = electricity_cost(dispatch.import_kw, dispatch.export_kw,
                                  buy.spot_price, sell.spot_price, params.ts_fee)
-    annuity = crf(params.interest, params.lifetime_years)
-    capex = {
-        "electrolyser": annuity * params.capex_el * dispatch.c_el_kw,
-        "wind": annuity * params.capex_wind * dispatch.c_wind_kw,
-        "pv": annuity * params.capex_pv * dispatch.c_pv_kw,
-        "storage": annuity * u_store * dispatch.c_store_kg,
-    }
-    om = {
-        "electrolyser": params.fom_el * dispatch.c_el_kw + params.vom_el * annual_h2,
-        "wind": params.fom_wind * dispatch.c_wind_kw,
-        "pv": params.fom_pv * dispatch.c_pv_kw,
-        "storage": 0.0,
-    }
+    unit_capex, fom = params.capacity_costs(u_store)
+    annual_om = fom * dispatch.built
+    annual_om[0] += params.vom_el * annual_h2   # the electrolyser's variable O&M
+    capex = dict(zip(CAPACITIES, (crf(params.interest, params.lifetime_years)
+                                  * unit_capex * dispatch.built).tolist()))
+    om = dict(zip(CAPACITIES, annual_om.tolist()))
     total = sum(capex.values()) + sum(om.values()) + grid_cost
     breakdown = CostBreakdown(
         capex_annualized_usd=capex, om_usd=om, grid_electricity_usd=grid_cost,
@@ -302,10 +292,9 @@ def capex_usd(report: SolutionReport, params: PlantParameters) -> float:
     d = report.dispatch
     if d is None:
         raise ValueError(f"scenario {report.scenario_name!r} has no solution")
-    storage = (report.storage_unit_cost_usd_per_kg * d.c_store_kg
-               if d.c_store_kg > 0 else 0.0)
-    return (params.capex_el * d.c_el_kw + params.capex_wind * d.c_wind_kw
-            + params.capex_pv * d.c_pv_kw + storage)
+    capex, _ = params.capacity_costs(report.storage_unit_cost_usd_per_kg)
+    # summed left to right in table order (a matrix product may reorder terms)
+    return sum((capex * d.built).tolist())
 
 
 def capex_cap_usd(report: SolutionReport, params: PlantParameters) -> float:

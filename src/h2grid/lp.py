@@ -4,7 +4,10 @@ Only this module talks to a solver. A model keeps its rows as numpy
 blocks, and index arrays are the one way to fill it: `add_variables`
 (or `add_variable`) appends variables, `add_rows` appends constraint
 rows, `set_objective` sets the objective; entries that share a row and
-a variable are summed in one place, `_merge`.
+a variable are summed in one place, `_merge`. A row's sense is a
+`Sense`, stored as its integer value. `write_lp` writes each name as
+its label, so the names of an exported model are distinct ASCII
+identifiers.
 
 Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, loaded with the model exactly as
@@ -36,7 +39,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -66,23 +69,18 @@ _WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
 _WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
 
 
-class Sense(Enum):
-    LE = "<="
-    EQ = "="
-    GE = ">="
+class Sense(IntEnum):
+    """A row's sense. Its value is the code the row is stored under, so
+    an integer array of values gives one sense per row."""
+
+    LE = 0
+    EQ = 1
+    GE = 2
 
     @property
-    def code(self) -> int:
-        """How a row of this sense is stored; add_rows takes an integer
-        array of codes, one per row, without a lookup per row."""
-        return _SENSE_CODES[self]
-
-
-# a row's sense is stored as its index in _SENSES
-_SENSES = (Sense.LE, Sense.EQ, Sense.GE)
-_LE, _EQ, _GE = range(3)
-_SENSE_CODES = {key: code for code, sense in enumerate(_SENSES)
-                for key in (sense, sense.value)}
+    def symbol(self) -> str:
+        """The relation in LP text and in check_feasibility's messages."""
+        return ("<=", "=", ">=")[self]
 
 
 class LpStatus(Enum):
@@ -167,21 +165,16 @@ class LpModel:
         """Append len(names) constraints and return their ids.
 
         Entry k puts coefs[k] on variable cols[k] in row rows[k] of the
-        block (0-based). sense is a Sense (or its symbol) for the whole
-        block, or one per row: Senses or symbols, or an integer array of
-        their codes (Sense.code); rhs is one value or one per row."""
+        block (0-based). sense is a Sense for the whole block, or one
+        per row: a sequence of Senses or an integer array of their values
+        (symbols such as "<=" are not senses); rhs is one value or one
+        per row. Names may be empty or repeat here, but write_lp writes
+        each one as its label and so needs distinct identifiers."""
         m, first = len(names), len(self._row_names)
-        if isinstance(sense, np.ndarray) and sense.dtype.kind in "iu":
-            codes = np.array(np.broadcast_to(sense, (m,)), dtype=np.int8)
-            for code in sense[(sense < 0) | (sense >= len(_SENSES))][:1].tolist():
-                raise ValueError(f"unknown constraint sense code {code}")
-        else:
-            try:
-                codes = (np.full(m, _SENSE_CODES[sense], dtype=np.int8)
-                         if isinstance(sense, (Sense, str)) else
-                         np.fromiter(map(_SENSE_CODES.__getitem__, sense), np.int8, count=m))
-            except KeyError as err:
-                raise ValueError(f"unknown constraint sense {err.args[0]!r}") from None
+        codes = np.asarray(sense)
+        if codes.dtype.kind not in "iu" or np.any((codes < Sense.LE) | (codes > Sense.GE)):
+            raise ValueError(f"constraint sense must be a Sense or one per row, got {sense!r}")
+        codes = np.array(np.broadcast_to(codes, (m,)), dtype=np.int8)
         rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
         for i in np.flatnonzero(~np.isfinite(rhs))[:1]:
             raise ValueError(f"non-finite rhs {rhs[i]} on constraint {names[i]!r}")
@@ -205,8 +198,8 @@ class LpModel:
         return len(self._var_names)
 
     def _arrays(self) -> tuple:
-        """The blocks so far, concatenated: lb, ub, sense (index into
-        _SENSES), rhs and A, the CSR matrix of the rows."""
+        """The blocks so far, concatenated: lb, ub, sense (Sense values),
+        rhs and A, the CSR matrix of the rows."""
         if self._cache is None:
             lb, ub = (np.concatenate(part) for part in zip(*self._vars))
             sense, rhs, rows, cols, coefs = (np.concatenate(part) for part in zip(*self._rows))
@@ -232,7 +225,7 @@ class LpModel:
             f"[{float(lb[vid])}, {float(ub[vid])}]" for vid in vids.tolist()
         ] + [
             f"constraint {cid} ({self._row_names[cid]!r}) violated by {r:.3e} "
-            f"(lhs {lhs_i}, {_SENSES[sense[cid]].value} rhs {float(rhs[cid])})"
+            f"(lhs {lhs_i}, {Sense(sense[cid]).symbol} rhs {float(rhs[cid])})"
             for cid, lhs_i, r in zip(cids.tolist(), lhs.tolist(), resid.tolist())]
 
     def _violated(self, x: np.ndarray, tol: float) -> tuple:
@@ -337,9 +330,9 @@ class LpModel:
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
         c[cols] = coefs
-        eq = np.flatnonzero(sense == _EQ)
-        ineq = np.flatnonzero(sense != _EQ)
-        sign = np.where(sense[ineq] == _GE, -1.0, 1.0)
+        eq = np.flatnonzero(sense == Sense.EQ)
+        ineq = np.flatnonzero(sense != Sense.EQ)
+        sign = np.where(sense[ineq] == Sense.GE, -1.0, 1.0)
         A_ub = A_eq = b_ub = b_eq = None
         if ineq.size:
             A_ub, b_ub = A.take_rows(ineq, sign), sign * rhs[ineq]
@@ -352,8 +345,10 @@ class LpModel:
 
     def write_lp(self, path) -> None:
         """Write the model in LP text format: Minimize / Subject To /
-        Bounds / End, variables and constraints in id order."""
-        labels = _unique_labels(self._var_names, "x")
+        Bounds / End, variables and constraints in id order, each under
+        its name. Raises ValueError unless the variable names, and the
+        row names, are distinct ASCII identifiers."""
+        labels = _labels(self._var_names, "variable")
         lb, ub, sense, rhs, A = self._arrays()
         cols, coefs, constant = self._obj
         objective = _format_rows(np.array([0, cols.size]), cols, coefs, labels)[0]
@@ -362,9 +357,9 @@ class LpModel:
             objective = f"{constant!r}" if not cols.size else f"{objective} {tail}"
         lines = ["\\ h2grid linear program", "Minimize", " obj: " + objective, "Subject To"]
         lines.extend(f" {label}: {body} {op} {b!r}" for label, body, op, b in zip(
-            _unique_labels(self._row_names, "c"),
+            _labels(self._row_names, "constraint"),
             _format_rows(A.indptr, A.indices, A.data, labels),
-            np.array([s.value for s in _SENSES], dtype=object)[sense].tolist(),
+            np.array([s.symbol for s in Sense], dtype=object)[sense].tolist(),
             rhs.tolist()))
         lines.append("Bounds")
         for label, lo, hi in zip(labels, lb.tolist(), ub.tolist()):
@@ -397,8 +392,8 @@ def _merge(rows, cols, coefs, n: int):
 
 def _residual(sense, lhs, rhs):
     """How far lhs falls on the wrong side of rhs (<= 0 when satisfied)."""
-    return np.where(sense == _LE, lhs - rhs,
-                    np.where(sense == _GE, rhs - lhs, np.abs(lhs - rhs)))
+    return np.where(sense == Sense.LE, lhs - rhs,
+                    np.where(sense == Sense.GE, rhs - lhs, np.abs(lhs - rhs)))
 
 
 class CsrMatrix(NamedTuple):
@@ -628,36 +623,23 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     return SolverResult(code, x, nit, message, out_basis)
 
 
-_UNSAFE_LABEL_CHARS = re.compile(r"[^A-Za-z0-9_]")
-# newline-separated names that are all their own labels
+# newline-separated ASCII identifiers
 _PLAIN_NAMES = re.compile(r"[A-Za-z_]\w*(?:\n[A-Za-z_]\w*)*", re.ASCII)
 
 
-def _sanitize(name: str) -> str:
-    out = _UNSAFE_LABEL_CHARS.sub("_", name)
-    if out and out[0].isdigit():
-        out = "_" + out
-    return out
-
-
-def _unique_labels(names: list[str], prefix: str) -> list[str]:
-    """LP-safe labels: a name that is already a plain identifier as is,
-    any other sanitized, an empty one prefix + its position; a repeated
-    label gets "_" + its position appended."""
-    if _PLAIN_NAMES.fullmatch("\n".join(names)):
-        labels = list(names)
-    else:
-        labels = [name if name.isascii() and name.isidentifier()
-                  else _sanitize(name) if name else f"{prefix}{i}"
-                  for i, name in enumerate(names)]
-    if len(set(labels)) == len(labels):
-        return labels
-    used: set[str] = set()
-    for i, label in enumerate(labels):
-        if label in used:
-            labels[i] = label = f"{label}_{i}"
-        used.add(label)
-    return labels
+def _labels(names: list[str], what: str) -> list[str]:
+    """names as LP labels: each must be an ASCII identifier, and no two
+    the same."""
+    joined = "\n".join(names)
+    if names and not (_PLAIN_NAMES.fullmatch(joined) and joined.count("\n") == len(names) - 1):
+        bad = next(name for name in names if not (name.isascii() and name.isidentifier()))
+        raise ValueError(f"{what} name {bad!r} is not an ASCII identifier, so it cannot "
+                         "be an LP label")
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        bad = next(name for name in names if name in seen or seen.add(name))
+        raise ValueError(f"{what} name {bad!r} repeats, so it cannot be an LP label")
+    return names
 
 
 def _format_rows(indptr: np.ndarray, cols: np.ndarray, coefs: np.ndarray,

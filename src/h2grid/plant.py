@@ -47,6 +47,11 @@ class PlantVars:
     a_wind: np.ndarray
     a_pv: np.ndarray
 
+    @property
+    def capacities(self) -> list[int]:
+        """The capacity variable ids, in the order of types.CAPACITIES."""
+        return [self.c_el, self.c_wind, self.c_pv, self.c_store]
+
 
 @dataclass(frozen=True)
 class Dispatch:
@@ -75,6 +80,11 @@ class Dispatch:
     def horizon(self) -> int:
         return int(self.import_kw.size)
 
+    @property
+    def built(self) -> np.ndarray:
+        """The solved capacities, in the order of types.CAPACITIES."""
+        return np.array([self.c_el_kw, self.c_wind_kw, self.c_pv_kw, self.c_store_kg])
+
 
 @functools.cache
 def hour_suffixes(horizon: int) -> tuple[str, ...]:
@@ -97,7 +107,7 @@ def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
             coefs.append(np.broadcast_to(np.asarray(coef, dtype=float), (horizon,)))
     family_names = [name for name, *_ in families]
     names = [name + suffix for suffix in hour_suffixes(horizon) for name in family_names]
-    ids = model.add_rows(names, np.tile([sense.code for _, sense, _, _ in families], horizon),
+    ids = model.add_rows(names, np.tile([sense for _, sense, _, _ in families], horizon),
                          np.tile([rhs for _, _, rhs, _ in families], horizon),
                          np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs))
     return ids.reshape(horizon, k)

@@ -106,10 +106,9 @@ def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
     every iteration of that loop."""
     if storage_unit_cost < 0:
         raise ValueError(f"storage unit cost must be >= 0, got {storage_unit_cost}")
+    capex, _ = params.capacity_costs(storage_unit_cost)
     return int(model.add_rows(["capex_cap"], Sense.LE, cap_usd, np.zeros(4, dtype=int),
-                              [pvars.c_el, pvars.c_wind, pvars.c_pv, pvars.c_store],
-                              [params.capex_el, params.capex_wind, params.capex_pv,
-                               storage_unit_cost])[0])
+                              pvars.capacities, capex)[0])
 
 
 def wire_two_grid(model: LpModel, pvars: PlantVars) -> None:

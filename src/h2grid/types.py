@@ -112,6 +112,10 @@ def convert_price(aud_per_mwh: float, fx_usd_per_aud: float) -> float:
     return aud_per_mwh * fx_usd_per_aud / 1000.0
 
 
+# the priced capacities, in the order of PlantParameters.capacity_costs
+CAPACITIES = ("electrolyser", "wind", "pv", "storage")
+
+
 @dataclass(frozen=True)
 class PlantParameters:
     """Techno-economic constants; defaults are the model's current values."""
@@ -149,6 +153,14 @@ class PlantParameters:
                      "storage_tech_threshold_kg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+    def capacity_costs(self, u_store: float) -> tuple[np.ndarray, np.ndarray]:
+        """The cost table: capital cost per unit and fixed O&M per
+        unit-year of each of CAPACITIES (kW, or kg of storage). Storage
+        is priced at u_store [USD/kg], the sizing loop's trial unit cost,
+        and has no fixed O&M."""
+        return (np.array([self.capex_el, self.capex_wind, self.capex_pv, u_store]),
+                np.array([self.fom_el, self.fom_wind, self.fom_pv, 0.0]))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def read_back(model: lp.LpModel) -> ModelView:
     rows = {}
     for cid in range(A.shape[0]):
         lo, hi = A.indptr[cid], A.indptr[cid + 1]
-        rows[cid] = Row(model._row_names[cid], lp._SENSES[sense[cid]], float(rhs[cid]),
+        rows[cid] = Row(model._row_names[cid], lp.Sense(sense[cid]), float(rhs[cid]),
                         dict(zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())))
     cols, coefs, constant = model._obj
     return ModelView(list(model._var_names), list(zip(lb.tolist(), ub.tolist())), rows,

@@ -11,7 +11,6 @@ from h2grid.certification import (
     certify,
     difference_metrics,
     emissions_factor_tracked,
-    emissions_location,
     emissions_market,
     re_capacity_factor,
 )
@@ -37,6 +36,15 @@ EI_LOCATION = {"QLD": 40.55215714285714, "SA": 13.136614285714284,
                "TAS": 8.56735714285714, "VIC": 43.97909999999999,
                "NSW": 37.696371428571425}
 EF_STATE = {"QLD": 0.71, "SA": 0.23, "TAS": 0.15, "VIC": 0.77, "NSW": 0.66}
+
+
+def emissions_location(import_kw, export_kw, ef_location, t_range=None):
+    """Reference location-method emissions [kgCO2e] over the window
+    [t1, t2): net consumption times the zone's annual factor, negative
+    for a net seller. certify computes the same quantity as a
+    factor-tracked sum with a constant factor."""
+    t1, t2 = t_range or (0, len(import_kw))
+    return (float(np.sum(import_kw[t1:t2])) - float(np.sum(export_kw[t1:t2]))) * ef_location
 
 
 # -- method primitives ----------------------------------------------------

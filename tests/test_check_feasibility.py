@@ -49,7 +49,7 @@ def reference_violations(model, x, tol=FEASIBILITY_TOL):
             resid = abs(lhs - row.rhs)
         if resid > tol * scale:
             violations.append(f"constraint {cid} ({row.name!r}) violated by "
-                              f"{resid:.3e} (lhs {lhs}, {row.sense.value} rhs {row.rhs})")
+                              f"{resid:.3e} (lhs {lhs}, {row.sense.symbol} rhs {row.rhs})")
     return violations
 
 

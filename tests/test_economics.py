@@ -36,10 +36,11 @@ from h2grid.types import (
     Mode,
     ScenarioSpec,
     Split,
+    TcInterval,
     Unit,
 )
 
-from conftest import constant_series, grid_only_scenario, recording_backend
+from conftest import constant_series, grid_only_scenario, read_back, recording_backend
 from test_cli import write_config
 
 CRF_6_25 = 0.07822671821227395
@@ -215,12 +216,43 @@ def test_tiny_storage_counts_as_converged(flat_week, params):
     assert report.iterations == 1
 
 
-def test_objective_matches_breakdown_total(walk_week, params):
-    sc = ScenarioSpec("flex", Mode.GRID, CoLocated("Z1"), CapacitySpec())
-    report, breakdown = optimize_plant(sc, params, walk_week)
-    assert report.is_optimal
+# case -> (dataset fixture, spec): the cost table under matching, the
+# emission cap, the CAPEX cap and the two-bus topology
+COST_TABLE_CASES = {
+    "flexible": ("walk_week", ScenarioSpec("flexible", Mode.GRID, CoLocated("Z1"),
+                                           CapacitySpec())),
+    "daily": ("walk_week", ScenarioSpec("daily", Mode.GRID, CoLocated("Z1"), CapacitySpec(),
+                                        tc_interval=TcInterval.DAILY)),
+    "mef_zero": ("walk_week", ScenarioSpec("mef_zero", Mode.GRID, CoLocated("Z1"),
+                                           CapacitySpec(), ei_mef_cap=0.0)),
+    "capped": ("walk_week", ScenarioSpec("capped", Mode.SELL_ONLY, CoLocated("Z1"),
+                                         CapacitySpec(), capex_cap_usd=8.9e7)),
+    "split_yearly": ("contrast_week", ScenarioSpec("split_yearly", Mode.GRID,
+                                                   Split("Z2", "Z1"), CapacitySpec(),
+                                                   tc_interval=TcInterval.YEARLY)),
+}
+
+
+@pytest.mark.parametrize("case", list(COST_TABLE_CASES))
+def test_objective_matches_breakdown_total(case, request, params):
+    fixture, sc = COST_TABLE_CASES[case]
+    report, breakdown = optimize_plant(sc, params, request.getfixturevalue(fixture))
+    assert report.is_optimal, report.message
     assert report.objective_usd == pytest.approx(breakdown.total_annual_usd,
                                                  rel=1e-9)
+    assert breakdown.om_usd["storage"] == 0.0
+
+
+def test_capex_cap_row_prices_the_plant_like_capex_usd(walk_week, params):
+    sc = COST_TABLE_CASES["capped"][1]
+    report, _ = optimize_plant(sc, params, walk_week)
+    assert report.converged and report.dispatch.c_store_kg > 0
+    # the model of the solve that decided the report
+    model, _ = build_scenario_model(sc, params, walk_week,
+                                    report.storage_unit_cost_usd_per_kg, report.storage_tech)
+    [row] = [row for row in read_back(model).rows.values() if row.name == "capex_cap"]
+    lhs = math.fsum(c * report.solution.values[v] for v, c in row.coeffs.items())
+    assert lhs == pytest.approx(capex_usd(report, params), rel=1e-9)
 
 
 def test_capex_usd_unannualized(flat_grid_only, params):

@@ -4,6 +4,7 @@ vertex enumerator that serves as the reference solver for tiny LPs."""
 import importlib.machinery
 import importlib.util
 import math
+import re
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -102,7 +103,7 @@ class TestModelConstruction:
     def test_constraint_count_and_removal(self):
         m = LpModel()
         x = m.add_variable(0, 10)
-        c1, c2 = m.add_rows(["", ""], [">=", "<="], [3.0, 8.0], [0, 1], [x, x], [1.0, 1.0])
+        c1, c2 = m.add_rows(["", ""], [Sense.GE, Sense.LE], [3.0, 8.0], [0, 1], [x, x], [1.0, 1.0])
         assert list(read_back(m).rows) == [c1, c2]
 
     def test_constraint_round_trip(self):
@@ -140,7 +141,7 @@ class TestBlocks:
     def test_add_rows_merges_like_linear_expr(self):
         m = LpModel()
         m.add_variables(["x", "y", "z"])
-        cids = m.add_rows(["r0", "r1"], [Sense.LE, ">="], [4.0, -1.0],
+        cids = m.add_rows(["r0", "r1"], [Sense.LE, Sense.GE], [4.0, -1.0],
                           rows=[1, 0, 0, 0, 1, 0],
                           cols=[2, 1, 0, 1, 1, 2],
                           coefs=[5.0, 0.1, 3.0, 0.2, -5.0, -3.0])
@@ -151,7 +152,7 @@ class TestBlocks:
         assert rows[1].coeffs == {1: -5.0, 2: 5.0}
         assert (rows[0].sense, rows[0].rhs, rows[0].name) == (Sense.LE, 4.0, "r0")
         assert (rows[1].sense, rows[1].rhs) == (Sense.GE, -1.0)
-        m.add_rows(["gone"], "=", 0.0, [0, 0], [0, 0], [1.5, -1.5])
+        m.add_rows(["gone"], Sense.EQ, 0.0, [0, 0], [0, 0], [1.5, -1.5])
         assert read_back(m).rows[2].coeffs == {}
 
     @pytest.mark.parametrize("kwargs, match", [
@@ -166,6 +167,8 @@ class TestBlocks:
         (dict(rows=[2]), r"one row in \[0, 2\)"),
         (dict(sense="=="), "sense"),
         (dict(sense=np.array([0, 3])), "sense"),
+        (dict(sense="<="), "sense"),
+        (dict(sense=[Sense.LE, ">="]), "sense"),
     ])
     def test_add_rows_rejects(self, kwargs, match):
         m = LpModel()
@@ -195,9 +198,9 @@ class TestBlocks:
 
     def test_solve_leaves_model_unchanged(self, tmp_path):
         m = LpModel()
-        x = m.add_variable(0, 10)
-        y = m.add_variable(0, 10)
-        m.add_rows(["", ""], [">=", "<="], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
+        x = m.add_variable(0, 10, name="x")
+        y = m.add_variable(0, 10, name="y")
+        m.add_rows(["lo", "hi"], [Sense.GE, Sense.LE], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
                    [1.0, 1.0, 1.0, -1.0])
         m.set_objective([x, y], [2.0, 1.0])
         m.write_lp(tmp_path / "before.lp")
@@ -212,7 +215,7 @@ class TestSolve:
     def test_minimize_with_lower_bound_constraint(self):
         m = LpModel()
         x = m.add_variable(0, 10)
-        m.add_rows([""], ">=", 3.0, [0], [x], [1.0])
+        m.add_rows([""], Sense.GE, 3.0, [0], [x], [1.0])
         m.set_objective([x], [1.0])
         sol = m.solve()
         assert sol.status is LpStatus.OPTIMAL
@@ -222,7 +225,7 @@ class TestSolve:
     def test_infeasible(self):
         m = LpModel()
         x = m.add_variable(0, 10)
-        m.add_rows(["", ""], [">=", "<="], [1.0, 0.0], [0, 1], [x, x], [1.0, 1.0])
+        m.add_rows(["", ""], [Sense.GE, Sense.LE], [1.0, 0.0], [0, 1], [x, x], [1.0, 1.0])
         sol = m.solve()
         assert sol.status is LpStatus.INFEASIBLE
         assert sol.values is None
@@ -254,7 +257,7 @@ class TestSolve:
         m = LpModel()
         x = m.add_variable(0, 100)
         y = m.add_variable(0, 100)
-        m.add_rows(["", ""], [">=", "<="], [10.0, 2.0], [0, 0, 1, 1], [x, y, x, y],
+        m.add_rows(["", ""], [Sense.GE, Sense.LE], [10.0, 2.0], [0, 0, 1, 1], [x, y, x, y],
                    [1.0, 1.0, 1.0, -1.0])
         m.set_objective([x, y], [3.0, 1.0])
         sol = m.solve()
@@ -264,7 +267,7 @@ class TestSolve:
     def test_check_feasibility_flags_violation(self):
         m = LpModel()
         x = m.add_variable(0, 10)
-        m.add_rows(["floor"], ">=", 3.0, [0], [x], [1.0])
+        m.add_rows(["floor"], Sense.GE, 3.0, [0], [x], [1.0])
         bad = np.array([1.0])
         msgs = m.check_feasibility(bad)
         assert len(msgs) == 1
@@ -508,8 +511,8 @@ class TestWriteLp:
     def test_layout(self, tmp_path):
         m = LpModel()
         x = m.add_variable(0, 10, name="flow")
-        y = m.add_variable(-math.inf, math.inf)
-        m.add_rows(["cap", ""], ["<=", Sense.EQ], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
+        y = m.add_variable(-math.inf, math.inf, name="slack")
+        m.add_rows(["cap", "bal"], [Sense.LE, Sense.EQ], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
                    [2.0, -1.0, 1.0, 1.0])
         m.set_objective([x], [1.5], 2.0)
         path = tmp_path / "model.lp"
@@ -520,19 +523,19 @@ class TestWriteLp:
         assert lines[1] == "Minimize"
         assert lines[2] == " obj: 1.5 flow + 2.0"
         assert lines[3] == "Subject To"
-        assert lines[4] == " cap: 2.0 flow - 1.0 x1 <= 4.0"
-        assert lines[5] == " c1: 1.0 flow + 1.0 x1 = 1.0"
+        assert lines[4] == " cap: 2.0 flow - 1.0 slack <= 4.0"
+        assert lines[5] == " bal: 1.0 flow + 1.0 slack = 1.0"
         assert lines[6] == "Bounds"
         assert lines[7] == " 0.0 <= flow <= 10.0"
-        assert lines[8] == " x1 free"
+        assert lines[8] == " slack free"
         assert lines[9] == "End"
 
     def test_deterministic_bytes(self, tmp_path):
         def build():
             m = LpModel()
-            a = m.add_variable(0, 5)
+            a = m.add_variable(0, 5, name="a")
             b = m.add_variable(1, math.inf, name="b")
-            m.add_rows([""], ">=", 2.0, [0, 0], [a, b], [1.0, 2.0])
+            m.add_rows(["floor"], Sense.GE, 2.0, [0, 0], [a, b], [1.0, 2.0])
             m.set_objective([a, b], [1.0, 1.0])
             return m
 
@@ -541,13 +544,30 @@ class TestWriteLp:
         build().write_lp(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["variable", "constraint"])
+    @pytest.mark.parametrize("names, bad, reason", [
+        (["x", ""], "", "is not an ASCII identifier"),
+        (["x", "a b"], "a b", "is not an ASCII identifier"),
+        (["x", "a\nb"], "a\nb", "is not an ASCII identifier"),
+        (["x", "x"], "x", "repeats"),
+    ], ids=["empty", "space", "newline", "repeat"])
+    def test_names_must_be_distinct_identifiers(self, tmp_path, kind, names, bad, reason):
+        m = LpModel()
+        ids = m.add_variables(names if kind == "variable" else ["u", "v"], 0.0, 1.0)
+        m.add_rows(names if kind == "constraint" else ["r", "s"], Sense.LE, 1.0,
+                   [0, 1], ids, [1.0, 1.0])
+        path = tmp_path / "model.lp"
+        with pytest.raises(ValueError, match=re.escape(f"{kind} name {bad!r} {reason}")):
+            m.write_lp(path)
+        assert not path.exists()
+
 
 class TestEnumerator:
     def test_matches_hand_solution(self):
         m = LpModel()
         x = m.add_variable(0, 10)
         y = m.add_variable(0, 10)
-        m.add_rows([""], ">=", 6.0, [0, 0], [x, y], [1.0, 1.0])
+        m.add_rows([""], Sense.GE, 6.0, [0, 0], [x, y], [1.0, 1.0])
         m.set_objective([x, y], [2.0, 3.0])
         ref = enumerate_solve(m)
         assert ref.status is LpStatus.OPTIMAL
@@ -557,7 +577,7 @@ class TestEnumerator:
     def test_detects_infeasible(self):
         m = LpModel()
         x = m.add_variable(0, 1)
-        m.add_rows([""], ">=", 2.0, [0], [x], [1.0])
+        m.add_rows([""], Sense.GE, 2.0, [0], [x], [1.0])
         assert enumerate_solve(m).status is LpStatus.INFEASIBLE
 
     def test_requires_finite_bounds(self):
@@ -588,7 +608,7 @@ def small_lp_models():
         n_cons = draw(st.integers(0, 3))
         for _ in range(n_cons):
             coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
-            sense = draw(st.sampled_from(["<=", ">=", "="]))
+            sense = draw(st.sampled_from([Sense.LE, Sense.GE, Sense.EQ]))
             rhs = draw(st.integers(-8, 8))
             m.add_rows([""], sense, rhs, [0] * n, range(n), coeffs)
         m.set_objective(range(n), [draw(st.integers(-4, 4)) for _ in range(n)])
