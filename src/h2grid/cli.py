@@ -44,6 +44,9 @@ _STATUS_EXIT = {
 
 SUITE_ORDER = ["offgrid", "sell_only", "daily", "monthly", "yearly",
                "flexible", "mef_zero"]
+# the suite members whose models add rows to flexible's: cmd_suite
+# starts each from flexible's final basis
+_SEEDED_MEMBERS = ["daily", "monthly", "yearly", "mef_zero"]
 _BUILTIN_TC = {"hourly": TcInterval.HOURLY, "daily": TcInterval.DAILY,
                "monthly": TcInterval.MONTHLY, "yearly": TcInterval.YEARLY}
 
@@ -136,23 +139,37 @@ def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
 def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     """Run the standard scenario set in dependency order: the isolated
     plant first, whose capital cost, rounded up to a whole cent, caps
-    every grid-connected member."""
+    every other member. Then flexible, whose model daily, monthly,
+    yearly and mef_zero extend with rows (matching, emission cap), so
+    each of those starts from flexible's final basis; sell_only, whose
+    model differs in bounds, solves cold last. Stdout lines, the summary
+    rows and the exit code follow SUITE_ORDER."""
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    cap = None
-    worst = EXIT_OK
-    for name in SUITE_ORDER:
+    results = {}
+    cap = seed = None
+    for name in ["offgrid", "flexible", *_SEEDED_MEMBERS, "sell_only"]:
         scenario = builtin_scenario(name, config)
         if name != "offgrid" and cap is not None:
             scenario = replace(scenario, capex_cap_usd=cap)
-        report, breakdown, emissions = _solve_one(scenario, config, dataset,
-                                                  out_dir, export_lp)
-        _print_outcome(report, breakdown)
+        report, breakdown, emissions = _solve_one(
+            scenario, config, dataset, out_dir, export_lp,
+            start=seed if name in _SEEDED_MEMBERS else None,
+            keep_solution=name == "flexible")
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
+        if name == "flexible":
+            seed = report.solution.as_seed() if report.is_optimal else None
+            report = replace(report, solution=None)
+        results[name] = report, breakdown, emissions
+
+    rows = []
+    worst = EXIT_OK
+    for name in SUITE_ORDER:
+        report, breakdown, emissions = results[name]
+        _print_outcome(report, breakdown)
         if not report.is_optimal and worst == EXIT_OK:
             worst = _STATUS_EXIT[report.status]
         rows.append({

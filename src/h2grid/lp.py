@@ -13,20 +13,30 @@ Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, loaded with the model exactly as
 `scipy.optimize.linprog(method="highs-ds")` loads it, so a cold solve
 gives the same point and the same messages. `LpModel.solve(warm=...)`
-hands the backend the optimal basis of an earlier solve of a model of
-the same shape. The data picks the simplex variant that starts there:
-primal simplex when the earlier point passes this model's
-`check_feasibility` (only costs moved, as between storage-pricing
-re-solves; primal needs a few iterations, dual from the same basis took
-longer than a cold solve), else dual simplex (bounds moved, as between
-sweep points; the basis is no longer primal feasible, and dual simplex
-needed fewer iterations than primal from it). A warm result that is not
-optimal or fails `check_feasibility` is discarded for the cold attempt
-order, so infeasible and unbounded verdicts come only from cold runs.
-The binding is loaded from its extension file inside
-the installed scipy package, and the matrices are plain numpy arrays,
-so no scipy module is imported; a scipy without that file raises a
-named ImportError, as there is no other solver path.
+hands the backend the optimal basis of an earlier solve of a model with
+the same variables. With the same number of rows, HiGHS's basis is
+passed on as it is (storage-pricing re-solves, sweep points). With other
+rows, they must be a subset of this model's rows, matched by name: the
+basis is re-keyed by row name (`LpSolution.as_seed`, int8 statuses, done
+only on this path because reading HiGHS's status lists costs a few
+milliseconds), and each row the new model adds starts basic, its slack
+taking up the new constraint (suite members that add matching or cap
+rows to flexible's model). Any other warm solution starts no run. The
+data picks the simplex variant that starts there: primal simplex when
+the earlier point passes this model's `check_feasibility` (only costs
+moved, as between storage-pricing re-solves; primal needs a few
+iterations, dual from the same basis took longer than a cold solve),
+else dual simplex (bounds moved or rows added; the basis is no longer
+primal feasible, and dual simplex needed fewer iterations than primal
+from it), priced with devex, which took a third to a half of the time
+of HiGHS's default steepest edge on seeded suite members (see
+_WARM_DUAL_OPTIONS). A warm result that is not optimal or fails
+`check_feasibility` is discarded for the cold attempt order, so
+infeasible and unbounded verdicts come only from cold runs. The binding
+is loaded from its extension file inside the installed scipy package,
+and the matrices are plain numpy arrays, so no scipy module is imported;
+a scipy without that file raises a named ImportError, as there is no
+other solver path.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
@@ -64,9 +74,14 @@ _TIGHT_OPTIONS = {
 _TIGHT_NO_PRESOLVE = dict(_TIGHT_OPTIONS, presolve=False)
 _STOCK_OPTIONS = {"presolve": True}
 # warm starts skip presolve, which would discard the basis; LpModel.solve
-# picks primal or dual simplex from the data
+# picks primal or dual simplex from the data. Dual runs price with devex:
+# under HiGHS's default (dual steepest edge) each seeded T=840 suite
+# member took 0.2-0.35 s longer, 2-3.5 times as long, for about as many
+# iterations; the likely cost is the exact edge weights steepest edge
+# first computes for a starting basis other than the slack basis
 _WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
-_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
+_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1,
+                          simplex_dual_edge_weight_strategy=1)
 
 
 class Sense(IntEnum):
@@ -96,13 +111,30 @@ class LpSolution:
     objective_value: float
     values: np.ndarray | None
     message: str = ""
-    # HiGHS's optimal basis, opaque; None when no solver run ended optimal
-    # (every result that is not optimal, and a model without variables)
+    # HiGHS's optimal basis (opaque), or a Basis (see as_seed); None when
+    # no solver run ended optimal (every result that is not optimal, and a
+    # model without variables)
     basis: object = field(default=None, repr=False, compare=False)
+    # the solved model's row names and Sense values, in LpModel order:
+    # what keys the basis by row name
+    model_rows: tuple = field(default=((), None), repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
+
+    def as_seed(self) -> LpSolution:
+        """This solution with its basis as a Basis, which can start a model
+        with more rows (see LpModel.solve) and holds no HiGHS object.
+        Converting costs a few milliseconds at T=840, so it is done only
+        for a solution that seeds another model."""
+        if self.basis is None or isinstance(self.basis, Basis):
+            return self
+        names, sense = self.model_rows
+        rows = np.empty(len(names), dtype=np.int8)
+        rows[_highs_rows(sense)] = [s.value for s in self.basis.row_status]
+        cols = np.array([s.value for s in self.basis.col_status], dtype=np.int8)
+        return replace(self, basis=Basis(cols, rows))
 
     def value(self, vid: VarId) -> float:
         return float(self.series([vid])[0])
@@ -111,6 +143,14 @@ class LpSolution:
         if self.values is None:
             raise ValueError(f"no solution values (status {self.status.value})")
         return self.values[np.asarray(vids, dtype=int)]
+
+
+class Basis(NamedTuple):
+    """A HiGHS basis in LpModel's terms: the int8 HighsBasisStatus value
+    of each column, and of each row in LpModel order."""
+
+    cols: np.ndarray
+    rows: np.ndarray
 
 
 class LpModel:
@@ -203,6 +243,10 @@ class LpModel:
         if self._cache is None:
             lb, ub = (np.concatenate(part) for part in zip(*self._vars))
             sense, rhs, rows, cols, coefs = (np.concatenate(part) for part in zip(*self._rows))
+            # the concatenation is the one block from now on, so that each
+            # row is held once; A shares its cols and coefs
+            self._vars = [(lb, ub)]
+            self._rows = [(sense, rhs, rows, cols, coefs)]
             m = len(self._row_names)
             A = CsrMatrix(_offsets(np.bincount(rows, minlength=m)), cols, coefs,
                           (m, self.num_variables))
@@ -266,15 +310,22 @@ class LpModel:
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
         """Minimize the objective. warm is an optimal solution of an
-        earlier model with the same variables and rows; its basis starts
-        one simplex run, and the cold attempts decide whenever that run
-        does not end at a point that passes check_feasibility.
+        earlier model with the same variables, and either the same number
+        of rows (taken to be the same rows, as between storage-pricing
+        re-solves and sweep points: its HiGHS basis is used as it is) or
+        rows that are a subset of this model's, matched by name (as from
+        the flexible suite member to a member that adds matching or cap
+        rows: its basis is keyed by row name, see LpSolution.as_seed, and
+        the rows this model adds start basic). Its basis starts one
+        simplex run, and the cold attempts decide whenever that run does
+        not end at a point that passes check_feasibility. A warm solution
+        whose rows are not a subset starts no run.
 
         The run is primal simplex when warm's point is feasible here
         (only costs moved, as between storage-pricing re-solves: the
         basis stays primal feasible and a few primal iterations finish),
-        else dual simplex (bounds moved, as between sweep points: primal
-        simplex would first have to regain feasibility)."""
+        else dual simplex with devex pricing (bounds moved or rows added:
+        primal simplex would first have to regain feasibility)."""
         cols, coefs, constant = self._obj
         if self.num_variables == 0:  # every row is a constant
             if self.check_feasibility(np.zeros(0)):
@@ -290,11 +341,13 @@ class LpModel:
         def optimal(res, x):
             return LpSolution(LpStatus.OPTIMAL,
                               math.fsum((coefs * x[cols]).tolist()) + constant, x,
-                              res.message, res.basis)
+                              res.message, res.basis,
+                              (tuple(self._row_names), self._arrays()[2]))
 
-        if warm is not None and warm.basis is not None:
+        start = self._start(warm)
+        if start is not None:
             res = attempt(_WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS,
-                          warm.basis)
+                          start)
             if res.status == 0:
                 x = np.asarray(res.x, dtype=float)
                 if not self.check_feasibility(x):
@@ -322,6 +375,23 @@ class LpModel:
                               + "; ".join(violations[:5]))
         return optimal(res, x)
 
+    def _start(self, warm: LpSolution | None):
+        """The basis warm starts this model from (see solve), or None."""
+        if warm is None or warm.basis is None or warm.values.size != self.num_variables:
+            return None
+        names, _ = warm.model_rows
+        if len(names) == len(self._row_names) and not isinstance(warm.basis, Basis):
+            return warm.basis
+        index = {name: i for i, name in enumerate(names)}
+        at = np.array([index.get(name, -1) for name in self._row_names], dtype=np.int64)
+        # every row of warm's model is one row here (no name repeats on either side)
+        if not np.array_equal(np.sort(at[at >= 0]), np.arange(len(names))):
+            return None
+        cols, rows = warm.as_seed().basis
+        status = np.full(at.size, _load_highs().HighsBasisStatus.kBasic.value, dtype=np.int8)
+        status[at >= 0] = rows[at[at >= 0]]
+        return _highs_basis(cols, status[_highs_rows(self._arrays()[2])])
+
     def _solver_input(self) -> tuple[np.ndarray, dict]:
         """The model as linprog's c and keyword arguments: LE and GE
         rows in A_ub (GE negated), EQ rows in A_eq, bounds as an (n, 2)
@@ -330,8 +400,8 @@ class LpModel:
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
         c[cols] = coefs
-        eq = np.flatnonzero(sense == Sense.EQ)
-        ineq = np.flatnonzero(sense != Sense.EQ)
+        order = _highs_rows(sense)
+        ineq, eq = np.split(order, [np.count_nonzero(sense != Sense.EQ)])
         sign = np.where(sense[ineq] == Sense.GE, -1.0, 1.0)
         A_ub = A_eq = b_ub = b_eq = None
         if ineq.size:
@@ -418,6 +488,24 @@ class CsrMatrix(NamedTuple):
         pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
         data = self.data[pos] if scale is None else self.data[pos] * np.repeat(scale, counts)
         return CsrMatrix(indptr, self.indices[pos], data, (rows.size, self.shape[1]))
+
+
+def _highs_rows(sense: np.ndarray) -> np.ndarray:
+    """The LpModel row of each HiGHS row: linprog loads the LE and GE
+    rows (A_ub) in model order, then the EQ rows (A_eq)."""
+    return np.concatenate((np.flatnonzero(sense != Sense.EQ), np.flatnonzero(sense == Sense.EQ)))
+
+
+def _highs_basis(cols: np.ndarray, rows: np.ndarray):
+    """A HiGHS basis from HighsBasisStatus values per column and per
+    HiGHS row."""
+    core = _load_highs()
+    status = [core.HighsBasisStatus(v) for v in range(5)]
+    basis = core.HighsBasis()
+    basis.col_status = [status[v] for v in cols.tolist()]
+    basis.row_status = [status[v] for v in rows.tolist()]
+    basis.valid = True
+    return basis
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -595,7 +683,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     solver.passOptions(highs_options)
 
     x, nit, out_basis = None, 0, None
-    if solver.passModel(model) == core.HighsStatus.kError:
+    passed = solver.passModel(model)
+    del model  # HiGHS holds its own copy
+    if passed == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
         message = solver.modelStatusToString(status)
     elif basis is not None and solver.setBasis(basis) == core.HighsStatus.kError:

@@ -214,10 +214,12 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
 
 
 def _clean(values):
-    # solver noise below the feasibility tolerance can leave -1e-13 or
-    # -0.0 on quantities that are bounded at zero; snap those to 0
+    # solver noise below the feasibility tolerance leaves values such as
+    # -1e-13, -0.0 or 1e-9 on quantities that are bounded at zero; snap
+    # either sign to 0, so that two solves of one model that differ only
+    # in their noise report the same zero
     arr = np.asarray(values, dtype=float)
-    return np.where((arr > -1e-7) & (arr <= 0.0), 0.0, arr)
+    return np.where(np.abs(arr) < 1e-7, 0.0, arr)
 
 
 def extract_dispatch(solution: LpSolution, pvars: PlantVars) -> Dispatch:

@@ -90,10 +90,11 @@ def contrast_week():
     return synth_fixture("two-zone-contrast", horizon=WEEK, seed=0)
 
 
-def recording_backend(monkeypatch, replace=None, options=None):
+def recording_backend(monkeypatch, replace=None, options=None, bases=None):
     """Patch lp.linprog to record (warm?, result) per call, and each
-    call's solver options in the list options when one is given;
-    replace(basis) may return a result to use instead of the real run."""
+    call's solver options in the list options and starting basis in the
+    list bases when they are given; replace(basis) may return a result
+    to use instead of the real run."""
     calls, inner = [], lp.linprog
 
     def backend(c, basis=None, **kwargs):
@@ -102,6 +103,8 @@ def recording_backend(monkeypatch, replace=None, options=None):
         calls.append((basis is not None, res))
         if options is not None:
             options.append(kwargs["options"])
+        if bases is not None:
+            bases.append(basis)
         return res
 
     monkeypatch.setattr(lp, "linprog", backend)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2grid import cli
+from h2grid import cli, lp
 from h2grid.certification import certify
 from h2grid.economics import (
     CostBreakdown,
@@ -374,12 +374,40 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
         assert warm_nit < cold_nit
 
 
-def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
-    """Each sweep-re point after the first starts dual simplex from the
-    final basis of the point before; its report is the cold solve's."""
-    config = write_config(tmp_path, {"horizon": 168,
-                                     "fixture": {"kind": "random-walk", "seed": 2}})
-    points, options = [], []
+def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0):
+    """report and breakdown are what a cold optimize_plant of scenario
+    gives: the same status, storage iterations, convergence and tech;
+    LCOH, capacities and the emission intensities within 1e-9 relative,
+    each value under floor in magnitude taken as 0.0; and the dispatch
+    passes verify_conservation."""
+    def snap(values):
+        return [0.0 if abs(v) < floor else v for v in values]
+
+    cold, cold_breakdown = optimize_plant(scenario, params, dataset)
+    assert (report.status, report.iterations, report.converged, report.storage_tech) == (
+        cold.status, cold.iterations, cold.converged, cold.storage_tech), scenario.name
+    if not cold.is_optimal:
+        return
+    assert snap([breakdown.lcoh_usd_per_kg]) == pytest.approx(
+        snap([cold_breakdown.lcoh_usd_per_kg]), rel=1e-9)
+    assert report.capacities.keys() == cold.capacities.keys()
+    assert snap(report.capacities.values()) == pytest.approx(
+        snap(cold.capacities.values()), rel=1e-9)
+    buy, sell = zone_pair(scenario, dataset)
+    sell = None if isinstance(scenario.geo, CoLocated) else sell
+    got, ref = certify(report.dispatch, buy, sell), certify(cold.dispatch, buy, sell)
+    names = ("ei_market", "ei_recs", "ei_location", "ei_mef", "ei_aef")
+    assert snap(getattr(got, n) for n in names) == pytest.approx(
+        snap(getattr(ref, n) for n in names), rel=1e-9)
+    assert verify_conservation(report.dispatch, params.load_kg_per_h) == []
+
+
+def recorded_command(monkeypatch, argv):
+    """Run the CLI command argv. Returns, per optimize_plant call, the
+    scenario, params, dataset, report and breakdown, with the index of
+    its first linprog call in calls; and calls and options, as recorded
+    by recording_backend."""
+    solves, options = [], []
     solve_plant = cli.optimize_plant
     with monkeypatch.context() as mp:
         calls = recording_backend(mp, options=options)
@@ -387,25 +415,50 @@ def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
         def recorded(scenario, params, dataset, **kwargs):
             first = len(calls)
             report, breakdown = solve_plant(scenario, params, dataset, **kwargs)
-            points.append((scenario, params, dataset, first, report, breakdown))
+            solves.append((scenario, params, dataset, first, report, breakdown))
             return report, breakdown
 
         mp.setattr(cli, "optimize_plant", recorded)
-        assert cli.main(["sweep-re", "--config", str(config), "--points", "5"]) == 0
+        code = cli.main(argv)
+    return code, solves, calls, options
+
+
+def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
+    """Each sweep-re point after the first starts dual simplex from the
+    final basis of the point before; its report is the cold solve's."""
+    config = write_config(tmp_path, {"horizon": 168,
+                                     "fixture": {"kind": "random-walk", "seed": 2}})
+    code, points, calls, options = recorded_command(
+        monkeypatch, ["sweep-re", "--config", str(config), "--points", "5"])
+    assert code == 0
     assert [p[0].name for p in points] == ["offgrid"] + [f"re_00{i}" for i in range(5)]
     for k, (scenario, params, dataset, first, report, breakdown) in enumerate(points):
         # the offgrid baseline and the first point are cold
         assert calls[first][0] is (k >= 2)
         if k >= 2:
             assert options[first]["simplex_strategy"] == 1
-        cold, cold_breakdown = optimize_plant(scenario, params, dataset)
-        assert (report.status, report.iterations, report.converged, report.storage_tech) == (
-            cold.status, cold.iterations, cold.converged, cold.storage_tech)
-        assert breakdown.lcoh_usd_per_kg == pytest.approx(cold_breakdown.lcoh_usd_per_kg,
-                                                          rel=1e-9)
-        assert report.capacities == pytest.approx(cold.capacities, rel=1e-9)
-        zone = dataset.zone("Z1")
-        got, ref = certify(report.dispatch, zone), certify(cold.dispatch, zone)
-        for name in ("ei_market", "ei_recs", "ei_location", "ei_mef", "ei_aef"):
-            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-9)
-        assert verify_conservation(report.dispatch, params.load_kg_per_h) == []
+        assert_matches_cold(scenario, params, dataset, report, breakdown)
+
+
+def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
+    """daily, monthly, yearly and mef_zero start dual simplex from
+    flexible's final basis; each report is the cold solve's of the same
+    capped scenario. offgrid, flexible and sell_only solve cold."""
+    config = write_config(tmp_path, {"horizon": 168,
+                                     "fixture": {"kind": "random-walk", "seed": 2}})
+    code, members, calls, options = recorded_command(
+        monkeypatch, ["suite", "--config", str(config)])
+    assert code == (0 if all(m[4].is_optimal for m in members) else 2)
+    assert [m[0].name for m in members] == ["offgrid", "flexible", "daily", "monthly",
+                                            "yearly", "mef_zero", "sell_only"]
+    assert all(m[4].is_optimal for m in members[:6])
+    # solved out of order, reported in SUITE_ORDER
+    out = capsys.readouterr()
+    assert [line.split(":")[0] for line in (out.out + out.err).splitlines()] == cli.SUITE_ORDER
+    for scenario, params, dataset, first, report, breakdown in members:
+        seeded = scenario.name in ("daily", "monthly", "yearly", "mef_zero")
+        assert calls[first][0] is seeded, scenario.name
+        if seeded:
+            assert options[first] == lp._WARM_DUAL_OPTIONS
+        assert (scenario.capex_cap_usd is None) is (scenario.name == "offgrid")
+        assert_matches_cold(scenario, params, dataset, report, breakdown, floor=1e-7)

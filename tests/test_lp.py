@@ -196,6 +196,25 @@ class TestBlocks:
         assert [row.sense for row in read_back(by_list).rows.values()] == [
             Sense.LE, Sense.EQ, Sense.GE] * 4
 
+    def test_arrays_keep_one_block(self):
+        """After _arrays the concatenated rows are the only block, shared
+        with the matrix, and rows added afterwards still join them."""
+        m = LpModel()
+        m.add_variables(["x", "y"])
+        m.add_rows(["a"], Sense.LE, 1.0, [0, 0], [0, 1], [1.0, 2.0])
+        m.add_rows(["b"], Sense.GE, 0.0, [0], [1], [1.0])
+        A = m._arrays()[4]
+        assert len(m._rows) == len(m._vars) == 1
+        assert A.data is m._rows[0][4] and A.indices is m._rows[0][3]
+        m.add_variables(["z"], 0.0, 5.0)
+        m.add_rows(["c"], Sense.EQ, 3.0, [0, 0], [0, 2], [1.0, -1.0])
+        view = read_back(m)
+        assert len(m._rows) == len(m._vars) == 1
+        assert [(r.name, r.sense, r.rhs, r.coeffs) for r in view.rows.values()] == [
+            ("a", Sense.LE, 1.0, {0: 1.0, 1: 2.0}), ("b", Sense.GE, 0.0, {1: 1.0}),
+            ("c", Sense.EQ, 3.0, {0: 1.0, 2: -1.0})]
+        assert view.bounds == [(0.0, math.inf), (0.0, math.inf), (0.0, 5.0)]
+
     def test_solve_leaves_model_unchanged(self, tmp_path):
         m = LpModel()
         x = m.add_variable(0, 10, name="x")
@@ -375,8 +394,71 @@ class TestBackend:
         model = golden_model("split_yearly")
         calls = recording_backend(monkeypatch)
         got = model.solve(warm=other)
-        assert [(w, r.status) for w, r in calls] == [(True, 4), (False, 0)]
+        # the two-bus model has no balance rows: not a subset, so no warm run
+        assert [(w, r.status) for w, r in calls] == [(False, 0)]
         assert got.values.tobytes() == model.solve().values.tobytes()
+
+    def test_added_row_starts_warm_and_basic(self, monkeypatch):
+        """A model with the seed's rows plus one, matched by name, starts
+        from the seed's basis, and the added row starts basic."""
+        seed = golden_model("split_yearly").solve()
+        model, pvars = golden_variant("split_yearly")
+        # half the seed's PV: the seed's point breaks the new row
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv), [0],
+                       [pvars.c_pv], [1.0])
+        assert model.check_feasibility(seed.values)
+        cold = model.solve()
+        options, bases = [], []
+        calls = recording_backend(monkeypatch, options=options, bases=bases)
+        got = model.solve(warm=seed)
+        assert [w for w, _ in calls] == [True]
+        assert options[0] == lp._WARM_DUAL_OPTIONS
+        assert options[0]["simplex_dual_edge_weight_strategy"] == 1
+        # the new LE row is the last A_ub row in HiGHS's order
+        added = int(np.flatnonzero(lp._highs_rows(model._arrays()[2]) == len(model._row_names) - 1)[0])
+        rows = bases[0].row_status
+        assert rows[added] == lp._load_highs().HighsBasisStatus.kBasic
+        assert rows[:added] + rows[added + 1:] == seed.basis.row_status
+        assert bases[0].col_status == seed.basis.col_status
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
+
+    def test_seed_of_a_model_without_rows_starts_every_row_basic(self, monkeypatch):
+        m = LpModel()
+        x = m.add_variable(0.0, 5.0, name="x")
+        m.set_objective([x], [1.0])
+        seed = m.solve()
+        m.add_rows(["floor"], Sense.GE, 1.0, [0], [x], [1.0])
+        bases = []
+        calls = recording_backend(monkeypatch, bases=bases)
+        got = m.solve(warm=seed)
+        assert [w for w, _ in calls] == [True]
+        assert bases[0].row_status == [lp._load_highs().HighsBasisStatus.kBasic]
+        assert got.values.tolist() == [1.0]
+
+    def test_seed_with_rows_this_model_lacks_starts_no_run(self, monkeypatch):
+        model, pvars = golden_variant("split_yearly")
+        model.add_rows(["pv_cap"], Sense.LE, 1e6, [0], [pvars.c_pv], [1.0])
+        seed = model.solve()
+        for warm in (seed, seed.as_seed()):
+            calls = recording_backend(monkeypatch)
+            got = golden_model("split_yearly").solve(warm=warm)
+            assert [(w, r.status) for w, r in calls] == [(False, 0)]
+            assert got.is_optimal
+
+    def test_seed_keyed_by_row_name_matches_the_same_shape_start(self, monkeypatch):
+        """as_seed keeps the basis: a seed of the same rows starts the
+        same run as the HiGHS basis it came from."""
+        seed = golden_model("split_yearly").solve()
+        model = golden_model("split_yearly")
+        bases = []
+        recording_backend(monkeypatch, bases=bases)
+        direct, keyed = model.solve(warm=seed), model.solve(warm=seed.as_seed())
+        assert bases[0] is seed.basis
+        assert (bases[1].row_status, bases[1].col_status) == (
+            seed.basis.row_status, seed.basis.col_status)
+        assert keyed.values.tobytes() == direct.values.tobytes()
+        assert seed.as_seed().basis.rows.dtype == np.int8
 
     def test_cost_change_starts_primal(self, monkeypatch):
         seed = golden_model("offgrid_night").solve()

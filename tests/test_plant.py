@@ -1,5 +1,8 @@
 """Plant model construction and solved-dispatch physics."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,21 @@ def test_fixed_capacity_bounds_are_respected(flat_week, params):
     assert report.dispatch.c_wind_kw == pytest.approx(3000.0, abs=1e-6)
     assert report.dispatch.c_pv_kw == pytest.approx(500.0, abs=1e-6)
     assert report.dispatch.c_store_kg == pytest.approx(0.0, abs=1e-9)
+
+
+def test_extract_dispatch_snaps_noise_of_either_sign(flat_week, params):
+    """Values within 1e-7 of zero, of either sign, come out as exact
+    zeros; 1e-6 is a quantity and is kept."""
+    model, pvars = build_scenario_model(grid_only_scenario(), params, flat_week,
+                                        u_store=609.958, tech=StorageTech.PIPELINE)
+    solution = model.solve()
+    assert solution.is_optimal
+    values = solution.values.copy()
+    values[pvars.soc[:3]] = [1e-9, -1e-9, 1e-6]
+    values[pvars.export_kw[0]] = 1e-9
+    values[[pvars.c_store, pvars.soc0]] = [1e-9, -1e-9]
+    d = extract_dispatch(replace(solution, values=values), pvars)
+    assert d.soc_kg[:3].tolist() == [0.0, 0.0, 1e-6]
+    assert d.export_kw[0] == 0.0 and d.c_store_kg == 0.0 and d.soc0_kg == 0.0
+    for value in (*d.soc_kg[:2], d.export_kw[0], d.c_store_kg, d.soc0_kg):
+        assert math.copysign(1.0, value) == 1.0  # no -0.0 either
