@@ -44,9 +44,10 @@ _STATUS_EXIT = {
 
 SUITE_ORDER = ["offgrid", "sell_only", "daily", "monthly", "yearly",
                "flexible", "mef_zero"]
-# the suite members whose models add rows to flexible's: cmd_suite
-# starts each from flexible's final basis
-_SEEDED_MEMBERS = ["daily", "monthly", "yearly", "mef_zero"]
+# the earlier suite member whose final basis starts a member's first
+# solve (see cmd_suite)
+_SUITE_SEEDS = {"monthly": "daily", "yearly": "daily", "flexible": "daily",
+                "mef_zero": "flexible"}
 _BUILTIN_TC = {"hourly": TcInterval.HOURLY, "daily": TcInterval.DAILY,
                "monthly": TcInterval.MONTHLY, "yearly": TcInterval.YEARLY}
 
@@ -139,37 +140,32 @@ def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
 def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     """Run the standard scenario set in dependency order: the isolated
     plant first, whose capital cost, rounded up to a whole cent, caps
-    every other member. Then flexible, whose model daily, monthly,
-    yearly and mef_zero extend with rows (matching, emission cap), so
-    each of those starts from flexible's final basis; sell_only, whose
-    model differs in bounds, solves cold last. Stdout lines, the summary
-    rows and the exit code follow SUITE_ORDER."""
+    every other member. monthly, yearly and flexible each start from
+    daily's final basis (their models are daily's with other matching
+    rows, or none), and mef_zero from flexible's (its model adds cap rows
+    to flexible's); see _SUITE_SEEDS."""
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = {}
-    cap = seed = None
-    for name in ["offgrid", "flexible", *_SEEDED_MEMBERS, "sell_only"]:
+    rows = []
+    cap = None
+    worst = EXIT_OK
+    seeds = {}
+    for name in SUITE_ORDER:
         scenario = builtin_scenario(name, config)
         if name != "offgrid" and cap is not None:
             scenario = replace(scenario, capex_cap_usd=cap)
         report, breakdown, emissions = _solve_one(
             scenario, config, dataset, out_dir, export_lp,
-            start=seed if name in _SEEDED_MEMBERS else None,
-            keep_solution=name == "flexible")
+            start=seeds.get(_SUITE_SEEDS.get(name)),
+            keep_solution=name in _SUITE_SEEDS.values())
+        _print_outcome(report, breakdown)
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
-        if name == "flexible":
-            seed = report.solution.as_seed() if report.is_optimal else None
-            report = replace(report, solution=None)
-        results[name] = report, breakdown, emissions
-
-    rows = []
-    worst = EXIT_OK
-    for name in SUITE_ORDER:
-        report, breakdown, emissions = results[name]
-        _print_outcome(report, breakdown)
+        if report.solution is not None:
+            # kept as a seed, its HiGHS basis as int8 arrays
+            seeds[name] = report.solution.as_seed()
         if not report.is_optimal and worst == EXIT_OK:
             worst = _STATUS_EXIT[report.status]
         rows.append({

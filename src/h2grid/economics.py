@@ -6,8 +6,8 @@ directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity, repeat until the price and
 technology stop moving. Each re-solve starts from the optimal basis of
 the solve before it, and the first solve can start from the final
-solution of a similar scenario (the previous point of a sweep, or the
-flexible member of the suite).
+solution of a similar scenario (the previous point of a sweep, or an
+earlier member of the suite).
 """
 
 from __future__ import annotations
@@ -224,10 +224,9 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
 
     start, the solution of another scenario whose model has the same
     variables and the same rows (such as report.solution of the previous
-    sweep point) or a subset of them (flexible's, as_seed, for a suite
-    member that adds rows), warm-starts the first solve (see
-    LpModel.solve); the loop then runs as it would from a cold first
-    solve.
+    sweep point) or other rows (an earlier suite member's, as_seed),
+    warm-starts the first solve (see LpModel.solve); the loop then runs
+    as it would from a cold first solve.
     """
     tech = StorageTech.PIPELINE
     u_store = storage_unit_cost(STORAGE_SEED_CAPACITY_KG, tech)

@@ -14,23 +14,23 @@ bundled HiGHS binding, loaded with the model exactly as
 `scipy.optimize.linprog(method="highs-ds")` loads it, so a cold solve
 gives the same point and the same messages. `LpModel.solve(warm=...)`
 hands the backend the optimal basis of an earlier solve of a model with
-the same variables. With the same number of rows, HiGHS's basis is
-passed on as it is (storage-pricing re-solves, sweep points). With other
-rows, they must be a subset of this model's rows, matched by name: the
-basis is re-keyed by row name (`LpSolution.as_seed`, int8 statuses, done
-only on this path because reading HiGHS's status lists costs a few
-milliseconds), and each row the new model adds starts basic, its slack
-taking up the new constraint (suite members that add matching or cap
-rows to flexible's model). Any other warm solution starts no run. The
-data picks the simplex variant that starts there: primal simplex when
-the earlier point passes this model's `check_feasibility` (only costs
-moved, as between storage-pricing re-solves; primal needs a few
-iterations, dual from the same basis took longer than a cold solve),
-else dual simplex (bounds moved or rows added; the basis is no longer
-primal feasible, and dual simplex needed fewer iterations than primal
-from it), priced with devex, which took a third to a half of the time
-of HiGHS's default steepest edge on seeded suite members (see
-_WARM_DUAL_OPTIONS). A warm result that is not optimal or fails
+the same variables. With the same rows, HiGHS's basis is passed on as it
+is (storage-pricing re-solves, sweep points), and the data picks the
+simplex variant that starts there: primal simplex when the earlier point
+passes this model's `check_feasibility` (only costs moved, as between
+storage-pricing re-solves; primal needs a few iterations, dual from the
+same basis took longer than a cold solve), else dual simplex (bounds
+moved, as between sweep points; the basis is no longer primal feasible,
+and dual simplex needed fewer iterations than primal from it). With other
+rows (suite members, whose models differ in their matching or cap rows),
+the basis is keyed by row name (`LpSolution.as_seed`, int8 statuses,
+done only on this path because reading HiGHS's status lists costs a few
+milliseconds): a row both models have keeps its status, a row only this
+model has starts basic, its slack taking up the new constraint, and a
+row only the earlier model had is dropped. HiGHS factors that basis
+as an alien one and completes it where dropped binding rows left too
+many basic variables. Dual simplex priced with devex starts there (see
+_SEED_OPTIONS). A warm result that is not optimal or fails
 `check_feasibility` is discarded for the cold attempt order, so
 infeasible and unbounded verdicts come only from cold runs. The binding
 is loaded from its extension file inside the installed scipy package,
@@ -74,14 +74,16 @@ _TIGHT_OPTIONS = {
 _TIGHT_NO_PRESOLVE = dict(_TIGHT_OPTIONS, presolve=False)
 _STOCK_OPTIONS = {"presolve": True}
 # warm starts skip presolve, which would discard the basis; LpModel.solve
-# picks primal or dual simplex from the data. Dual runs price with devex:
-# under HiGHS's default (dual steepest edge) each seeded T=840 suite
-# member took 0.2-0.35 s longer, 2-3.5 times as long, for about as many
-# iterations; the likely cost is the exact edge weights steepest edge
-# first computes for a starting basis other than the slack basis
+# picks primal or dual simplex from the data
 _WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
-_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1,
-                          simplex_dual_edge_weight_strategy=1)
+_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
+# a start from another model's basis (other rows) is dual simplex priced
+# with devex: on two T=840 suites the four seeded members took 0.25 s in
+# all with it, 0.63-0.84 s with HiGHS's default dual pricing (steepest
+# edge) and 0.46-0.53 s with primal simplex, for similar iteration
+# counts; the likely cost of steepest edge is the exact edge weights it
+# first computes for a starting basis other than the slack basis
+_SEED_OPTIONS = dict(_WARM_DUAL_OPTIONS, simplex_dual_edge_weight_strategy=1)
 
 
 class Sense(IntEnum):
@@ -125,7 +127,7 @@ class LpSolution:
 
     def as_seed(self) -> LpSolution:
         """This solution with its basis as a Basis, which can start a model
-        with more rows (see LpModel.solve) and holds no HiGHS object.
+        with other rows (see LpModel.solve) and holds no HiGHS object.
         Converting costs a few milliseconds at T=840, so it is done only
         for a solution that seeds another model."""
         if self.basis is None or isinstance(self.basis, Basis):
@@ -310,22 +312,20 @@ class LpModel:
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
         """Minimize the objective. warm is an optimal solution of an
-        earlier model with the same variables, and either the same number
-        of rows (taken to be the same rows, as between storage-pricing
-        re-solves and sweep points: its HiGHS basis is used as it is) or
-        rows that are a subset of this model's, matched by name (as from
-        the flexible suite member to a member that adds matching or cap
-        rows: its basis is keyed by row name, see LpSolution.as_seed, and
-        the rows this model adds start basic). Its basis starts one
+        earlier model with the same variables; its basis starts one
         simplex run, and the cold attempts decide whenever that run does
         not end at a point that passes check_feasibility. A warm solution
-        whose rows are not a subset starts no run.
+        with another number of variables starts no run.
 
-        The run is primal simplex when warm's point is feasible here
-        (only costs moved, as between storage-pricing re-solves: the
-        basis stays primal feasible and a few primal iterations finish),
-        else dual simplex with devex pricing (bounds moved or rows added:
-        primal simplex would first have to regain feasibility)."""
+        With the same rows (as between storage-pricing re-solves and
+        sweep points) the run is primal simplex when warm's point is
+        feasible here (only costs moved: the basis stays primal feasible
+        and a few primal iterations finish), else dual simplex (bounds
+        moved: primal simplex would first have to regain feasibility).
+        With other rows (as between suite members) the basis is matched
+        by row name; rows only this model has start basic, rows only
+        warm's model had are dropped, HiGHS completes the basis, and the
+        run is dual simplex with devex pricing."""
         cols, coefs, constant = self._obj
         if self.num_variables == 0:  # every row is a constant
             if self.check_feasibility(np.zeros(0)):
@@ -338,16 +338,17 @@ class LpModel:
         def attempt(options, basis=None):
             return linprog(c, **problem, options=options, basis=basis)
 
+        names = tuple(self._row_names)
+
         def optimal(res, x):
             return LpSolution(LpStatus.OPTIMAL,
                               math.fsum((coefs * x[cols]).tolist()) + constant, x,
-                              res.message, res.basis,
-                              (tuple(self._row_names), self._arrays()[2]))
+                              res.message, res.basis, (names, self._arrays()[2]))
 
-        start = self._start(warm)
+        start = self._start(warm, names)
         if start is not None:
-            res = attempt(_WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS,
-                          start)
+            basis, options = start
+            res = attempt(options, basis)
             if res.status == 0:
                 x = np.asarray(res.x, dtype=float)
                 if not self.check_feasibility(x):
@@ -375,22 +376,24 @@ class LpModel:
                               + "; ".join(violations[:5]))
         return optimal(res, x)
 
-    def _start(self, warm: LpSolution | None):
-        """The basis warm starts this model from (see solve), or None."""
+    def _start(self, warm: LpSolution | None, names: tuple):
+        """The basis and the options warm starts this model, whose row
+        names are names, with (see solve), or None."""
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
-        names, _ = warm.model_rows
-        if len(names) == len(self._row_names) and not isinstance(warm.basis, Basis):
-            return warm.basis
-        index = {name: i for i, name in enumerate(names)}
-        at = np.array([index.get(name, -1) for name in self._row_names], dtype=np.int64)
-        # every row of warm's model is one row here (no name repeats on either side)
-        if not np.array_equal(np.sort(at[at >= 0]), np.arange(len(names))):
-            return None
+        if warm.model_rows[0] == names:
+            options = _WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS
+            if not isinstance(warm.basis, Basis):
+                return warm.basis, options
+        else:
+            options = _SEED_OPTIONS
+        index = {name: i for i, name in enumerate(warm.model_rows[0])}
+        at = np.array([index.get(name, -1) for name in names], dtype=np.int64)
+        found = at >= 0
         cols, rows = warm.as_seed().basis
         status = np.full(at.size, _load_highs().HighsBasisStatus.kBasic.value, dtype=np.int8)
-        status[at >= 0] = rows[at[at >= 0]]
-        return _highs_basis(cols, status[_highs_rows(self._arrays()[2])])
+        status[found] = rows[at[found]]
+        return _highs_basis(cols, status[_highs_rows(self._arrays()[2])]), options
 
     def _solver_input(self) -> tuple[np.ndarray, dict]:
         """The model as linprog's c and keyword arguments: LE and GE
@@ -498,13 +501,15 @@ def _highs_rows(sense: np.ndarray) -> np.ndarray:
 
 def _highs_basis(cols: np.ndarray, rows: np.ndarray):
     """A HiGHS basis from HighsBasisStatus values per column and per
-    HiGHS row."""
+    HiGHS row. It is marked alien, so HiGHS factors it and, where it has
+    more or fewer basic variables than rows or is singular, completes it
+    to a basis of this model before the run."""
     core = _load_highs()
     status = [core.HighsBasisStatus(v) for v in range(5)]
     basis = core.HighsBasis()
     basis.col_status = [status[v] for v in cols.tolist()]
     basis.row_status = [status[v] for v in rows.tolist()]
-    basis.valid = True
+    basis.valid = basis.alien = True
     return basis
 
 

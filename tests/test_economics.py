@@ -441,24 +441,23 @@ def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
 
 
 def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
-    """daily, monthly, yearly and mef_zero start dual simplex from
-    flexible's final basis; each report is the cold solve's of the same
-    capped scenario. offgrid, flexible and sell_only solve cold."""
+    """monthly, yearly and flexible start dual simplex from daily's final
+    basis, mef_zero from flexible's; each report is the cold solve's of
+    the same capped scenario. offgrid, sell_only and daily solve cold,
+    and the members are solved and reported in SUITE_ORDER."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
     code, members, calls, options = recorded_command(
         monkeypatch, ["suite", "--config", str(config)])
-    assert code == (0 if all(m[4].is_optimal for m in members) else 2)
-    assert [m[0].name for m in members] == ["offgrid", "flexible", "daily", "monthly",
-                                            "yearly", "mef_zero", "sell_only"]
-    assert all(m[4].is_optimal for m in members[:6])
-    # solved out of order, reported in SUITE_ORDER
+    assert code == 0
+    assert [m[0].name for m in members] == cli.SUITE_ORDER
+    assert all(m[4].is_optimal for m in members)
     out = capsys.readouterr()
-    assert [line.split(":")[0] for line in (out.out + out.err).splitlines()] == cli.SUITE_ORDER
+    assert [line.split(":")[0] for line in out.out.splitlines()] == cli.SUITE_ORDER
     for scenario, params, dataset, first, report, breakdown in members:
-        seeded = scenario.name in ("daily", "monthly", "yearly", "mef_zero")
+        seeded = scenario.name in ("monthly", "yearly", "flexible", "mef_zero")
         assert calls[first][0] is seeded, scenario.name
         if seeded:
-            assert options[first] == lp._WARM_DUAL_OPTIONS
+            assert options[first] == lp._SEED_OPTIONS
         assert (scenario.capex_cap_usd is None) is (scenario.name == "offgrid")
         assert_matches_cold(scenario, params, dataset, report, breakdown, floor=1e-7)

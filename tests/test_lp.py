@@ -392,11 +392,27 @@ class TestBackend:
     def test_basis_of_another_shape_falls_back_to_cold(self, monkeypatch):
         other = golden_model("offgrid_night").solve()
         model = golden_model("split_yearly")
+        model.add_variable(0.0, 1.0, name="spare")
         calls = recording_backend(monkeypatch)
         got = model.solve(warm=other)
-        # the two-bus model has no balance rows: not a subset, so no warm run
+        # another number of variables: no warm run
         assert [(w, r.status) for w, r in calls] == [(False, 0)]
         assert got.values.tobytes() == model.solve().values.tobytes()
+
+    def test_basis_of_other_rows_starts_warm_by_name(self, monkeypatch):
+        """The two-bus model lacks the co-located model's balance rows and
+        adds its own: the rows both have keep the seed's status, and the
+        run ends at the cold optimum's cost."""
+        other = golden_model("offgrid_night").solve()
+        model = golden_model("split_yearly")
+        cold = model.solve()
+        options = []
+        calls = recording_backend(monkeypatch, options=options)
+        got = model.solve(warm=other)
+        assert [(w, r.status) for w, r in calls] == [(True, 0)]
+        assert options[0] == lp._SEED_OPTIONS
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
 
     def test_added_row_starts_warm_and_basic(self, monkeypatch):
         """A model with the seed's rows plus one, matched by name, starts
@@ -412,7 +428,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch, options=options, bases=bases)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
-        assert options[0] == lp._WARM_DUAL_OPTIONS
+        assert options[0] == lp._SEED_OPTIONS
         assert options[0]["simplex_dual_edge_weight_strategy"] == 1
         # the new LE row is the last A_ub row in HiGHS's order
         added = int(np.flatnonzero(lp._highs_rows(model._arrays()[2]) == len(model._row_names) - 1)[0])
@@ -436,15 +452,32 @@ class TestBackend:
         assert bases[0].row_status == [lp._load_highs().HighsBasisStatus.kBasic]
         assert got.values.tolist() == [1.0]
 
-    def test_seed_with_rows_this_model_lacks_starts_no_run(self, monkeypatch):
+    def test_seed_with_a_binding_row_this_model_lacks_starts_warm(self, monkeypatch):
+        """The seed's model has one more row, binding at its optimum, so
+        its basis has one basic variable too many here: the kept rows
+        keep their status, HiGHS completes the basis, and the run ends at
+        the cold optimum's cost."""
         model, pvars = golden_variant("split_yearly")
-        model.add_rows(["pv_cap"], Sense.LE, 1e6, [0], [pvars.c_pv], [1.0])
+        free = model.solve()
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * free.value(pvars.c_pv), [0],
+                       [pvars.c_pv], [1.0])
         seed = model.solve()
+        plain = golden_model("split_yearly")
+        assert seed.is_optimal and plain.check_feasibility(seed.values) == []
         for warm in (seed, seed.as_seed()):
-            calls = recording_backend(monkeypatch)
-            got = golden_model("split_yearly").solve(warm=warm)
-            assert [(w, r.status) for w, r in calls] == [(False, 0)]
-            assert got.is_optimal
+            options, bases = [], []
+            calls = recording_backend(monkeypatch, options=options, bases=bases)
+            got = plain.solve(warm=warm)
+            assert [(w, r.status) for w, r in calls] == [(True, 0)]
+            assert options[0] == lp._SEED_OPTIONS and bases[0].alien
+            # the dropped LE row is the last A_ub row in the seed's HiGHS order
+            dropped = int(np.flatnonzero(lp._highs_rows(model._arrays()[2])
+                                         == len(model._row_names) - 1)[0])
+            rows = seed.basis.row_status
+            assert rows[dropped] != lp._load_highs().HighsBasisStatus.kBasic
+            assert bases[0].row_status == rows[:dropped] + rows[dropped + 1:]
+            assert got.objective_value == pytest.approx(free.objective_value, rel=1e-9)
+            assert plain.check_feasibility(got.values) == []
 
     def test_seed_keyed_by_row_name_matches_the_same_shape_start(self, monkeypatch):
         """as_seed keeps the basis: a seed of the same rows starts the
