@@ -13,17 +13,24 @@ results. Every JSON and CSV file must exist on both sides, and in each:
   intensity (`ei_*`) must agree within 1e-9 relative, where a value
   under 1e-7 in magnitude counts as zero (the snap of extract_dispatch).
 
-Other fields, and `.lp` files, are not compared. Prints each mismatch
+Other fields are not compared. Every `.lp` file (the `--export-lp`
+text) must also exist on both sides, and each pair must be the same text
+apart from numbers, with each number within 1e-12 relative of the other
+side's; the largest relative difference is printed. Prints each mismatch
 and exits 1 if there is any, else prints what was compared and exits 0.
 """
 
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
 REL_TOL = 1e-9
 ZERO_BELOW = 1e-7
+LP_REL_TOL = 1e-12
+# a number in LP text: a whole whitespace-separated token
+LP_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 CAPACITY_KEYS = {"capacities", "baseline_capacities"}
 CAPACITY_FIELDS = {"c_wind_kw", "c_pv_kw", "c_el_kw", "c_store_kg"}
 
@@ -80,17 +87,50 @@ def load(path: Path):
                  for i, k in keep} for row in reader]
 
 
+def relative(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def compare_lp(a: Path, b: Path, rel: Path):
+    """Mismatches between two LP texts, each as a line of text; also
+    yields (relative difference, where) for each number compared."""
+    lines = [p.read_text(encoding="utf-8").splitlines() for p in (a, b)]
+    if len(lines[0]) != len(lines[1]):
+        yield f"{rel}: {len(lines[0])} vs {len(lines[1])} lines"
+        return
+    for number, (x, y) in enumerate(zip(*lines), 1):
+        where = f"{rel}:{number}"
+        xs, ys = x.split(), y.split()
+        if len(xs) != len(ys):
+            yield f"{where}: {x.strip()!r} vs {y.strip()!r}"
+            continue
+        for u, v in zip(xs, ys):
+            if LP_NUMBER.fullmatch(u) and LP_NUMBER.fullmatch(v):
+                diff = relative(float(u), float(v))
+                yield (diff, where) if diff <= LP_REL_TOL else f"{where}: {u} vs {v}"
+            elif u != v:
+                yield f"{where}: {u!r} vs {v!r}"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     roots = [Path(p) for p in argv]
-    files = [{p.relative_to(root) for p in root.rglob("*") if p.suffix in (".json", ".csv")}
-             for root in roots]
-    problems, compared = [], 0
+    files = [{p.relative_to(root) for p in root.rglob("*")
+              if p.suffix in (".json", ".csv", ".lp")} for root in roots]
+    problems, compared, numbers, largest = [], 0, 0, (0.0, "")
     for rel in sorted(files[0] ^ files[1]):
         problems.append(f"{rel}: only in {roots[0] if rel in files[0] else roots[1]}")
     for rel in sorted(files[0] & files[1]):
+        if rel.suffix == ".lp":
+            for found in compare_lp(roots[0] / rel, roots[1] / rel, rel):
+                if isinstance(found, str):
+                    problems.append(found)
+                else:
+                    numbers += 1
+                    largest = max(largest, found)
+            continue
         for found in compare(load(roots[0] / rel), load(roots[1] / rel), str(rel)):
             if found is None:
                 compared += 1
@@ -98,6 +138,9 @@ def main(argv) -> int:
                 problems.append(found)
     for line in problems:
         print(line)
+    if numbers:
+        print(f"{numbers} .lp numbers compared, largest relative difference "
+              f"{largest[0]:.1e}" + (f" at {largest[1]}" if largest[0] else ""))
     print(f"{len(files[0] & files[1])} files, {compared} values compared, "
           f"{len(problems)} mismatches")
     return 1 if problems else 0

@@ -10,11 +10,13 @@ its label, so the names of an exported model are distinct ASCII
 identifiers.
 
 Every HiGHS run goes through `linprog`, the solver backend: scipy's
-bundled HiGHS binding, loaded with the model exactly as
-`scipy.optimize.linprog(method="highs-ds")` loads it, so a cold solve
-gives the same point and the same messages. `LpModel.solve(warm=...)`
-hands the backend the optimal basis of an earlier solve of a model with
-the same variables. With the same rows, HiGHS's basis is passed on as it
+bundled HiGHS binding, handed the model's own CSR matrix as a rowwise
+HiGHS matrix, so HiGHS row i is model row i. Each row is ranged by its
+sense: LE [-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the
+verdict (optimal, infeasible, unbounded, anything else a solver failure)
+and its status string the message. `LpModel.solve(warm=...)` hands
+the backend the optimal basis of an earlier solve of a model with the
+same variables. With the same rows, HiGHS's basis is passed on as it
 is (storage-pricing re-solves, sweep points), and the data picks the
 simplex variant that starts there: primal simplex when the earlier point
 passes this model's `check_feasibility` (only costs moved, as between
@@ -82,8 +84,16 @@ _WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
 # all with it, 0.63-0.84 s with HiGHS's default dual pricing (steepest
 # edge) and 0.46-0.53 s with primal simplex, for similar iteration
 # counts; the likely cost of steepest edge is the exact edge weights it
-# first computes for a starting basis other than the slack basis
-_SEED_OPTIONS = dict(_WARM_DUAL_OPTIONS, simplex_dual_edge_weight_strategy=1)
+# first computes for a starting basis other than the slack basis. It runs
+# at HiGHS's stock feasibility tolerances (1e-7). At the 1e-9 of the other
+# runs, dual simplex from these bases can stop at "possibly optimal" with
+# primal infeasibilities near 1e-6, rebuild and go on, again and again:
+# on input 2000 of the benchmark's T=840 suite the seeded flexible member
+# did so 200 times (0.64 s, 1,617 iterations, against 0.06 s and 1,411
+# iterations at 1e-7), and 5 of its 24 inputs had a seeded run over
+# 0.3 s, none at 1e-7. The point still has to pass check_feasibility.
+_SEED_OPTIONS = {"presolve": False, "simplex_strategy": 1,
+                 "simplex_dual_edge_weight_strategy": 1}
 
 
 class Sense(IntEnum):
@@ -117,9 +127,9 @@ class LpSolution:
     # no solver run ended optimal (every result that is not optimal, and a
     # model without variables)
     basis: object = field(default=None, repr=False, compare=False)
-    # the solved model's row names and Sense values, in LpModel order:
-    # what keys the basis by row name
-    model_rows: tuple = field(default=((), None), repr=False, compare=False)
+    # the solved model's row names, in LpModel order: what keys the basis
+    # by row name
+    model_rows: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -132,10 +142,8 @@ class LpSolution:
         for a solution that seeds another model."""
         if self.basis is None or isinstance(self.basis, Basis):
             return self
-        names, sense = self.model_rows
-        rows = np.empty(len(names), dtype=np.int8)
-        rows[_highs_rows(sense)] = [s.value for s in self.basis.row_status]
-        cols = np.array([s.value for s in self.basis.col_status], dtype=np.int8)
+        cols, rows = (np.array([s.value for s in status], dtype=np.int8)
+                      for status in (self.basis.col_status, self.basis.row_status))
         return replace(self, basis=Basis(cols, rows))
 
     def value(self, vid: VarId) -> float:
@@ -148,8 +156,8 @@ class LpSolution:
 
 
 class Basis(NamedTuple):
-    """A HiGHS basis in LpModel's terms: the int8 HighsBasisStatus value
-    of each column, and of each row in LpModel order."""
+    """A HiGHS basis as arrays: the int8 HighsBasisStatus value of each
+    column and of each row."""
 
     cols: np.ndarray
     rows: np.ndarray
@@ -250,8 +258,8 @@ class LpModel:
             self._vars = [(lb, ub)]
             self._rows = [(sense, rhs, rows, cols, coefs)]
             m = len(self._row_names)
-            A = CsrMatrix(_offsets(np.bincount(rows, minlength=m)), cols, coefs,
-                          (m, self.num_variables))
+            A = CsrMatrix(np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))),
+                          cols, coefs, (m, self.num_variables))
             self._cache = (lb, ub, sense, rhs, A)
         return self._cache
 
@@ -333,86 +341,64 @@ class LpModel:
                                   "constant constraint violated")
             return LpSolution(LpStatus.OPTIMAL, constant, np.zeros(0))
 
-        c, problem = self._solver_input()
+        lb, ub, sense, rhs, A = self._arrays()
+        c = np.zeros(self.num_variables)
+        c[cols] = coefs
+        problem = dict(A_ub=A, b_lb=np.where(sense == Sense.LE, -math.inf, rhs),
+                       b_ub=np.where(sense == Sense.GE, math.inf, rhs), bounds=(lb, ub))
 
         def attempt(options, basis=None):
             return linprog(c, **problem, options=options, basis=basis)
 
         names = tuple(self._row_names)
 
-        def optimal(res, x):
+        def optimal(res):
             return LpSolution(LpStatus.OPTIMAL,
-                              math.fsum((coefs * x[cols]).tolist()) + constant, x,
-                              res.message, res.basis, (names, self._arrays()[2]))
+                              math.fsum((coefs * res.x[cols]).tolist()) + constant, res.x,
+                              res.message, res.basis, names)
 
         start = self._start(warm, names)
         if start is not None:
             basis, options = start
             res = attempt(options, basis)
-            if res.status == 0:
-                x = np.asarray(res.x, dtype=float)
-                if not self.check_feasibility(x):
-                    return optimal(res, x)
+            if res.status is LpStatus.OPTIMAL and not self.check_feasibility(res.x):
+                return optimal(res)
 
         res = attempt(_TIGHT_OPTIONS)
-        if res.status not in (0, 3):
-            if res.status != 2:  # unknown verdict: postsolve gave up
+        decided = (LpStatus.OPTIMAL, LpStatus.UNBOUNDED)
+        if res.status not in decided:
+            if res.status is not LpStatus.INFEASIBLE:  # unknown verdict: postsolve gave up
                 res = attempt(_TIGHT_NO_PRESOLVE)
-            if res.status not in (0, 3):
+            if res.status not in decided:
                 res = attempt(_STOCK_OPTIONS)
+        if res.status is not LpStatus.OPTIMAL:
+            return LpSolution(res.status, math.nan, None, res.message)
 
-        if res.status == 2:
-            return LpSolution(LpStatus.INFEASIBLE, math.nan, None, res.message)
-        if res.status == 3:
-            return LpSolution(LpStatus.UNBOUNDED, math.nan, None, res.message)
-        if res.status != 0 or res.x is None:
-            return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, res.message)
-
-        x = np.asarray(res.x, dtype=float)
-        violations = self.check_feasibility(x)
+        violations = self.check_feasibility(res.x)
         if violations:
             return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None,
                               "solver returned an infeasible point: "
                               + "; ".join(violations[:5]))
-        return optimal(res, x)
+        return optimal(res)
 
     def _start(self, warm: LpSolution | None, names: tuple):
         """The basis and the options warm starts this model, whose row
         names are names, with (see solve), or None."""
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
-        if warm.model_rows[0] == names:
+        if warm.model_rows == names:
             options = _WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS
             if not isinstance(warm.basis, Basis):
                 return warm.basis, options
         else:
             options = _SEED_OPTIONS
-        index = {name: i for i, name in enumerate(warm.model_rows[0])}
+        index = {name: i for i, name in enumerate(warm.model_rows)}
         at = np.array([index.get(name, -1) for name in names], dtype=np.int64)
         found = at >= 0
         cols, rows = warm.as_seed().basis
         status = np.full(at.size, _load_highs().HighsBasisStatus.kBasic.value, dtype=np.int8)
         status[found] = rows[at[found]]
-        return _highs_basis(cols, status[_highs_rows(self._arrays()[2])]), options
-
-    def _solver_input(self) -> tuple[np.ndarray, dict]:
-        """The model as linprog's c and keyword arguments: LE and GE
-        rows in A_ub (GE negated), EQ rows in A_eq, bounds as an (n, 2)
-        array."""
-        cols, coefs, _ = self._obj
-        lb, ub, sense, rhs, A = self._arrays()
-        c = np.zeros(self.num_variables)
-        c[cols] = coefs
-        order = _highs_rows(sense)
-        ineq, eq = np.split(order, [np.count_nonzero(sense != Sense.EQ)])
-        sign = np.where(sense[ineq] == Sense.GE, -1.0, 1.0)
-        A_ub = A_eq = b_ub = b_eq = None
-        if ineq.size:
-            A_ub, b_ub = A.take_rows(ineq, sign), sign * rhs[ineq]
-        if eq.size:
-            A_eq, b_eq = A.take_rows(eq), rhs[eq]
-        return c, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=np.column_stack((lb, ub)))
+        return _highs_basis(cols, status), options
 
     # -- export -------------------------------------------------------
 
@@ -482,23 +468,6 @@ class CsrMatrix(NamedTuple):
     @property
     def nnz(self) -> int:
         return self.data.size
-
-    def take_rows(self, rows: np.ndarray, scale=None) -> CsrMatrix:
-        """The listed rows in order, each times its entry of scale."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        indptr = _offsets(counts)
-        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
-        data = self.data[pos] if scale is None else self.data[pos] * np.repeat(scale, counts)
-        return CsrMatrix(indptr, self.indices[pos], data, (rows.size, self.shape[1]))
-
-
-def _highs_rows(sense: np.ndarray) -> np.ndarray:
-    """The LpModel row of each HiGHS row: linprog loads the LE and GE
-    rows (A_ub) in model order, then the EQ rows (A_eq)."""
-    return np.concatenate((np.flatnonzero(sense != Sense.EQ), np.flatnonzero(sense == Sense.EQ)))
-
-
 def _highs_basis(cols: np.ndarray, rows: np.ndarray):
     """A HiGHS basis from HighsBasisStatus values per column and per
     HiGHS row. It is marked alien, so HiGHS factors it and, where it has
@@ -513,17 +482,12 @@ def _highs_basis(cols: np.ndarray, rows: np.ndarray):
     return basis
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Where each of consecutive runs of these lengths starts, then the end."""
-    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-
-
 class SolverResult(NamedTuple):
-    """What one solver run reports, in scipy.optimize.linprog's terms:
-    status 0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4
-    other failure. basis is the HiGHS basis of an optimal run, or None."""
+    """What one solver run reports: its verdict, the point and HiGHS
+    basis of an optimal run (else None), the simplex iterations and
+    HiGHS's model status string."""
 
-    status: int
+    status: LpStatus
     x: np.ndarray | None
     nit: int
     message: str
@@ -569,113 +533,31 @@ def _load_highs():
                       name=_HIGHS_MODULE, path=path or paths[0])
 
 
-# scipy's _highs_to_scipy_status_message: linprog's status code and the
-# start of its message, per HiGHS model status
-_SCIPY_STATUS = {
-    "kNotset": (4, ""),
-    "kLoadError": (4, ""),
-    "kModelError": (2, ""),
-    "kPresolveError": (4, ""),
-    "kSolveError": (4, ""),
-    "kPostsolveError": (4, ""),
-    "kModelEmpty": (4, ""),
-    "kObjectiveBound": (4, ""),
-    "kObjectiveTarget": (4, ""),
-    "kOptimal": (0, "Optimization terminated successfully. "),
-    "kTimeLimit": (1, "Time limit reached. "),
-    "kIterationLimit": (1, "Iteration limit reached. "),
-    "kInfeasible": (2, "The problem is infeasible. "),
-    "kUnbounded": (3, "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
-}
-
-
-def _scipy_status(status, message: str) -> tuple[int, str]:
-    """A HiGHS model status and its message as linprog reports them."""
-    if status is None:
-        code, head = 4, "HiGHS did not provide a status code. "
-    else:
-        code, head = _SCIPY_STATUS.get(getattr(status, "name", None),
-                                       (4, "The HiGHS status code was not recognized. "))
-    return code, f"{head}(HiGHS Status {None if status is None else int(status)}: {message})"
-
-
-def _replace_inf(x: np.ndarray, highs_inf: float) -> np.ndarray:
-    """A copy of x with each infinity replaced by HiGHS's infinity of
-    that sign."""
-    x = x.copy()
-    infs = np.isinf(x)
-    x[infs] = np.sign(x[infs]) * highs_inf
-    return x
-
-
-def _check_optimal(x, fun, slack, con, bounds, message) -> tuple[int, str]:
-    """linprog's re-check of an optimal point (scipy's _check_result for
-    status 0 and tolerance 1e-9): status 4 with linprog's message when x
-    leaves its bounds, an A_ub row or an A_eq row by more than
-    sqrt(1e-9) * 10, or anything is NaN; else (0, message)."""
-    tol = np.sqrt(1e-9) * 10
-    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-            or np.isnan(con).any()
-            or not np.all((x >= bounds[:, 0] - tol) & (x <= bounds[:, 1] + tol))
-            or (slack < -tol).any() or (np.abs(con) > tol).any()):
-        return 4, ("The solution does not satisfy the constraints within the "
-                   "required tolerance of " + f"{tol:.2E}" + ", yet "
-                   "no errors were raised and there is no certificate of "
-                   "infeasibility or unboundedness. Check whether "
-                   "the slack and constraint residuals are acceptable; "
-                   "if not, consider enabling presolve, adjusting the "
-                   "tolerance option(s), and/or using a different method. "
-                   "Please consider submitting a bug report.")
-    return 0, message
-
-
-def _stacked_csc(blocks: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the blocks, one block after the other, by columns
-    (start, row index, value), rows ascending within each column: the
-    layout of scipy.sparse.vstack(blocks, format="csc")."""
-    if not blocks:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-    row_counts = np.concatenate([np.diff(a.indptr) for a in blocks])
-    rows = np.repeat(np.arange(row_counts.size), row_counts)
-    cols = np.concatenate([a.indices for a in blocks])
-    order = np.argsort(cols, kind="stable")
-    return (_offsets(np.bincount(cols, minlength=n)), rows[order],
-            np.concatenate([a.data for a in blocks])[order])
-
-
-# The one place a solver runs. It keeps scipy.optimize.linprog's name, its
-# keywords (c positional, A_ub=, A_eq=, ...) and its result's status, x,
-# nit and message: the benchmark harness times the HiGHS layer by wrapping
-# this module attribute by name, and reads those fields and the shape[0]
-# and nnz of A_ub and A_eq.
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-            options=_TIGHT_OPTIONS, basis=None) -> SolverResult:
-    """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and
-    bounds (an (n, 2) array) with HiGHS simplex, under linprog's options
+# The one place a solver runs. The benchmark harness times the HiGHS layer
+# by wrapping this module attribute by name; it reads c (the first
+# positional argument), the shape[0] and nnz of the A_ub keyword (the
+# whole ranged matrix) and the result's nit.
+def linprog(c, A_ub, b_lb, b_ub, bounds, options=_TIGHT_OPTIONS, basis=None) -> SolverResult:
+    """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
+    bounds (lower, upper), with HiGHS simplex under these options
     (presolve and the two feasibility tolerances; simplex_strategy 4
-    selects primal simplex). A_ub and A_eq are CsrMatrix (or anything
-    with the same indptr, indices, data and shape). basis, from an
-    earlier result of a model of the same shape, is the starting basis.
-    Dual simplex is the default: deterministic, and its vertex solutions
-    resolve degenerate ties such as simultaneous import and export."""
+    selects primal simplex). A_ub is a CsrMatrix (or anything with the
+    same indptr, indices, data and shape), loaded by rows: HiGHS row i is
+    its row i. basis, from an earlier result of a model of the same
+    shape, is the starting basis. Dual simplex is the default:
+    deterministic, and its vertex solutions resolve degenerate ties such
+    as simultaneous import and export."""
     core = _load_highs()
-    # the model as scipy's linprog loads it: A_ub rows then A_eq rows, by
-    # columns, each row as lhs <= a x <= rhs, infinities as kHighsInf
-    n = len(c)
-    b_ub = np.zeros(0) if b_ub is None else b_ub
-    b_eq = np.zeros(0) if b_eq is None else b_eq
-    rhs = np.concatenate((b_ub, b_eq))
     model = core.HighsLp()
+    m, n = A_ub.shape
+    model.num_row_ = model.a_matrix_.num_row_ = m
     model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = rhs.size
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = _stacked_csc(
-        [a for a in (A_ub, A_eq) if a is not None], n)
+    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+        A_ub.indptr, A_ub.indices, A_ub.data)
     model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = (_replace_inf(b, core.kHighsInf) for b in bounds.T)
-    model.row_lower_ = np.concatenate((np.full(b_ub.size, -core.kHighsInf), b_eq))
-    model.row_upper_ = rhs
+    model.col_lower_, model.col_upper_ = bounds
+    model.row_lower_, model.row_upper_ = b_lb, b_ub
 
     highs_options = core.HighsOptions()
     settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
@@ -687,35 +569,28 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     solver = core._Highs()
     solver.passOptions(highs_options)
 
-    x, nit, out_basis = None, 0, None
+    nit = 0
     passed = solver.passModel(model)
     del model  # HiGHS holds its own copy
     if passed == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
-        message = solver.modelStatusToString(status)
     elif basis is not None and solver.setBasis(basis) == core.HighsStatus.kError:
         status = core.HighsModelStatus.kLoadError
-        message = "starting basis rejected"
-    elif solver.run() == core.HighsStatus.kError:
-        status = solver.getModelStatus()
-        message = solver.modelStatusToString(status)
     else:
-        status, info = solver.getModelStatus(), solver.getInfo()
-        nit = info.simplex_iteration_count
-        message = solver.modelStatusToString(status)
-        if status != core.HighsModelStatus.kOptimal:
-            message = (f"model_status is {message}; primal_status is "
-                       f"{solver.solutionStatusToString(info.primal_solution_status)}")
-    code, message = _scipy_status(status, message)
-    if status == core.HighsModelStatus.kOptimal:
-        solution = solver.getSolution()
-        x = np.array(solution.col_value)
-        slack = rhs - solution.row_value
-        # linprog's own re-check of the point, which can turn 0 into 4
-        code, message = _check_optimal(x, solver.getInfo().objective_function_value,
-                                       slack[:b_ub.size], slack[b_ub.size:], bounds, message)
-        out_basis = solver.getBasis()
-    return SolverResult(code, x, nit, message, out_basis)
+        solver.run()
+        status = solver.getModelStatus()
+        nit = solver.getInfo().simplex_iteration_count
+    message = solver.modelStatusToString(status)
+    verdict = _VERDICTS.get(status.name, LpStatus.SOLVER_FAILURE)
+    if verdict is not LpStatus.OPTIMAL:
+        return SolverResult(verdict, None, nit, message)
+    return SolverResult(verdict, np.array(solver.getSolution().col_value), nit, message,
+                        solver.getBasis())
+
+
+# the HiGHS model statuses that are a verdict; any other is a failure
+_VERDICTS = {"kOptimal": LpStatus.OPTIMAL, "kInfeasible": LpStatus.INFEASIBLE,
+             "kUnbounded": LpStatus.UNBOUNDED}
 
 
 # newline-separated ASCII identifiers

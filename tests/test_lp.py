@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message, _replace_inf
-from scipy.optimize._linprog_util import _check_result
 from hypothesis import given, settings, strategies as st
 
 from h2grid import lp
@@ -323,35 +321,64 @@ def golden_variant(name: str, storage_kg: float = 5000.0, **capacities):
                                 storage_unit_cost(storage_kg, tech), tech)
 
 
-def to_scipy(matrix):
-    """A CsrMatrix as a scipy CSR matrix (None stays None)."""
-    if matrix is None:
-        return None
-    return scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
-                                   shape=matrix.shape)
-
-
-def activity(matrix, x):
-    """matrix @ x, or an empty array for no matrix."""
-    return np.zeros(0) if matrix is None else to_scipy(matrix) @ x
-
-
 class TestBackend:
-    @pytest.mark.parametrize("options", ["_TIGHT_OPTIONS", "_TIGHT_NO_PRESOLVE",
-                                         "_STOCK_OPTIONS"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_cold_run_matches_public_linprog(self, name, options):
-        c, problem = golden_model(name)._solver_input()
-        opts = getattr(lp, options)
-        got = lp.linprog(c, **problem, options=opts)
-        ref = scipy.optimize.linprog(c, **dict(problem, A_ub=to_scipy(problem["A_ub"]),
-                                               A_eq=to_scipy(problem["A_eq"])),
-                                     method="highs-ds", options=opts)
-        assert (got.status, got.nit, got.message) == (ref.status, ref.nit, ref.message)
-        if ref.x is None:
-            assert got.x is None
-        else:
-            assert got.x.tobytes() == ref.x.tobytes()
+    def test_golden_models_match_public_linprog(self, name):
+        """Each golden model, read back and handed to scipy's public
+        linprog in its own layout (GE rows negated into A_ub, EQ rows in
+        A_eq), gets our verdict; where that is optimal (grid_daily_capped
+        is infeasible), it solves to our objective, and our point passes
+        check_feasibility."""
+        model = golden_model(name)
+        view = read_back(model)
+        ineq, eq = ([], [], [], []), ([], [], [], [])  # rows, cols, coefs, rhs
+        for row in view.rows.values():
+            rows, cols, coefs, rhs = eq if row.sense is Sense.EQ else ineq
+            sign = -1.0 if row.sense is Sense.GE else 1.0
+            rows.extend([len(rhs)] * len(row.coeffs))
+            cols.extend(row.coeffs)
+            coefs.extend(sign * v for v in row.coeffs.values())
+            rhs.append(sign * row.rhs)
+        n = len(view.bounds)
+        (A_ub, b_ub), (A_eq, b_eq) = (
+            (scipy.sparse.csr_matrix((coefs, (rows, cols)), shape=(len(rhs), n)), rhs)
+            for rows, cols, coefs, rhs in (ineq, eq))
+        c = np.zeros(n)
+        c[list(view.objective)] = list(view.objective.values())
+        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                     bounds=view.bounds, method="highs-ds")
+        got = model.solve()
+        assert (ref.status, got.status) in [(0, LpStatus.OPTIMAL), (2, LpStatus.INFEASIBLE)]
+        if not got.is_optimal:
+            return
+        assert got.objective_value == pytest.approx(ref.fun + view.constant, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
+
+    def test_basis_rows_are_model_rows(self):
+        """HiGHS row i is model row i: with an EQ row first, the binding LE
+        row's status sits at its own index, and on a golden model every
+        row with slack at the optimum is basic."""
+        status = lp._load_highs().HighsBasisStatus
+        m = LpModel()
+        x, y = m.add_variables(["x", "y"], 0.0, 10.0)
+        m.add_rows(["tie", "cap", "floor"], [Sense.EQ, Sense.LE, Sense.GE], [0.0, 4.0, 0.5],
+                   [0, 0, 1, 1, 2], [x, y, x, y, x], [1.0, -1.0, 1.0, 1.0, 1.0])
+        m.set_objective([x, y], [-1.0, -1.0])
+        sol = m.solve()
+        assert sol.values.tolist() == pytest.approx([2.0, 2.0])
+        rows = sol.as_seed().basis.rows
+        assert rows[1] == status.kUpper.value  # cap: x + y <= 4 binds
+        assert rows[2] == status.kBasic.value  # floor: x >= 0.5 has slack
+
+        model = golden_model("split_yearly")
+        sol = model.solve()
+        _, _, sense, rhs, A = model._arrays()
+        activity = np.array([sol.values[A.indices[lo:hi]] @ A.data[lo:hi]
+                             for lo, hi in zip(A.indptr[:-1], A.indptr[1:])])
+        slack = np.where(sense == Sense.EQ, 0.0, np.abs(activity - rhs))
+        loose = slack > 1e-6 * np.maximum(1.0, np.abs(rhs))
+        assert 0 < loose.sum() < loose.size
+        assert (sol.as_seed().basis.rows[loose] == status.kBasic.value).all()
 
     def test_warm_start_reaches_cold_optimum(self, monkeypatch):
         model = golden_model("offgrid_night")
@@ -367,7 +394,8 @@ class TestBackend:
         model = golden_model("split_yearly")
         cold = model.solve()
         calls = recording_backend(monkeypatch, lambda basis: (
-            SolverResult(4, None, 0, "forced failure") if basis is not None else None))
+            SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced failure")
+            if basis is not None else None))
         got = model.solve(warm=cold)
         assert [w for w, _ in calls] == [True, False]
         assert got.values.tobytes() == cold.values.tobytes()
@@ -396,7 +424,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch)
         got = model.solve(warm=other)
         # another number of variables: no warm run
-        assert [(w, r.status) for w, r in calls] == [(False, 0)]
+        assert [(w, r.status) for w, r in calls] == [(False, LpStatus.OPTIMAL)]
         assert got.values.tobytes() == model.solve().values.tobytes()
 
     def test_basis_of_other_rows_starts_warm_by_name(self, monkeypatch):
@@ -409,7 +437,7 @@ class TestBackend:
         options = []
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=other)
-        assert [(w, r.status) for w, r in calls] == [(True, 0)]
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
         assert options[0] == lp._SEED_OPTIONS
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
@@ -430,11 +458,10 @@ class TestBackend:
         assert [w for w, _ in calls] == [True]
         assert options[0] == lp._SEED_OPTIONS
         assert options[0]["simplex_dual_edge_weight_strategy"] == 1
-        # the new LE row is the last A_ub row in HiGHS's order
-        added = int(np.flatnonzero(lp._highs_rows(model._arrays()[2]) == len(model._row_names) - 1)[0])
+        # the new row is the model's last row, and HiGHS's
         rows = bases[0].row_status
-        assert rows[added] == lp._load_highs().HighsBasisStatus.kBasic
-        assert rows[:added] + rows[added + 1:] == seed.basis.row_status
+        assert rows[-1] == lp._load_highs().HighsBasisStatus.kBasic
+        assert rows[:-1] == seed.basis.row_status
         assert bases[0].col_status == seed.basis.col_status
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
@@ -468,14 +495,12 @@ class TestBackend:
             options, bases = [], []
             calls = recording_backend(monkeypatch, options=options, bases=bases)
             got = plain.solve(warm=warm)
-            assert [(w, r.status) for w, r in calls] == [(True, 0)]
+            assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
             assert options[0] == lp._SEED_OPTIONS and bases[0].alien
-            # the dropped LE row is the last A_ub row in the seed's HiGHS order
-            dropped = int(np.flatnonzero(lp._highs_rows(model._arrays()[2])
-                                         == len(model._row_names) - 1)[0])
+            # the dropped row is the seed model's last row, and HiGHS's
             rows = seed.basis.row_status
-            assert rows[dropped] != lp._load_highs().HighsBasisStatus.kBasic
-            assert bases[0].row_status == rows[:dropped] + rows[dropped + 1:]
+            assert rows[-1] != lp._load_highs().HighsBasisStatus.kBasic
+            assert bases[0].row_status == rows[:-1]
             assert got.objective_value == pytest.approx(free.objective_value, rel=1e-9)
             assert plain.check_feasibility(got.values) == []
 
@@ -527,7 +552,8 @@ class TestBackend:
         cold = model.solve()
         options = []
         calls = recording_backend(monkeypatch, lambda basis: (
-            SolverResult(1, None, 0, "forced limit") if basis is not None else None),
+            SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced limit")
+            if basis is not None else None),
             options=options)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True, False]
@@ -547,51 +573,51 @@ class TestBackend:
         assert options[0]["simplex_strategy"] == 1
         assert (got.status, got.message) == (cold.status, cold.message)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_stacked_matrix_is_scipy_vstack(self, name):
-        c, problem = golden_model(name)._solver_input()
-        blocks = [problem["A_ub"], problem["A_eq"]]
-        ref = scipy.sparse.vstack([to_scipy(a) for a in blocks], format="csc")
-        got = lp._stacked_csc(blocks, c.size)
-        for arr, want in zip(got, (ref.indptr, ref.indices, ref.data)):
-            assert arr.tolist() == want.tolist()
+    def test_infeasible_verdict_is_confirmed_at_stock_tolerances(self, monkeypatch):
+        model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
+        options = []
+        recording_backend(monkeypatch, options=options)
+        got = model.solve()
+        assert got.status is LpStatus.INFEASIBLE and got.values is None
+        assert options == [lp._TIGHT_OPTIONS, lp._STOCK_OPTIONS]
 
-    def test_status_messages_match_scipy(self):
-        statuses = [*lp._load_highs().HighsModelStatus.__members__.values(), None, 99]
-        for status in statuses:
-            assert (lp._scipy_status(status, "detail")
-                    == _highs_to_scipy_status_message(status, "detail")), status
+    def test_unbounded_verdict_stands_after_one_run(self, monkeypatch):
+        m = LpModel()
+        x, y = m.add_variables(["x", "y"])
+        m.add_rows(["floor"], Sense.GE, 1.0, [0, 0], [x, y], [1.0, -1.0])
+        m.set_objective([x, y], [-1.0, 0.5])
+        options = []
+        recording_backend(monkeypatch, options=options)
+        assert m.solve().status is LpStatus.UNBOUNDED
+        assert options == [lp._TIGHT_OPTIONS]
 
-    def test_replace_inf_matches_scipy(self):
-        values = np.array([-math.inf, -2.5, 0.0, -0.0, 3.0, math.inf])
-        got = lp._replace_inf(values, lp._load_highs().kHighsInf)
-        assert got.tobytes() == _replace_inf(values.copy()).tobytes()
-        assert values[0] == -math.inf  # the input is left as it was
+    def test_failed_runs_try_every_cold_attempt(self, monkeypatch):
+        model = golden_model("offgrid_night")
+        options = []
+        recording_backend(monkeypatch, lambda basis: SolverResult(
+            LpStatus.SOLVER_FAILURE, None, 0, "forced failure"), options=options)
+        got = model.solve()
+        assert (got.status, got.message) == (LpStatus.SOLVER_FAILURE, "forced failure")
+        assert options == [lp._TIGHT_OPTIONS, lp._TIGHT_NO_PRESOLVE, lp._STOCK_OPTIONS]
 
-    @pytest.mark.parametrize("where", ["bound", "le_row", "eq_row", "nan"])
-    @pytest.mark.parametrize("factor", [0.99, 1.01])
-    def test_optimal_point_check_matches_scipy(self, where, factor):
-        c, problem = golden_model("split_yearly")._solver_input()
-        res = lp.linprog(c, **problem)
-        assert res.status == 0
-        x, bounds = res.x.copy(), problem["bounds"]
-        slack = problem["b_ub"] - activity(problem["A_ub"], x)
-        con = problem["b_eq"] - activity(problem["A_eq"], x)
-        step = factor * np.sqrt(1e-9) * 10
-        if where == "bound":
-            j = int(np.flatnonzero(np.isfinite(bounds[:, 1]))[0])
-            x[j] = bounds[j, 1] + step
-        elif where == "le_row":
-            slack[int(np.argmin(slack))] = -step
-        elif where == "eq_row":
-            con[len(con) // 2] = step
-        elif where == "nan":
-            con[0] = math.nan
-        fun = float(c @ x)
-        got = lp._check_optimal(x, fun, slack, con, bounds, res.message)
-        ref = _check_result(x, fun, 0, slack, con, bounds, 1e-9, res.message, None)
-        assert got == ref
-        assert got[0] == (4 if where == "nan" or factor > 1 else 0)
+    def test_seed_of_other_rows_failing_the_gate_falls_back_to_cold(self, monkeypatch):
+        other = golden_model("offgrid_night").solve()
+        model = golden_model("split_yearly")
+        cold = model.solve()
+        checked = []
+        original = LpModel.check_feasibility
+
+        def gate(self, x, tol=FEASIBILITY_TOL):
+            checked.append(x)
+            return ["forced violation"] if len(checked) == 1 else original(self, x, tol)
+
+        monkeypatch.setattr(LpModel, "check_feasibility", gate)
+        options = []
+        calls = recording_backend(monkeypatch, options=options)
+        got = model.solve(warm=other)
+        assert calls[0][1].status is LpStatus.OPTIMAL
+        assert options == [lp._SEED_OPTIONS, lp._TIGHT_OPTIONS] and len(checked) == 2
+        assert got.values.tobytes() == cold.values.tobytes()
 
     def test_missing_binding_file_raises_named_error(self, monkeypatch, tmp_path, capsys):
         model = golden_model("offgrid_night")
