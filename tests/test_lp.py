@@ -321,38 +321,72 @@ def golden_variant(name: str, storage_kg: float = 5000.0, **capacities):
                                 storage_unit_cost(storage_kg, tech), tech)
 
 
+def public_linprog_input(model: LpModel):
+    """model, read back, in scipy.optimize.linprog's layout: GE rows
+    negated into A_ub, EQ rows in A_eq. Returns c, the other linprog
+    arguments and the objective's constant."""
+    view = read_back(model)
+    ineq, eq = ([], [], [], []), ([], [], [], [])  # rows, cols, coefs, rhs
+    for row in view.rows.values():
+        rows, cols, coefs, rhs = eq if row.sense is Sense.EQ else ineq
+        sign = -1.0 if row.sense is Sense.GE else 1.0
+        rows.extend([len(rhs)] * len(row.coeffs))
+        cols.extend(row.coeffs)
+        coefs.extend(sign * v for v in row.coeffs.values())
+        rhs.append(sign * row.rhs)
+    n = len(view.bounds)
+    (A_ub, b_ub), (A_eq, b_eq) = (
+        (scipy.sparse.csr_matrix((coefs, (rows, cols)), shape=(len(rhs), n)), rhs)
+        for rows, cols, coefs, rhs in (ineq, eq))
+    c = np.zeros(n)
+    c[list(view.objective)] = list(view.objective.values())
+    return c, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=view.bounds), view.constant
+
+
+# scipy.optimize.linprog's status codes as verdicts
+_PUBLIC_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED,
+                  4: LpStatus.SOLVER_FAILURE}
+
+
 class TestBackend:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_models_match_public_linprog(self, name):
-        """Each golden model, read back and handed to scipy's public
-        linprog in its own layout (GE rows negated into A_ub, EQ rows in
-        A_eq), gets our verdict; where that is optimal (grid_daily_capped
+        """Each golden model, handed to scipy's public linprog in its own
+        layout, gets our verdict; where that is optimal (grid_daily_capped
         is infeasible), it solves to our objective, and our point passes
         check_feasibility."""
         model = golden_model(name)
-        view = read_back(model)
-        ineq, eq = ([], [], [], []), ([], [], [], [])  # rows, cols, coefs, rhs
-        for row in view.rows.values():
-            rows, cols, coefs, rhs = eq if row.sense is Sense.EQ else ineq
-            sign = -1.0 if row.sense is Sense.GE else 1.0
-            rows.extend([len(rhs)] * len(row.coeffs))
-            cols.extend(row.coeffs)
-            coefs.extend(sign * v for v in row.coeffs.values())
-            rhs.append(sign * row.rhs)
-        n = len(view.bounds)
-        (A_ub, b_ub), (A_eq, b_eq) = (
-            (scipy.sparse.csr_matrix((coefs, (rows, cols)), shape=(len(rhs), n)), rhs)
-            for rows, cols, coefs, rhs in (ineq, eq))
-        c = np.zeros(n)
-        c[list(view.objective)] = list(view.objective.values())
-        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                     bounds=view.bounds, method="highs-ds")
+        c, public, constant = public_linprog_input(model)
+        ref = scipy.optimize.linprog(c, **public, method="highs-ds")
         got = model.solve()
         assert (ref.status, got.status) in [(0, LpStatus.OPTIMAL), (2, LpStatus.INFEASIBLE)]
         if not got.is_optimal:
             return
-        assert got.objective_value == pytest.approx(ref.fun + view.constant, rel=1e-9)
+        assert got.objective_value == pytest.approx(ref.fun + constant, rel=1e-9)
         assert model.check_feasibility(got.values) == []
+
+    @pytest.mark.parametrize("options", ["_TIGHT_OPTIONS", "_TIGHT_NO_PRESOLVE",
+                                         "_STOCK_OPTIONS"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_cold_run_matches_public_linprog(self, name, options):
+        """A cold backend run on the model's own rows, under each option set
+        of the cold attempt order, reaches the verdict scipy's public
+        linprog reaches under the same options; where both are optimal the
+        objectives agree within 1e-9 and our point passes
+        check_feasibility."""
+        model = golden_model(name)
+        lb, ub, sense, rhs, A = model._arrays()
+        c, public, _ = public_linprog_input(model)
+        opts = getattr(lp, options)
+        got = lp.linprog(c, A, np.where(sense == Sense.LE, -math.inf, rhs),
+                         np.where(sense == Sense.GE, math.inf, rhs), (lb, ub), options=opts)
+        ref = scipy.optimize.linprog(c, **public, method="highs-ds", options=opts)
+        assert got.status is _PUBLIC_STATUS[ref.status]
+        if got.status is not LpStatus.OPTIMAL:
+            assert got.x is None
+            return
+        assert c @ got.x == pytest.approx(ref.fun, rel=1e-9)
+        assert model.check_feasibility(got.x) == []
 
     def test_basis_rows_are_model_rows(self):
         """HiGHS row i is model row i: with an EQ row first, the binding LE
