@@ -323,11 +323,15 @@ class RunConfig:
 
 
 def _number(value, where: str, key: str) -> float:
-    """value as a float, or a ValueError that names where and key."""
+    """value as a finite float, or a ValueError that names where and key.
+    A boolean is not a number here, and NaN or infinity is not finite."""
     try:
-        return float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: {key} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_caps(doc, where: str) -> CapacitySpec:

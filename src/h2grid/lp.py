@@ -14,10 +14,14 @@ bundled HiGHS binding, handed the model's own CSR matrix as a rowwise
 HiGHS matrix, so HiGHS row i is model row i. Each row is ranged by its
 sense: LE [-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the
 verdict (optimal, infeasible, unbounded, anything else a solver failure)
-and its status string the message. `LpModel.solve(warm=...)` hands
-the backend the optimal basis of an earlier solve of a model with the
-same variables. With the same rows, HiGHS's basis is passed on as it
-is (storage-pricing re-solves, sweep points), and the data picks the
+and its status string the message. Every run keeps HiGHS's stock
+feasibility tolerances (1e-7), ten times tighter than the 1e-6 of
+`check_feasibility`, the one test every point must pass. A cold solve
+runs with presolve, and once more without it only when that run ends
+without a verdict. `LpModel.solve(warm=...)` hands the backend the
+optimal basis of an earlier solve of a model with the same variables.
+With the same rows, HiGHS's basis is passed on as it is
+(storage-pricing re-solves, sweep points), and the data picks the
 simplex variant that starts there: primal simplex when the earlier point
 passes this model's `check_feasibility` (only costs moved, as between
 storage-pricing re-solves; primal needs a few iterations, dual from the
@@ -31,9 +35,9 @@ milliseconds): a row both models have keeps its status, a row only this
 model has starts basic, its slack taking up the new constraint, and a
 row only the earlier model had is dropped. HiGHS factors that basis
 as an alien one and completes it where dropped binding rows left too
-many basic variables. Dual simplex priced with devex starts there (see
-_SEED_OPTIONS). A warm result that is not optimal or fails
-`check_feasibility` is discarded for the cold attempt order, so
+many basic variables. Every dual warm run, on either path, is priced
+with devex (see _WARM_DUAL_OPTIONS). A warm result that is not optimal
+or fails `check_feasibility` is discarded for the cold attempts, so
 infeasible and unbounded verdicts come only from cold runs. The binding
 is loaded from its extension file inside the installed scipy package,
 and the matrices are plain numpy arrays, so no scipy module is imported;
@@ -60,40 +64,26 @@ VarId = int
 
 FEASIBILITY_TOL = 1e-6
 
-# hand HiGHS tighter tolerances than the 1e-6 we verify against, so the
-# post-solve check has headroom. Two failure modes force fallbacks, both
-# deterministic (the attempt order is fixed): postsolve can fail to
-# re-attain 1e-9 on degenerate models and report an unknown status, and
-# constraints whose terms reach ~1e7 cannot be satisfied to 1e-9
-# absolute at all (rounding alone is larger), so a tight-tolerance
-# "infeasible" needs confirmation at stock tolerances before we believe
-# it. Unbounded and optimal are scale-free verdicts and stand as is.
-_TIGHT_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
-_TIGHT_NO_PRESOLVE = dict(_TIGHT_OPTIONS, presolve=False)
+# Every HiGHS run keeps HiGHS's stock feasibility tolerances (1e-7,
+# absolute). check_feasibility holds the point to 1e-6 of
+# max(1, |rhs|, max |a_ij x_j|) per row, ten times looser or more, so a
+# point HiGHS calls feasible passes with headroom; the check stays the
+# one test a point must pass. A cold run uses presolve; when it ends
+# without a verdict (postsolve can give up on a degenerate model), one
+# run without presolve follows.
 _STOCK_OPTIONS = {"presolve": True}
-# warm starts skip presolve, which would discard the basis; LpModel.solve
-# picks primal or dual simplex from the data
-_WARM_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=4)
-_WARM_DUAL_OPTIONS = dict(_TIGHT_NO_PRESOLVE, simplex_strategy=1)
-# a start from another model's basis (other rows) is dual simplex priced
-# with devex: on two T=840 suites the four seeded members took 0.25 s in
-# all with it, 0.63-0.84 s with HiGHS's default dual pricing (steepest
-# edge) and 0.46-0.53 s with primal simplex, for similar iteration
-# counts; the likely cost of steepest edge is the exact edge weights it
-# first computes for a starting basis other than the slack basis. It runs
-# at HiGHS's stock feasibility tolerances (1e-7). At the 1e-9 of the other
-# runs, dual simplex from these bases can stop at "possibly optimal" with
-# primal infeasibilities near 1e-6, rebuild and go on, again and again:
-# on input 2000 of the benchmark's T=840 suite the seeded flexible member
-# did so 200 times (0.64 s, 1,617 iterations, against 0.06 s and 1,411
-# iterations at 1e-7), and 5 of its 24 inputs had a seeded run over
-# 0.3 s, none at 1e-7. The point still has to pass check_feasibility.
-_SEED_OPTIONS = {"presolve": False, "simplex_strategy": 1,
-                 "simplex_dual_edge_weight_strategy": 1}
+_NO_PRESOLVE = {"presolve": False}
+# warm starts skip presolve, which would discard the basis; LpModel._start
+# picks primal or dual simplex from the data. Every dual warm run is priced
+# with devex: on two T=840 suites the four members seeded from another
+# model's basis took 0.25 s in all with it, 0.63-0.84 s with HiGHS's
+# default dual pricing (steepest edge) and 0.46-0.53 s with primal
+# simplex, for similar iteration counts; the likely cost of steepest edge
+# is the exact edge weights it first computes for a starting basis other
+# than the slack basis.
+_WARM_OPTIONS = dict(_NO_PRESOLVE, simplex_strategy=4)
+_WARM_DUAL_OPTIONS = dict(_NO_PRESOLVE, simplex_strategy=1,
+                          simplex_dual_edge_weight_strategy=1)
 
 
 class Sense(IntEnum):
@@ -333,7 +323,7 @@ class LpModel:
         With other rows (as between suite members) the basis is matched
         by row name; rows only this model has start basic, rows only
         warm's model had are dropped, HiGHS completes the basis, and the
-        run is dual simplex with devex pricing."""
+        run is dual simplex. Dual runs are priced with devex."""
         cols, coefs, constant = self._obj
         if self.num_variables == 0:  # every row is a constant
             if self.check_feasibility(np.zeros(0)):
@@ -364,13 +354,9 @@ class LpModel:
             if res.status is LpStatus.OPTIMAL and not self.check_feasibility(res.x):
                 return optimal(res)
 
-        res = attempt(_TIGHT_OPTIONS)
-        decided = (LpStatus.OPTIMAL, LpStatus.UNBOUNDED)
-        if res.status not in decided:
-            if res.status is not LpStatus.INFEASIBLE:  # unknown verdict: postsolve gave up
-                res = attempt(_TIGHT_NO_PRESOLVE)
-            if res.status not in decided:
-                res = attempt(_STOCK_OPTIONS)
+        res = attempt(_STOCK_OPTIONS)
+        if res.status is LpStatus.SOLVER_FAILURE:  # no verdict: postsolve gave up
+            res = attempt(_NO_PRESOLVE)
         if res.status is not LpStatus.OPTIMAL:
             return LpSolution(res.status, math.nan, None, res.message)
 
@@ -386,12 +372,10 @@ class LpModel:
         names are names, with (see solve), or None."""
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
-        if warm.model_rows == names:
-            options = _WARM_OPTIONS if self._feasible(warm.values) else _WARM_DUAL_OPTIONS
-            if not isinstance(warm.basis, Basis):
-                return warm.basis, options
-        else:
-            options = _SEED_OPTIONS
+        same = warm.model_rows == names
+        options = _WARM_OPTIONS if same and self._feasible(warm.values) else _WARM_DUAL_OPTIONS
+        if same and not isinstance(warm.basis, Basis):
+            return warm.basis, options
         index = {name: i for i, name in enumerate(warm.model_rows)}
         at = np.array([index.get(name, -1) for name in names], dtype=np.int64)
         found = at >= 0
@@ -537,16 +521,16 @@ def _load_highs():
 # by wrapping this module attribute by name; it reads c (the first
 # positional argument), the shape[0] and nnz of the A_ub keyword (the
 # whole ranged matrix) and the result's nit.
-def linprog(c, A_ub, b_lb, b_ub, bounds, options=_TIGHT_OPTIONS, basis=None) -> SolverResult:
+def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> SolverResult:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
     bounds (lower, upper), with HiGHS simplex under these options
-    (presolve and the two feasibility tolerances; simplex_strategy 4
-    selects primal simplex). A_ub is a CsrMatrix (or anything with the
-    same indptr, indices, data and shape), loaded by rows: HiGHS row i is
-    its row i. basis, from an earlier result of a model of the same
-    shape, is the starting basis. Dual simplex is the default:
-    deterministic, and its vertex solutions resolve degenerate ties such
-    as simultaneous import and export."""
+    (presolve; simplex_strategy 4 selects primal simplex, and
+    simplex_dual_edge_weight_strategy 1 prices dual simplex with devex).
+    A_ub is a CsrMatrix (or anything with the same indptr, indices, data
+    and shape), loaded by rows: HiGHS row i is its row i. basis, from an
+    earlier result of a model of the same shape, is the starting basis.
+    Dual simplex is the default: deterministic, and its vertex solutions
+    resolve degenerate ties such as simultaneous import and export."""
     core = _load_highs()
     model = core.HighsLp()
     m, n = A_ub.shape

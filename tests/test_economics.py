@@ -458,6 +458,6 @@ def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
         seeded = scenario.name in ("monthly", "yearly", "flexible", "mef_zero")
         assert calls[first][0] is seeded, scenario.name
         if seeded:
-            assert options[first] == lp._SEED_OPTIONS
+            assert options[first] == lp._WARM_DUAL_OPTIONS
         assert (scenario.capex_cap_usd is None) is (scenario.name == "offgrid")
         assert_matches_cold(scenario, params, dataset, report, breakdown, floor=1e-7)

@@ -1,6 +1,8 @@
 """File formats, synthetic fixtures, and run configuration parsing."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +242,24 @@ def test_config_bad_numbers_rejected(tmp_path):
                 {"fixture": {"kind": "flat"}, "fx_usd_per_aud": -1.0}]:
         with pytest.raises(ValueError):
             load_config(write_config(tmp_path, doc))
+    # NaN, infinity and booleans are refused by file and key (json.dumps
+    # writes NaN and Infinity, and json.load reads them back)
+    scenario = {"name": "capped", "mode": "grid"}
+    for doc, key in [({"fx_usd_per_aud": math.nan}, "fx_usd_per_aud"),
+                     ({"fx_usd_per_aud": math.inf}, "fx_usd_per_aud"),
+                     ({"fx_usd_per_aud": True}, "fx_usd_per_aud"),
+                     ({"scenarios": [dict(scenario, ei_mef_cap="nan")]}, "ei_mef_cap"),
+                     ({"scenarios": [dict(scenario, capex_cap_usd=math.inf)]},
+                      "capex_cap_usd"),
+                     ({"scenarios": [dict(scenario, capex_cap_usd=False)]}, "capex_cap_usd"),
+                     ({"capacities": {"pv_kw": {"upper": True}}}, "pv_kw.upper"),
+                     ({"capacities": {"pv_kw": {"lower": -math.inf}}}, "pv_kw.lower"),
+                     ({"capacities": {"pv_kw": {"fixed": math.nan}}}, "pv_kw.fixed"),
+                     ({"capacities": {"pv_kw": math.inf}}, "pv_kw.fixed")]:
+        path = write_config(tmp_path, {"fixture": {"kind": "flat"}, **doc})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key} must be "
+                                             "a finite number"):
+            load_config(path)
 
 
 def test_config_capacity_forms(tmp_path):

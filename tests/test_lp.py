@@ -365,8 +365,7 @@ class TestBackend:
         assert got.objective_value == pytest.approx(ref.fun + constant, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
-    @pytest.mark.parametrize("options", ["_TIGHT_OPTIONS", "_TIGHT_NO_PRESOLVE",
-                                         "_STOCK_OPTIONS"])
+    @pytest.mark.parametrize("options", ["_STOCK_OPTIONS", "_NO_PRESOLVE"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_run_matches_public_linprog(self, name, options):
         """A cold backend run on the model's own rows, under each option set
@@ -472,7 +471,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=other)
         assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-        assert options[0] == lp._SEED_OPTIONS
+        assert options[0] == lp._WARM_DUAL_OPTIONS
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
@@ -490,7 +489,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch, options=options, bases=bases)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
-        assert options[0] == lp._SEED_OPTIONS
+        assert options[0] == lp._WARM_DUAL_OPTIONS
         assert options[0]["simplex_dual_edge_weight_strategy"] == 1
         # the new row is the model's last row, and HiGHS's
         rows = bases[0].row_status
@@ -530,7 +529,7 @@ class TestBackend:
             calls = recording_backend(monkeypatch, options=options, bases=bases)
             got = plain.solve(warm=warm)
             assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-            assert options[0] == lp._SEED_OPTIONS and bases[0].alien
+            assert options[0] == lp._WARM_DUAL_OPTIONS and bases[0].alien
             # the dropped row is the seed model's last row, and HiGHS's
             rows = seed.basis.row_status
             assert rows[-1] != lp._load_highs().HighsBasisStatus.kBasic
@@ -573,8 +572,11 @@ class TestBackend:
         options = []
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=seed)
-        assert [w for w, _ in calls] == [True]
+        golden_model("split_yearly").solve(warm=seed)  # other rows: a seed by name
+        assert [w for w, _ in calls] == [True, True]
         assert options[0]["simplex_strategy"] == 1 and not options[0]["presolve"]
+        # the same-rows dual start gets the very options a seed by name gets
+        assert options[0] is options[1] is lp._WARM_DUAL_OPTIONS
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
@@ -607,13 +609,13 @@ class TestBackend:
         assert options[0]["simplex_strategy"] == 1
         assert (got.status, got.message) == (cold.status, cold.message)
 
-    def test_infeasible_verdict_is_confirmed_at_stock_tolerances(self, monkeypatch):
+    def test_infeasible_verdict_stands_after_one_run(self, monkeypatch):
         model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
         options = []
         recording_backend(monkeypatch, options=options)
         got = model.solve()
         assert got.status is LpStatus.INFEASIBLE and got.values is None
-        assert options == [lp._TIGHT_OPTIONS, lp._STOCK_OPTIONS]
+        assert options == [lp._STOCK_OPTIONS]
 
     def test_unbounded_verdict_stands_after_one_run(self, monkeypatch):
         m = LpModel()
@@ -623,7 +625,7 @@ class TestBackend:
         options = []
         recording_backend(monkeypatch, options=options)
         assert m.solve().status is LpStatus.UNBOUNDED
-        assert options == [lp._TIGHT_OPTIONS]
+        assert options == [lp._STOCK_OPTIONS]
 
     def test_failed_runs_try_every_cold_attempt(self, monkeypatch):
         model = golden_model("offgrid_night")
@@ -632,7 +634,7 @@ class TestBackend:
             LpStatus.SOLVER_FAILURE, None, 0, "forced failure"), options=options)
         got = model.solve()
         assert (got.status, got.message) == (LpStatus.SOLVER_FAILURE, "forced failure")
-        assert options == [lp._TIGHT_OPTIONS, lp._TIGHT_NO_PRESOLVE, lp._STOCK_OPTIONS]
+        assert options == [lp._STOCK_OPTIONS, lp._NO_PRESOLVE]
 
     def test_seed_of_other_rows_failing_the_gate_falls_back_to_cold(self, monkeypatch):
         other = golden_model("offgrid_night").solve()
@@ -650,7 +652,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=other)
         assert calls[0][1].status is LpStatus.OPTIMAL
-        assert options == [lp._SEED_OPTIONS, lp._TIGHT_OPTIONS] and len(checked) == 2
+        assert options == [lp._WARM_DUAL_OPTIONS, lp._STOCK_OPTIONS] and len(checked) == 2
         assert got.values.tobytes() == cold.values.tobytes()
 
     def test_missing_binding_file_raises_named_error(self, monkeypatch, tmp_path, capsys):
