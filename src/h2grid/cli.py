@@ -18,6 +18,7 @@ from .certification import certify, re_capacity_factor
 from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     RunConfig,
+    atomic_write,
     dataset_from_config,
     dump_json,
     emissions_to_dict,
@@ -94,17 +95,13 @@ def _inputs_block(config: RunConfig) -> dict:
 
 
 def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
-               out_dir: Path, export_lp: bool, start=None, keep_solution=False):
+               out_dir: Path, export_lp: bool, start=None):
     """Optimize, certify, and write one scenario's outputs; start seeds
     the first solve (see optimize_plant). Returns (report, breakdown,
-    emissions). The report keeps its final LP solution only with
-    keep_solution, for a caller that seeds its next solve with it; any
-    other caller would keep it alive through later solves for nothing."""
+    emissions)."""
     lp_path = out_dir / f"{scenario.name}.lp" if export_lp else None
     report, breakdown = optimize_plant(scenario, config.params, dataset,
                                        export_lp_path=lp_path, start=start)
-    if not keep_solution:
-        report = replace(report, solution=None)
     emissions = None
     if report.is_optimal:
         buy, sell = zone_pair(scenario, dataset)
@@ -158,14 +155,14 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
             scenario = replace(scenario, capex_cap_usd=cap)
         report, breakdown, emissions = _solve_one(
             scenario, config, dataset, out_dir, export_lp,
-            start=seeds.get(_SUITE_SEEDS.get(name)),
-            keep_solution=name in _SUITE_SEEDS.values())
+            start=seeds.get(_SUITE_SEEDS.get(name)))
         _print_outcome(report, breakdown)
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
-        if report.solution is not None:
-            # kept as a seed, its HiGHS basis as int8 arrays
-            seeds[name] = report.solution.as_seed()
+        if name in _SUITE_SEEDS.values() and report.solution is not None:
+            # kept as a seed: its point and its HighsBasis, matched to a
+            # later member's rows by name
+            seeds[name] = report.solution
         if not report.is_optimal and worst == EXIT_OK:
             worst = _STATUS_EXIT[report.status]
         rows.append({
@@ -208,7 +205,7 @@ def _csv_cell(value) -> str:
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
@@ -232,7 +229,7 @@ def _write_sweep(name: str, points: list, header: list[str], cells, summary: dic
     start = None
     for value, scenario in points:
         report, breakdown, emissions = _solve_one(scenario, config, dataset, out_dir,
-                                                  export_lp, start, keep_solution=True)
+                                                  export_lp, start)
         start = report.solution
         rows.append([value, report.status.value] + (
             cells(report, breakdown, emissions) if report.is_optimal

@@ -133,10 +133,6 @@ class CostBreakdown:
             raise ValueError(f"lcoh {self.lcoh_usd_per_kg} inconsistent with "
                              f"components (implied {implied})")
 
-    @property
-    def total_annual_usd(self) -> float:
-        return self.lcoh_usd_per_kg * self.annual_h2_kg
-
 
 @dataclass(frozen=True)
 class SolutionReport:
@@ -224,9 +220,10 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
 
     start, the solution of another scenario whose model has the same
     variables and the same rows (such as report.solution of the previous
-    sweep point) or other rows (an earlier suite member's, as_seed),
-    warm-starts the first solve (see LpModel.solve); the loop then runs
-    as it would from a cold first solve.
+    sweep point) or other rows (an earlier suite member's, its basis
+    matched to these rows by name), warm-starts the first solve (see
+    LpModel.solve); the loop then runs as it would from a cold first
+    solve.
     """
     tech = StorageTech.PIPELINE
     u_store = storage_unit_cost(STORAGE_SEED_CAPACITY_KG, tech)

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,7 +165,9 @@ def load_re_profile(path, horizon: int | None = None,
 
 # --------------------------------------------------------------- CSV out
 
-def _atomic_write(path, text: str) -> None:
+def atomic_write(path, text: str) -> None:
+    """Write text to path through a temporary file beside it, so that path
+    never holds a partly written file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -180,7 +183,7 @@ def write_grid_profile_csv(profile: GridProfile, path,
         aud = float(profile.spot_price.values[t]) * 1000.0 / fx_usd_per_aud
         lines.append(f"{t},{aud!r},{float(profile.mef.values[t])!r},"
                      f"{float(profile.aef.values[t])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     meta = {"zone_id": profile.zone_id, "ef_location": profile.ef_location,
             "arpp": profile.arpp, "rmf": profile.rmf}
     dump_json(meta, Path(path).with_suffix(".meta.json"))
@@ -191,7 +194,7 @@ def write_re_profile_csv(ref_wind: HourlySeries, ref_pv: HourlySeries, path) -> 
     for t in range(len(ref_wind)):
         lines.append(f"{t},{float(ref_wind.values[t])!r},"
                      f"{float(ref_pv.values[t])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_dispatch_csv(dispatch: Dispatch, path) -> None:
@@ -203,7 +206,7 @@ def write_dispatch_csv(dispatch: Dispatch, path) -> None:
     lines = [",".join(DISPATCH_HEADER)]
     for t in range(dispatch.horizon):
         lines.append(str(t) + "," + ",".join(repr(float(c[t])) for c in cols))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------- fixtures
@@ -302,6 +305,7 @@ _SCENARIO_KEYS = {"name", "mode", "tc_interval", "ei_mef_cap", "capex_cap_usd",
                   "sell_zone", "buy_zone", "capacities"}
 _CAP_FIELDS = {"wind_kw", "pv_kw", "electrolyser_kw", "storage_kg"}
 _CAP_SUBKEYS = {"fixed", "lower", "upper"}
+_SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass
@@ -370,7 +374,11 @@ def _parse_scenario(doc, default_zone: str, default_caps: CapacitySpec,
         raise ValueError(f"{where}: unknown scenario keys {sorted(unknown)}")
     if "name" not in doc or "mode" not in doc:
         raise ValueError(f"{where}: scenario needs 'name' and 'mode'")
-    name = str(doc["name"])
+    name = doc["name"]
+    if not (isinstance(name, str) and _SCENARIO_NAME.fullmatch(name)):
+        # a name is part of each output file's name, so it may hold no path
+        raise ValueError(f"{where}: scenario name {name!r} must be letters, digits, "
+                         f"'_' or '-'")
     try:
         mode = Mode(doc["mode"])
     except ValueError:
@@ -440,11 +448,10 @@ def load_config(path) -> RunConfig:
         if fixture_kind not in FIXTURE_KINDS:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
                              f"{FIXTURE_KINDS}")
-        try:
-            fixture_seed = int(fixture.get("seed", 0))
-        except (TypeError, ValueError, OverflowError):
+        fixture_seed = fixture.get("seed", 0)
+        if not isinstance(fixture_seed, int) or isinstance(fixture_seed, bool):
             raise ValueError(f"{path}: fixture seed must be an integer, "
-                             f"got {fixture['seed']!r}") from None
+                             f"got {fixture_seed!r}")
 
     # structural checks first, then file existence
     zone_file_doc = doc.get("zone_files") or {}
@@ -620,8 +627,8 @@ def _num(x: float):
 def dump_json(obj, path) -> None:
     """Canonical JSON serialization: sorted keys, two-space indent,
     trailing newline, strict floats. Deterministic for identical inputs."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
-                                   allow_nan=False) + "\n")
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
+                                  allow_nan=False) + "\n")
 
 
 def write_report(report: SolutionReport, breakdown: CostBreakdown | None,

@@ -29,11 +29,10 @@ same basis took longer than a cold solve), else dual simplex (bounds
 moved, as between sweep points; the basis is no longer primal feasible,
 and dual simplex needed fewer iterations than primal from it). With other
 rows (suite members, whose models differ in their matching or cap rows),
-the basis is keyed by row name (`LpSolution.as_seed`, int8 statuses,
-done only on this path because reading HiGHS's status lists costs a few
-milliseconds): a row both models have keeps its status, a row only this
-model has starts basic, its slack taking up the new constraint, and a
-row only the earlier model had is dropped. HiGHS factors that basis
+HiGHS's row statuses are matched by row name (`LpSolution.model_rows`):
+a row both models have keeps its status, a row only this model has
+starts basic, its slack taking up the new constraint, and a row only
+the earlier model had is dropped. HiGHS factors that basis
 as an alien one and completes it where dropped binding rows left too
 many basic variables. Every dual warm run, on either path, is priced
 with devex (see _WARM_DUAL_OPTIONS). A warm result that is not optimal
@@ -54,7 +53,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
@@ -113,9 +112,9 @@ class LpSolution:
     objective_value: float
     values: np.ndarray | None
     message: str = ""
-    # HiGHS's optimal basis (opaque), or a Basis (see as_seed); None when
-    # no solver run ended optimal (every result that is not optimal, and a
-    # model without variables)
+    # the HighsBasis of the optimal run, HiGHS's own copy, which outlives
+    # its solver; None when no solver run ended optimal (every result that
+    # is not optimal, and a model without variables)
     basis: object = field(default=None, repr=False, compare=False)
     # the solved model's row names, in LpModel order: what keys the basis
     # by row name
@@ -125,17 +124,6 @@ class LpSolution:
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
 
-    def as_seed(self) -> LpSolution:
-        """This solution with its basis as a Basis, which can start a model
-        with other rows (see LpModel.solve) and holds no HiGHS object.
-        Converting costs a few milliseconds at T=840, so it is done only
-        for a solution that seeds another model."""
-        if self.basis is None or isinstance(self.basis, Basis):
-            return self
-        cols, rows = (np.array([s.value for s in status], dtype=np.int8)
-                      for status in (self.basis.col_status, self.basis.row_status))
-        return replace(self, basis=Basis(cols, rows))
-
     def value(self, vid: VarId) -> float:
         return float(self.series([vid])[0])
 
@@ -143,14 +131,6 @@ class LpSolution:
         if self.values is None:
             raise ValueError(f"no solution values (status {self.status.value})")
         return self.values[np.asarray(vids, dtype=int)]
-
-
-class Basis(NamedTuple):
-    """A HiGHS basis as arrays: the int8 HighsBasisStatus value of each
-    column and of each row."""
-
-    cols: np.ndarray
-    rows: np.ndarray
 
 
 class LpModel:
@@ -374,15 +354,13 @@ class LpModel:
             return None
         same = warm.model_rows == names
         options = _WARM_OPTIONS if same and self._feasible(warm.values) else _WARM_DUAL_OPTIONS
-        if same and not isinstance(warm.basis, Basis):
+        if same:
             return warm.basis, options
-        index = {name: i for i, name in enumerate(warm.model_rows)}
-        at = np.array([index.get(name, -1) for name in names], dtype=np.int64)
-        found = at >= 0
-        cols, rows = warm.as_seed().basis
-        status = np.full(at.size, _load_highs().HighsBasisStatus.kBasic.value, dtype=np.int8)
-        status[found] = rows[at[found]]
-        return _highs_basis(cols, status), options
+        # each access to a status list converts all of it, so read it once
+        rows = dict(zip(warm.model_rows, warm.basis.row_status))
+        basic = _load_highs().HighsBasisStatus.kBasic
+        return _highs_basis(warm.basis.col_status,
+                            [rows.get(name, basic) for name in names]), options
 
     # -- export -------------------------------------------------------
 
@@ -452,16 +430,15 @@ class CsrMatrix(NamedTuple):
     @property
     def nnz(self) -> int:
         return self.data.size
-def _highs_basis(cols: np.ndarray, rows: np.ndarray):
-    """A HiGHS basis from HighsBasisStatus values per column and per
-    HiGHS row. It is marked alien, so HiGHS factors it and, where it has
-    more or fewer basic variables than rows or is singular, completes it
+
+
+def _highs_basis(cols: list, rows: list):
+    """A HiGHS basis from HighsBasisStatus lists, one status per column and
+    one per HiGHS row. It is marked alien, so HiGHS factors it and, where it
+    has more or fewer basic variables than rows or is singular, completes it
     to a basis of this model before the run."""
-    core = _load_highs()
-    status = [core.HighsBasisStatus(v) for v in range(5)]
-    basis = core.HighsBasis()
-    basis.col_status = [status[v] for v in cols.tolist()]
-    basis.row_status = [status[v] for v in rows.tolist()]
+    basis = _load_highs().HighsBasis()
+    basis.col_status, basis.row_status = cols, rows
     basis.valid = basis.alien = True
     return basis
 

@@ -126,6 +126,9 @@ def test_bad_override_values(tmp_path, capsys):
     ({"fx_usd_per_aud": [1]}, "fx_usd_per_aud"),
     ({"capacities": {"wind_kw": {"lower": [1]}}}, "wind_kw.lower"),
     ({"fixture": {"kind": "flat", "seed": "x"}}, "seed"),
+    ({"fixture": {"kind": "flat", "seed": 1.5}}, "seed"),
+    ({"fixture": {"kind": "flat", "seed": True}}, "seed"),
+    ({"fixture": {"kind": "flat", "seed": "7"}}, "seed"),
     ({"capacities": {"wind_kw": -1}}, "wind_kw"),
     ({"scenarios": [{"name": "a", "mode": "grid", "ei_mef_cap": [1]}]}, "ei_mef_cap"),
     ({"scenarios": 5}, "scenarios"),
@@ -135,7 +138,8 @@ def test_bad_override_values(tmp_path, capsys):
      "zone_files"),
     ({"fixture": None, "zone_files": {"Z1": 5}, "re_profile_file": "re.csv"},
      "zone_files.Z1"),
-], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "capacity-value",
+], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "fixture-seed-float",
+        "fixture-seed-bool", "fixture-seed-digits", "capacity-value",
         "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
         "zone-file"])
 def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
@@ -143,6 +147,17 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ") and key in err
+
+
+def test_scenario_name_cannot_write_outside_out(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "scenarios": [{"name": "../escaped", "mode": "grid"}]})
+    out = tmp_path / "run" / "out"
+    assert main(["solve", "--config", str(config), "--scenario", "../escaped",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "'../escaped'" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
 
 def test_suite_runs_all_members(tmp_path):

@@ -292,6 +292,22 @@ def test_config_scenarios_parsed(tmp_path):
     assert config.scenarios[1].mode.value == "offgrid"
 
 
+def test_config_scenario_names_are_file_name_safe(tmp_path):
+    """A scenario name is part of its output files' names, so only
+    letters, digits, '_' and '-' are accepted."""
+    path = write_config(tmp_path, {
+        "fixture": {"kind": "flat"},
+        "scenarios": [{"name": "Cap_2-b", "mode": "grid"}]})
+    assert load_config(path).scenarios[0].name == "Cap_2-b"
+    for name in ["../escaped", "a/b", "a\\b", "", ".", "a.b", "a b", "caf\u00e9", 5, None]:
+        path = write_config(tmp_path, {
+            "fixture": {"kind": "flat"},
+            "scenarios": [{"name": name, "mode": "grid"}]})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: scenario name "
+                                             f"{re.escape(repr(name))} must be"):
+            load_config(path)
+
+
 def test_config_duplicate_scenario_names_rejected(tmp_path):
     path = write_config(tmp_path, {
         "fixture": {"kind": "flat"},

@@ -1,11 +1,13 @@
 """LP layer: model construction, solve contract, and a brute-force
 vertex enumerator that serves as the reference solver for tiny LPs."""
 
+import gc
 import importlib.machinery
 import importlib.util
 import math
 import re
 import sys
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -399,9 +401,9 @@ class TestBackend:
         m.set_objective([x, y], [-1.0, -1.0])
         sol = m.solve()
         assert sol.values.tolist() == pytest.approx([2.0, 2.0])
-        rows = sol.as_seed().basis.rows
-        assert rows[1] == status.kUpper.value  # cap: x + y <= 4 binds
-        assert rows[2] == status.kBasic.value  # floor: x >= 0.5 has slack
+        rows = sol.basis.row_status
+        assert rows[1] == status.kUpper  # cap: x + y <= 4 binds
+        assert rows[2] == status.kBasic  # floor: x >= 0.5 has slack
 
         model = golden_model("split_yearly")
         sol = model.solve()
@@ -411,7 +413,9 @@ class TestBackend:
         slack = np.where(sense == Sense.EQ, 0.0, np.abs(activity - rhs))
         loose = slack > 1e-6 * np.maximum(1.0, np.abs(rhs))
         assert 0 < loose.sum() < loose.size
-        assert (sol.as_seed().basis.rows[loose] == status.kBasic.value).all()
+        rows = sol.basis.row_status
+        assert len(rows) == loose.size
+        assert all(rows[i] == status.kBasic for i in np.flatnonzero(loose).tolist())
 
     def test_warm_start_reaches_cold_optimum(self, monkeypatch):
         model = golden_model("offgrid_night")
@@ -524,32 +528,70 @@ class TestBackend:
         seed = model.solve()
         plain = golden_model("split_yearly")
         assert seed.is_optimal and plain.check_feasibility(seed.values) == []
-        for warm in (seed, seed.as_seed()):
-            options, bases = [], []
-            calls = recording_backend(monkeypatch, options=options, bases=bases)
-            got = plain.solve(warm=warm)
-            assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-            assert options[0] == lp._WARM_DUAL_OPTIONS and bases[0].alien
-            # the dropped row is the seed model's last row, and HiGHS's
-            rows = seed.basis.row_status
-            assert rows[-1] != lp._load_highs().HighsBasisStatus.kBasic
-            assert bases[0].row_status == rows[:-1]
-            assert got.objective_value == pytest.approx(free.objective_value, rel=1e-9)
-            assert plain.check_feasibility(got.values) == []
+        options, bases = [], []
+        calls = recording_backend(monkeypatch, options=options, bases=bases)
+        got = plain.solve(warm=seed)
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
+        assert options[0] == lp._WARM_DUAL_OPTIONS and bases[0].alien
+        # the dropped row is the seed model's last row, and HiGHS's
+        rows = seed.basis.row_status
+        assert rows[-1] != lp._load_highs().HighsBasisStatus.kBasic
+        assert bases[0].row_status == rows[:-1]
+        assert bases[0].col_status == seed.basis.col_status
+        assert got.objective_value == pytest.approx(free.objective_value, rel=1e-9)
+        assert plain.check_feasibility(got.values) == []
 
     def test_seed_keyed_by_row_name_matches_the_same_shape_start(self, monkeypatch):
-        """as_seed keeps the basis: a seed of the same rows starts the
-        same run as the HiGHS basis it came from."""
-        seed = golden_model("split_yearly").solve()
-        model = golden_model("split_yearly")
+        """Matching HiGHS's status lists by row name keeps the basis: a
+        model whose rows are the seed's, one slack row renamed, starts from
+        the seed's very statuses and reaches the point that the seed's own
+        model reaches from the basis as it is."""
+        def variant(row):
+            model, pvars = golden_variant("split_yearly")
+            model.add_rows([row], Sense.LE, 1e9, [0], [pvars.c_pv], [1.0])
+            return model
+
+        seed = variant("pv_cap").solve()
+        assert seed.basis.row_status[-1] == lp._load_highs().HighsBasisStatus.kBasic
         bases = []
         recording_backend(monkeypatch, bases=bases)
-        direct, keyed = model.solve(warm=seed), model.solve(warm=seed.as_seed())
+        direct = variant("pv_cap").solve(warm=seed)
+        keyed = variant("pv_limit").solve(warm=seed)
         assert bases[0] is seed.basis
-        assert (bases[1].row_status, bases[1].col_status) == (
+        assert bases[1].alien and (bases[1].row_status, bases[1].col_status) == (
             seed.basis.row_status, seed.basis.col_status)
         assert keyed.values.tobytes() == direct.values.tobytes()
-        assert seed.as_seed().basis.rows.dtype == np.int8
+
+    def test_seed_basis_outlives_its_solver(self, monkeypatch):
+        """A solution's basis is HiGHS's own copy: once the solver that
+        returned it is collected, it still starts a model with other rows,
+        from the seed's statuses on every row both models have."""
+        core = lp._load_highs()
+        solvers = []
+
+        class Tracked(core._Highs):
+            def __init__(self):
+                super().__init__()
+                solvers.append(weakref.ref(self))
+
+        monkeypatch.setattr(core, "_Highs", Tracked)
+        seed = golden_model("offgrid_night").solve()
+        gc.collect()
+        assert solvers and all(ref() is None for ref in solvers)
+        model = golden_model("split_yearly")
+        cold = model.solve()
+        bases = []
+        calls = recording_backend(monkeypatch, bases=bases)
+        got = model.solve(warm=seed)
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
+        assert bases[0].col_status == seed.basis.col_status
+        seed_rows = dict(zip(seed.model_rows, seed.basis.row_status))
+        names = tuple(model._row_names)
+        shared = [i for i, name in enumerate(names) if name in seed_rows]
+        assert 0 < len(shared) < len(names)
+        rows = bases[0].row_status
+        assert [rows[i] for i in shared] == [seed_rows[names[i]] for i in shared]
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
     def test_cost_change_starts_primal(self, monkeypatch):
         seed = golden_model("offgrid_night").solve()
