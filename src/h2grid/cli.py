@@ -394,6 +394,8 @@ def main(argv=None) -> int:
                 raise ValueError("--horizon must be >= 1")
             config.horizon = args.horizon
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValueError("--seed must be >= 0")
             config.fixture_seed = args.seed
         if args.fx is not None:
             if args.fx <= 0:

@@ -449,8 +449,9 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
                              f"{FIXTURE_KINDS}")
         fixture_seed = fixture.get("seed", 0)
-        if not isinstance(fixture_seed, int) or isinstance(fixture_seed, bool):
-            raise ValueError(f"{path}: fixture seed must be an integer, "
+        if (not isinstance(fixture_seed, int) or isinstance(fixture_seed, bool)
+                or fixture_seed < 0):
+            raise ValueError(f"{path}: fixture.seed must be a non-negative integer, "
                              f"got {fixture_seed!r}")
 
     # structural checks first, then file existence

@@ -2,12 +2,11 @@
 
 Only this module talks to a solver. A model keeps its rows as numpy
 blocks, and index arrays are the one way to fill it: `add_variables`
-(or `add_variable`) appends variables, `add_rows` appends constraint
-rows, `set_objective` sets the objective; entries that share a row and
-a variable are summed in one place, `_merge`. A row's sense is a
-`Sense`, stored as its integer value. `write_lp` writes each name as
-its label, so the names of an exported model are distinct ASCII
-identifiers.
+appends variables, `add_rows` appends constraint rows, `set_objective`
+sets the objective; entries that share a row and a variable are summed
+in one place, `_merge`. A row's sense is a `Sense`, stored as its
+integer value. `write_lp` writes each name as its label, so the names
+of an exported model are distinct ASCII identifiers.
 
 Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, handed the model's own CSR matrix as a rowwise
@@ -16,32 +15,34 @@ sense: LE [-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the
 verdict (optimal, infeasible, unbounded, anything else a solver failure)
 and its status string the message. Every run keeps HiGHS's stock
 feasibility tolerances (1e-7), ten times tighter than the 1e-6 of
-`check_feasibility`, the one test every point must pass. A cold solve
-runs with presolve, and once more without it only when that run ends
-without a verdict. `LpModel.solve(warm=...)` hands the backend the
-optimal basis of an earlier solve of a model with the same variables.
-With the same rows, HiGHS's basis is passed on as it is
-(storage-pricing re-solves, sweep points), and the data picks the
-simplex variant that starts there: primal simplex when the earlier point
-passes this model's `check_feasibility` (only costs moved, as between
-storage-pricing re-solves; primal needs a few iterations, dual from the
-same basis took longer than a cold solve), else dual simplex (bounds
-moved, as between sweep points; the basis is no longer primal feasible,
-and dual simplex needed fewer iterations than primal from it). With other
-rows (suite members, whose models differ in their matching or cap rows),
-HiGHS's row statuses are matched by row name (`LpSolution.model_rows`):
-a row both models have keeps its status, a row only this model has
-starts basic, its slack taking up the new constraint, and a row only
-the earlier model had is dropped. HiGHS factors that basis
-as an alien one and completes it where dropped binding rows left too
-many basic variables. Every dual warm run, on either path, is priced
-with devex (see _WARM_DUAL_OPTIONS). A warm result that is not optimal
-or fails `check_feasibility` is discarded for the cold attempts, so
-infeasible and unbounded verdicts come only from cold runs. The binding
-is loaded from its extension file inside the installed scipy package,
-and the matrices are plain numpy arrays, so no scipy module is imported;
-a scipy without that file raises a named ImportError, as there is no
-other solver path.
+`check_feasibility`, the one test every point must pass.
+
+`LpModel.solve` makes at most two runs. With `warm=`, the optimal
+solution of an earlier solve of a model with the same variables, it
+first makes one warm run from that solution's basis. Only when there is
+no warm run, or it does not end optimal, does one cold run with presolve
+follow; so infeasible and unbounded verdicts come only from cold runs.
+The optimal point of either run must pass `check_feasibility`, or the
+result is a solver failure that names the violated rows. With the same
+rows, HiGHS's basis is passed on as it is (storage-pricing re-solves,
+sweep points), and the data picks the simplex variant that starts
+there: primal simplex when the earlier point passes this model's
+`check_feasibility` (only costs moved, as between storage-pricing
+re-solves; primal needs a few iterations, dual from the same basis took
+longer than a cold solve), else dual simplex (bounds moved, as between
+sweep points; the basis is no longer primal feasible, and dual simplex
+needed fewer iterations than primal from it). With other rows (suite
+members, whose models differ in their matching or cap rows), HiGHS's
+row statuses are matched by row name (`LpSolution.model_rows`): a row
+both models have keeps its status, a row only this model has starts
+basic, its slack taking up the new constraint, and a row only the
+earlier model had is dropped. HiGHS factors that basis as an alien one
+and completes it where dropped binding rows left too many basic
+variables. Every dual warm run, on either path, is priced with devex
+(see _WARM_DUAL_OPTIONS). The binding is loaded from its extension file
+inside the installed scipy package, and the matrices are plain numpy
+arrays, so no scipy module is imported; a scipy without that file
+raises a named ImportError, as there is no other solver path.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ FEASIBILITY_TOL = 1e-6
 # absolute). check_feasibility holds the point to 1e-6 of
 # max(1, |rhs|, max |a_ij x_j|) per row, ten times looser or more, so a
 # point HiGHS calls feasible passes with headroom; the check stays the
-# one test a point must pass. A cold run uses presolve; when it ends
-# without a verdict (postsolve can give up on a degenerate model), one
-# run without presolve follows.
-_STOCK_OPTIONS = {"presolve": True}
-_NO_PRESOLVE = {"presolve": False}
+# one test a point must pass. The option sets hold HiGHS's own values.
+# A cold run uses presolve.
+_STOCK_OPTIONS = {"presolve": "on"}
 # warm starts skip presolve, which would discard the basis; LpModel._start
 # picks primal or dual simplex from the data. Every dual warm run is priced
 # with devex: on two T=840 suites the four members seeded from another
@@ -80,9 +79,9 @@ _NO_PRESOLVE = {"presolve": False}
 # simplex, for similar iteration counts; the likely cost of steepest edge
 # is the exact edge weights it first computes for a starting basis other
 # than the slack basis.
-_WARM_OPTIONS = dict(_NO_PRESOLVE, simplex_strategy=4)
-_WARM_DUAL_OPTIONS = dict(_NO_PRESOLVE, simplex_strategy=1,
-                          simplex_dual_edge_weight_strategy=1)
+_WARM_OPTIONS = {"presolve": "off", "simplex_strategy": 4}
+_WARM_DUAL_OPTIONS = {"presolve": "off", "simplex_strategy": 1,
+                      "simplex_dual_edge_weight_strategy": 1}
 
 
 class Sense(IntEnum):
@@ -164,10 +163,6 @@ class LpModel:
         self._var_names.extend(names)
         self._cache = None
         return np.arange(first, first + k)
-
-    def add_variable(self, lower: float = 0.0, upper: float = math.inf,
-                     name: str = "") -> VarId:
-        return int(self.add_variables([name], float(lower), float(upper))[0])
 
     def _entries(self, rows, cols, coefs, m: int):
         """Checked and merged entries of an m-row block (see _merge)."""
@@ -289,14 +284,16 @@ class LpModel:
     # -- solving ------------------------------------------------------
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
-        """Minimize the objective. warm is an optimal solution of an
-        earlier model with the same variables; its basis starts one
-        simplex run, and the cold attempts decide whenever that run does
-        not end at a point that passes check_feasibility. A warm solution
-        with another number of variables starts no run.
+        """Minimize the objective, in at most two HiGHS runs. warm is an
+        optimal solution of an earlier model with the same variables; its
+        basis starts one simplex run, and one cold run with presolve
+        follows only when that run does not end optimal. A warm solution
+        with another number of variables starts no run. The optimal
+        point of whichever run ended optimal must pass check_feasibility,
+        else the result is a SOLVER_FAILURE naming the violated rows.
 
         With the same rows (as between storage-pricing re-solves and
-        sweep points) the run is primal simplex when warm's point is
+        sweep points) the warm run is primal simplex when warm's point is
         feasible here (only costs moved: the basis stays primal feasible
         and a few primal iterations finish), else dual simplex (bounds
         moved: primal simplex would first have to regain feasibility).
@@ -316,27 +313,14 @@ class LpModel:
         c[cols] = coefs
         problem = dict(A_ub=A, b_lb=np.where(sense == Sense.LE, -math.inf, rhs),
                        b_ub=np.where(sense == Sense.GE, math.inf, rhs), bounds=(lb, ub))
-
-        def attempt(options, basis=None):
-            return linprog(c, **problem, options=options, basis=basis)
-
         names = tuple(self._row_names)
-
-        def optimal(res):
-            return LpSolution(LpStatus.OPTIMAL,
-                              math.fsum((coefs * res.x[cols]).tolist()) + constant, res.x,
-                              res.message, res.basis, names)
-
+        res = None
         start = self._start(warm, names)
         if start is not None:
             basis, options = start
-            res = attempt(options, basis)
-            if res.status is LpStatus.OPTIMAL and not self.check_feasibility(res.x):
-                return optimal(res)
-
-        res = attempt(_STOCK_OPTIONS)
-        if res.status is LpStatus.SOLVER_FAILURE:  # no verdict: postsolve gave up
-            res = attempt(_NO_PRESOLVE)
+            res = linprog(c, **problem, options=options, basis=basis)
+        if res is None or res.status is not LpStatus.OPTIMAL:
+            res = linprog(c, **problem, options=_STOCK_OPTIONS)
         if res.status is not LpStatus.OPTIMAL:
             return LpSolution(res.status, math.nan, None, res.message)
 
@@ -345,7 +329,9 @@ class LpModel:
             return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None,
                               "solver returned an infeasible point: "
                               + "; ".join(violations[:5]))
-        return optimal(res)
+        return LpSolution(LpStatus.OPTIMAL,
+                          math.fsum((coefs * res.x[cols]).tolist()) + constant, res.x,
+                          res.message, res.basis, names)
 
     def _start(self, warm: LpSolution | None, names: tuple):
         """The basis and the options warm starts this model, whose row
@@ -500,9 +486,10 @@ def _load_highs():
 # whole ranged matrix) and the result's nit.
 def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> SolverResult:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
-    bounds (lower, upper), with HiGHS simplex under these options
-    (presolve; simplex_strategy 4 selects primal simplex, and
-    simplex_dual_edge_weight_strategy 1 prices dual simplex with devex).
+    bounds (lower, upper), with HiGHS simplex under these HiGHS options
+    (presolve "on" or "off"; simplex_strategy 4 selects primal simplex,
+    and simplex_dual_edge_weight_strategy 1 prices dual simplex with
+    devex).
     A_ub is a CsrMatrix (or anything with the same indptr, indices, data
     and shape), loaded by rows: HiGHS row i is its row i. basis, from an
     earlier result of a model of the same shape, is the starting basis.
@@ -524,8 +511,6 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> 
     settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
                 "simplex_strategy": 1, **options}
     for key, value in settings.items():
-        if key == "presolve":
-            value = "on" if value else "off"
         setattr(highs_options, key, value)
     solver = core._Highs()
     solver.passOptions(highs_options)

@@ -162,11 +162,10 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     h_from_store = var_block("h_store_out")
     soc = var_block("soc")
 
-    c_wind = model.add_variable(*caps.wind_kw.as_bounds(), name="c_wind")
-    c_pv = model.add_variable(*caps.pv_kw.as_bounds(), name="c_pv")
-    c_el = model.add_variable(*caps.electrolyser_kw.as_bounds(), name="c_el")
-    c_store = model.add_variable(*caps.storage_kg.as_bounds(), name="c_store")
-    soc0 = model.add_variable(0.0, math.inf, name="soc0")
+    bounds = [caps.wind_kw.as_bounds(), caps.pv_kw.as_bounds(),
+              caps.electrolyser_kw.as_bounds(), caps.storage_kg.as_bounds(), (0.0, math.inf)]
+    c_wind, c_pv, c_el, c_store, soc0 = model.add_variables(
+        ["c_wind", "c_pv", "c_el", "c_store", "soc0"], *zip(*bounds)).tolist()
 
     a_wind = ref_wind.values / params.c_ref_wind_kw
     a_pv = ref_pv.values / params.c_ref_pv_kw

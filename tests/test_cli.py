@@ -121,6 +121,15 @@ def test_bad_override_values(tmp_path, capsys):
                  "--fx", "-2"]) == 1
 
 
+
+def test_negative_seed_flag_is_named(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["solve", "--config", str(config), "--scenario", "flexible",
+                 "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"plant": {"eta_el": "x"}}, "eta_el"),
     ({"fx_usd_per_aud": [1]}, "fx_usd_per_aud"),
@@ -129,6 +138,7 @@ def test_bad_override_values(tmp_path, capsys):
     ({"fixture": {"kind": "flat", "seed": 1.5}}, "seed"),
     ({"fixture": {"kind": "flat", "seed": True}}, "seed"),
     ({"fixture": {"kind": "flat", "seed": "7"}}, "seed"),
+    ({"fixture": {"kind": "flat", "seed": -1}}, "fixture.seed"),
     ({"capacities": {"wind_kw": -1}}, "wind_kw"),
     ({"scenarios": [{"name": "a", "mode": "grid", "ei_mef_cap": [1]}]}, "ei_mef_cap"),
     ({"scenarios": 5}, "scenarios"),
@@ -139,7 +149,8 @@ def test_bad_override_values(tmp_path, capsys):
     ({"fixture": None, "zone_files": {"Z1": 5}, "re_profile_file": "re.csv"},
      "zone_files.Z1"),
 ], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "fixture-seed-float",
-        "fixture-seed-bool", "fixture-seed-digits", "capacity-value",
+        "fixture-seed-bool", "fixture-seed-digits", "fixture-seed-negative",
+        "capacity-value",
         "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
         "zone-file"])
 def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):

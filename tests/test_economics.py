@@ -409,12 +409,21 @@ def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0)
 def recorded_command(monkeypatch, argv):
     """Run the CLI command argv. Returns, per optimize_plant call, the
     scenario, params, dataset, report and breakdown, with the index of
-    its first linprog call in calls; and calls and options, as recorded
-    by recording_backend."""
-    solves, options = [], []
-    solve_plant = cli.optimize_plant
+    its first linprog call in calls; calls and options, as recorded by
+    recording_backend; and the number of linprog calls of each
+    LpModel.solve."""
+    solves, options, runs = [], [], []
+    solve_plant, solve_model = cli.optimize_plant, LpModel.solve
     with monkeypatch.context() as mp:
         calls = recording_backend(mp, options=options)
+
+        def counted(model, warm=None):
+            first = len(calls)
+            solution = solve_model(model, warm)
+            runs.append(len(calls) - first)
+            return solution
+
+        mp.setattr(LpModel, "solve", counted)
 
         def recorded(scenario, params, dataset, **kwargs):
             first = len(calls)
@@ -424,17 +433,19 @@ def recorded_command(monkeypatch, argv):
 
         mp.setattr(cli, "optimize_plant", recorded)
         code = cli.main(argv)
-    return code, solves, calls, options
+    return code, solves, calls, options, runs
 
 
 def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
     """Each sweep-re point after the first starts dual simplex from the
-    final basis of the point before; its report is the cold solve's."""
+    final basis of the point before; its report is the cold solve's.
+    Every LpModel.solve ends on its first HiGHS run."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
-    code, points, calls, options = recorded_command(
+    code, points, calls, options, runs = recorded_command(
         monkeypatch, ["sweep-re", "--config", str(config), "--points", "5"])
     assert code == 0
+    assert runs and set(runs) == {1}
     assert [p[0].name for p in points] == ["offgrid"] + [f"re_00{i}" for i in range(5)]
     for k, (scenario, params, dataset, first, report, breakdown) in enumerate(points):
         # the offgrid baseline and the first point are cold
@@ -448,12 +459,14 @@ def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
     """monthly, yearly and flexible start dual simplex from daily's final
     basis, mef_zero from flexible's; each report is the cold solve's of
     the same capped scenario. offgrid, sell_only and daily solve cold,
-    and the members are solved and reported in SUITE_ORDER."""
+    and the members are solved and reported in SUITE_ORDER. Every
+    LpModel.solve ends on its first HiGHS run."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
-    code, members, calls, options = recorded_command(
+    code, members, calls, options, runs = recorded_command(
         monkeypatch, ["suite", "--config", str(config)])
     assert code == 0
+    assert runs and set(runs) == {1}
     assert [m[0].name for m in members] == cli.SUITE_ORDER
     assert all(m[4].is_optimal for m in members)
     out = capsys.readouterr()

@@ -80,21 +80,21 @@ def enumerate_solve(model: LpModel) -> LpSolution:
 class TestModelConstruction:
     def test_add_variable_ids_sequential(self):
         m = LpModel()
-        assert m.add_variable(0, math.inf) == 0
-        assert m.add_variable(5, 5) == 1
+        assert m.add_variables(["x"], 0, math.inf).tolist() == [0]
+        assert m.add_variables(["y"], 5, 5).tolist() == [1]
         assert m.num_variables == 2
         assert read_back(m).bounds[1] == (5.0, 5.0)
 
     def test_bad_bounds_rejected(self):
         m = LpModel()
         with pytest.raises(ValueError, match="exceeds"):
-            m.add_variable(1.0, 0.0)
+            m.add_variables(["x"], 1.0, 0.0)
         with pytest.raises(ValueError, match="NaN"):
-            m.add_variable(math.nan, 1.0)
+            m.add_variables(["x"], math.nan, 1.0)
 
     def test_unregistered_variable_rejected(self):
         m = LpModel()
-        m.add_variable()
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="unregistered"):
             m.add_rows([""], Sense.LE, 1.0, [0], [3], [1.0])
         with pytest.raises(ValueError, match="unregistered"):
@@ -102,14 +102,13 @@ class TestModelConstruction:
 
     def test_constraint_count_and_removal(self):
         m = LpModel()
-        x = m.add_variable(0, 10)
+        [x] = m.add_variables(["x"], 0, 10)
         c1, c2 = m.add_rows(["", ""], [Sense.GE, Sense.LE], [3.0, 8.0], [0, 1], [x, x], [1.0, 1.0])
         assert list(read_back(m).rows) == [c1, c2]
 
     def test_constraint_round_trip(self):
         m = LpModel()
-        x = m.add_variable()
-        y = m.add_variable()
+        x, y = m.add_variables(["x", "y"])
         [cid] = m.add_rows(["bal"], Sense.EQ, 7.0, [0, 0], [x, y], [2.0, -3.0])
         row = read_back(m).rows[cid]
         assert row.coeffs == {x: 2.0, y: -3.0}
@@ -119,7 +118,7 @@ class TestModelConstruction:
 
     def test_unknown_sense_rejected(self):
         m = LpModel()
-        x = m.add_variable()
+        [x] = m.add_variables(["x"])
         with pytest.raises(ValueError, match="sense"):
             m.add_rows([""], "!=", 0.0, [0], [x], [1.0])
 
@@ -217,8 +216,7 @@ class TestBlocks:
 
     def test_solve_leaves_model_unchanged(self, tmp_path):
         m = LpModel()
-        x = m.add_variable(0, 10, name="x")
-        y = m.add_variable(0, 10, name="y")
+        x, y = m.add_variables(["x", "y"], 0, 10)
         m.add_rows(["lo", "hi"], [Sense.GE, Sense.LE], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
                    [1.0, 1.0, 1.0, -1.0])
         m.set_objective([x, y], [2.0, 1.0])
@@ -233,7 +231,7 @@ class TestBlocks:
 class TestSolve:
     def test_minimize_with_lower_bound_constraint(self):
         m = LpModel()
-        x = m.add_variable(0, 10)
+        [x] = m.add_variables(["x"], 0, 10)
         m.add_rows([""], Sense.GE, 3.0, [0], [x], [1.0])
         m.set_objective([x], [1.0])
         sol = m.solve()
@@ -243,7 +241,7 @@ class TestSolve:
 
     def test_infeasible(self):
         m = LpModel()
-        x = m.add_variable(0, 10)
+        [x] = m.add_variables(["x"], 0, 10)
         m.add_rows(["", ""], [Sense.GE, Sense.LE], [1.0, 0.0], [0, 1], [x, x], [1.0, 1.0])
         sol = m.solve()
         assert sol.status is LpStatus.INFEASIBLE
@@ -251,21 +249,20 @@ class TestSolve:
 
     def test_unbounded(self):
         m = LpModel()
-        x = m.add_variable(0, math.inf)
+        [x] = m.add_variables(["x"])
         m.set_objective([x], [-1.0])
         assert m.solve().status is LpStatus.UNBOUNDED
 
     def test_pinned_variable(self):
         m = LpModel()
-        x = m.add_variable(5, 5)
+        [x] = m.add_variables(["x"], 5, 5)
         m.set_objective([x], [1.0])
         sol = m.solve()
         assert sol.value(x) == pytest.approx(5.0)
 
     def test_equality_and_objective_constant(self):
         m = LpModel()
-        x = m.add_variable(-10, 10)
-        y = m.add_variable(-10, 10)
+        x, y = m.add_variables(["x", "y"], -10, 10)
         m.add_rows([""], Sense.EQ, 4.0, [0, 0], [x, y], [1.0, 1.0])
         m.set_objective([x, y], [1.0, 2.0], 100.0)
         sol = m.solve()
@@ -274,8 +271,7 @@ class TestSolve:
 
     def test_optimal_point_refeasibility(self):
         m = LpModel()
-        x = m.add_variable(0, 100)
-        y = m.add_variable(0, 100)
+        x, y = m.add_variables(["x", "y"], 0, 100)
         m.add_rows(["", ""], [Sense.GE, Sense.LE], [10.0, 2.0], [0, 0, 1, 1], [x, y, x, y],
                    [1.0, 1.0, 1.0, -1.0])
         m.set_objective([x, y], [3.0, 1.0])
@@ -285,7 +281,7 @@ class TestSolve:
 
     def test_check_feasibility_flags_violation(self):
         m = LpModel()
-        x = m.add_variable(0, 10)
+        [x] = m.add_variables(["x"], 0, 10)
         m.add_rows(["floor"], Sense.GE, 3.0, [0], [x], [1.0])
         bad = np.array([1.0])
         msgs = m.check_feasibility(bad)
@@ -294,8 +290,7 @@ class TestSolve:
 
     def test_value_accessors(self):
         m = LpModel()
-        x = m.add_variable(2, 2)
-        y = m.add_variable(3, 3)
+        x, y = m.add_variables(["x", "y"], [2, 3], [2, 3])
         m.set_objective([x], [1.0])
         sol = m.solve()
         assert sol.series([y, x]).tolist() == pytest.approx([3.0, 2.0])
@@ -367,21 +362,21 @@ class TestBackend:
         assert got.objective_value == pytest.approx(ref.fun + constant, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
-    @pytest.mark.parametrize("options", ["_STOCK_OPTIONS", "_NO_PRESOLVE"])
+    @pytest.mark.parametrize("options", ["_STOCK_OPTIONS"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_cold_run_matches_public_linprog(self, name, options):
-        """A cold backend run on the model's own rows, under each option set
-        of the cold attempt order, reaches the verdict scipy's public
-        linprog reaches under the same options; where both are optimal the
-        objectives agree within 1e-9 and our point passes
-        check_feasibility."""
+        """A cold backend run on the model's own rows, under the cold
+        run's option set, reaches the verdict scipy's public linprog
+        reaches with presolve; where both are optimal the objectives agree
+        within 1e-9 and our point passes check_feasibility."""
         model = golden_model(name)
         lb, ub, sense, rhs, A = model._arrays()
         c, public, _ = public_linprog_input(model)
         opts = getattr(lp, options)
         got = lp.linprog(c, A, np.where(sense == Sense.LE, -math.inf, rhs),
                          np.where(sense == Sense.GE, math.inf, rhs), (lb, ub), options=opts)
-        ref = scipy.optimize.linprog(c, **public, method="highs-ds", options=opts)
+        ref = scipy.optimize.linprog(c, **public, method="highs-ds",
+                                     options={"presolve": opts["presolve"] == "on"})
         assert got.status is _PUBLIC_STATUS[ref.status]
         if got.status is not LpStatus.OPTIMAL:
             assert got.x is None
@@ -438,26 +433,30 @@ class TestBackend:
         assert got.values.tobytes() == cold.values.tobytes()
         assert got.message == cold.message
 
-    def test_warm_point_failing_the_gate_falls_back_to_cold(self, monkeypatch):
+    def test_warm_point_failing_the_gate_is_a_solver_failure(self, monkeypatch):
+        """An optimal warm run is the one run: when its point fails
+        check_feasibility, the result is a SOLVER_FAILURE that names the
+        violation, and no cold run follows."""
         model = golden_model("split_yearly")
         cold = model.solve()
         checked = []
-        original = LpModel.check_feasibility
 
         def gate(self, x, tol=FEASIBILITY_TOL):
             checked.append(x)
-            return ["forced violation"] if len(checked) == 1 else original(self, x, tol)
+            return ["forced violation"]
 
         monkeypatch.setattr(LpModel, "check_feasibility", gate)
         calls = recording_backend(monkeypatch)
         got = model.solve(warm=cold)
-        assert [w for w, _ in calls] == [True, False] and len(checked) == 2
-        assert got.values.tobytes() == cold.values.tobytes()
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
+        assert len(checked) == 1
+        assert (got.status, got.values, got.basis) == (LpStatus.SOLVER_FAILURE, None, None)
+        assert got.message == "solver returned an infeasible point: forced violation"
 
     def test_basis_of_another_shape_falls_back_to_cold(self, monkeypatch):
         other = golden_model("offgrid_night").solve()
         model = golden_model("split_yearly")
-        model.add_variable(0.0, 1.0, name="spare")
+        model.add_variables(["spare"], 0.0, 1.0)
         calls = recording_backend(monkeypatch)
         got = model.solve(warm=other)
         # another number of variables: no warm run
@@ -505,7 +504,7 @@ class TestBackend:
 
     def test_seed_of_a_model_without_rows_starts_every_row_basic(self, monkeypatch):
         m = LpModel()
-        x = m.add_variable(0.0, 5.0, name="x")
+        [x] = m.add_variables(["x"], 0.0, 5.0)
         m.set_objective([x], [1.0])
         seed = m.solve()
         m.add_rows(["floor"], Sense.GE, 1.0, [0], [x], [1.0])
@@ -601,7 +600,7 @@ class TestBackend:
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
-        assert options[0]["simplex_strategy"] == 4 and not options[0]["presolve"]
+        assert options[0]["simplex_strategy"] == 4 and options[0]["presolve"] == "off"
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
     def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch):
@@ -616,7 +615,7 @@ class TestBackend:
         got = model.solve(warm=seed)
         golden_model("split_yearly").solve(warm=seed)  # other rows: a seed by name
         assert [w for w, _ in calls] == [True, True]
-        assert options[0]["simplex_strategy"] == 1 and not options[0]["presolve"]
+        assert options[0]["simplex_strategy"] == 1 and options[0]["presolve"] == "off"
         # the same-rows dual start gets the very options a seed by name gets
         assert options[0] is options[1] is lp._WARM_DUAL_OPTIONS
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
@@ -647,7 +646,7 @@ class TestBackend:
         options = []
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=seed)
-        assert calls[0][0] and not any(w for w, _ in calls[1:]) and len(calls) > 1
+        assert [w for w, _ in calls] == [True, False]
         assert options[0]["simplex_strategy"] == 1
         assert (got.status, got.message) == (cold.status, cold.message)
 
@@ -670,32 +669,37 @@ class TestBackend:
         assert options == [lp._STOCK_OPTIONS]
 
     def test_failed_runs_try_every_cold_attempt(self, monkeypatch):
+        """The cold attempt order is one run with presolve: when it ends
+        without a verdict, the result is a SOLVER_FAILURE carrying HiGHS's
+        status string."""
         model = golden_model("offgrid_night")
         options = []
         recording_backend(monkeypatch, lambda basis: SolverResult(
             LpStatus.SOLVER_FAILURE, None, 0, "forced failure"), options=options)
         got = model.solve()
         assert (got.status, got.message) == (LpStatus.SOLVER_FAILURE, "forced failure")
-        assert options == [lp._STOCK_OPTIONS, lp._NO_PRESOLVE]
+        assert options == [lp._STOCK_OPTIONS]
 
-    def test_seed_of_other_rows_failing_the_gate_falls_back_to_cold(self, monkeypatch):
+    def test_seed_of_other_rows_failing_the_gate_is_a_solver_failure(self, monkeypatch):
+        """A seed by row name makes the one dual warm run; its point
+        failing check_feasibility is a SOLVER_FAILURE naming the
+        violation, with no cold run after it."""
         other = golden_model("offgrid_night").solve()
         model = golden_model("split_yearly")
-        cold = model.solve()
         checked = []
-        original = LpModel.check_feasibility
 
         def gate(self, x, tol=FEASIBILITY_TOL):
             checked.append(x)
-            return ["forced violation"] if len(checked) == 1 else original(self, x, tol)
+            return ["forced violation"]
 
         monkeypatch.setattr(LpModel, "check_feasibility", gate)
         options = []
         calls = recording_backend(monkeypatch, options=options)
         got = model.solve(warm=other)
-        assert calls[0][1].status is LpStatus.OPTIMAL
-        assert options == [lp._WARM_DUAL_OPTIONS, lp._STOCK_OPTIONS] and len(checked) == 2
-        assert got.values.tobytes() == cold.values.tobytes()
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
+        assert options == [lp._WARM_DUAL_OPTIONS] and len(checked) == 1
+        assert (got.status, got.values) == (LpStatus.SOLVER_FAILURE, None)
+        assert got.message == "solver returned an infeasible point: forced violation"
 
     def test_missing_binding_file_raises_named_error(self, monkeypatch, tmp_path, capsys):
         model = golden_model("offgrid_night")
@@ -729,8 +733,7 @@ class TestBackend:
 class TestWriteLp:
     def test_layout(self, tmp_path):
         m = LpModel()
-        x = m.add_variable(0, 10, name="flow")
-        y = m.add_variable(-math.inf, math.inf, name="slack")
+        x, y = m.add_variables(["flow", "slack"], [0, -math.inf], [10, math.inf])
         m.add_rows(["cap", "bal"], [Sense.LE, Sense.EQ], [4.0, 1.0], [0, 0, 1, 1], [x, y, x, y],
                    [2.0, -1.0, 1.0, 1.0])
         m.set_objective([x], [1.5], 2.0)
@@ -752,8 +755,7 @@ class TestWriteLp:
     def test_deterministic_bytes(self, tmp_path):
         def build():
             m = LpModel()
-            a = m.add_variable(0, 5, name="a")
-            b = m.add_variable(1, math.inf, name="b")
+            a, b = m.add_variables(["a", "b"], [0, 1], [5, math.inf])
             m.add_rows(["floor"], Sense.GE, 2.0, [0, 0], [a, b], [1.0, 2.0])
             m.set_objective([a, b], [1.0, 1.0])
             return m
@@ -784,8 +786,7 @@ class TestWriteLp:
 class TestEnumerator:
     def test_matches_hand_solution(self):
         m = LpModel()
-        x = m.add_variable(0, 10)
-        y = m.add_variable(0, 10)
+        x, y = m.add_variables(["x", "y"], 0, 10)
         m.add_rows([""], Sense.GE, 6.0, [0, 0], [x, y], [1.0, 1.0])
         m.set_objective([x, y], [2.0, 3.0])
         ref = enumerate_solve(m)
@@ -795,20 +796,19 @@ class TestEnumerator:
 
     def test_detects_infeasible(self):
         m = LpModel()
-        x = m.add_variable(0, 1)
+        [x] = m.add_variables(["x"], 0, 1)
         m.add_rows([""], Sense.GE, 2.0, [0], [x], [1.0])
         assert enumerate_solve(m).status is LpStatus.INFEASIBLE
 
     def test_requires_finite_bounds(self):
         m = LpModel()
-        m.add_variable(0, math.inf)
+        m.add_variables(["x"], 0, math.inf)
         with pytest.raises(ValueError, match="finite"):
             enumerate_solve(m)
 
     def test_requires_small_model(self):
         m = LpModel()
-        for _ in range(4):
-            m.add_variable(0, 1)
+        m.add_variables(["a", "b", "c", "d"], 0, 1)
         with pytest.raises(ValueError, match="1-3"):
             enumerate_solve(m)
 
@@ -819,11 +819,9 @@ def small_lp_models():
     @st.composite
     def build(draw):
         n = draw(st.integers(1, 3))
+        ends = [sorted(draw(st.integers(-6, 6)) for _ in range(2)) for _ in range(n)]
         m = LpModel()
-        for _ in range(n):
-            a = draw(st.integers(-6, 6))
-            b = draw(st.integers(-6, 6))
-            m.add_variable(min(a, b), max(a, b))
+        m.add_variables([""] * n, *zip(*ends))
         n_cons = draw(st.integers(0, 3))
         for _ in range(n_cons):
             coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
