@@ -13,7 +13,8 @@ results. Every JSON and CSV file must exist on both sides, and in each:
   intensity (`ei_*`) must agree within 1e-9 relative, where a value
   under 1e-7 in magnitude counts as zero (the snap of extract_dispatch).
 
-Other fields are not compared. Every `.lp` file (the `--export-lp`
+Other fields are not compared, lists of plain values under them (such
+as `inputs/zone_files`) included. Every `.lp` file (the `--export-lp`
 text) must also exist on both sides, and each pair must be the same text
 apart from numbers, with each number within 1e-12 relative of the other
 side's; the largest relative difference is printed. Prints each mismatch
@@ -41,6 +42,13 @@ def gated(key: str, parents: tuple) -> bool:
             or any(p in CAPACITY_KEYS for p in parents))
 
 
+def nested(value) -> bool:
+    """Whether a value holds fields of its own: a dict, or a list with a
+    dict or a list in it."""
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value))
+
+
 def close(a, b) -> bool:
     if a is None or b is None:
         return a is b
@@ -59,7 +67,7 @@ def compare(a, b, where: str, key: str = "", parents: tuple = ()):
             if k not in a or k not in b:
                 if wanted:
                     yield f"{where}/{k}: only on one side"
-            elif wanted or isinstance(a[k], (dict, list)):
+            elif wanted or nested(a[k]) or nested(b[k]):
                 yield from compare(a[k], b[k], f"{where}/{k}", k, parents)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):

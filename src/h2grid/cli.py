@@ -43,37 +43,35 @@ _STATUS_EXIT = {
     LpStatus.SOLVER_FAILURE: EXIT_SOLVER,
 }
 
-SUITE_ORDER = ["offgrid", "sell_only", "daily", "monthly", "yearly",
-               "flexible", "mef_zero"]
-# the earlier suite member whose final basis starts a member's first
-# solve (see cmd_suite)
-_SUITE_SEEDS = {"monthly": "daily", "yearly": "daily", "flexible": "daily",
-                "mef_zero": "flexible"}
-_BUILTIN_TC = {"hourly": TcInterval.HOURLY, "daily": TcInterval.DAILY,
-               "monthly": TcInterval.MONTHLY, "yearly": TcInterval.YEARLY}
+# The built-in scenarios, one row each: mode, matching interval,
+# marginal-emissions cap (kgCO2e/kgH2), and the earlier suite member
+# whose final solution starts the row's first solve in the suite. The
+# suite runs them in this order, without hourly; one rule needs no
+# column: once offgrid is optimal, its capital cost caps every member.
+_BUILTINS = {
+    "offgrid":   (Mode.OFF_GRID,  None,               None, None),
+    "sell_only": (Mode.SELL_ONLY, None,               None, None),
+    "daily":     (Mode.GRID,      TcInterval.DAILY,   None, None),
+    "monthly":   (Mode.GRID,      TcInterval.MONTHLY, None, "daily"),
+    "yearly":    (Mode.GRID,      TcInterval.YEARLY,  None, "daily"),
+    "flexible":  (Mode.GRID,      None,               None, "daily"),
+    "mef_zero":  (Mode.GRID,      None,               0.0,  "flexible"),
+    "hourly":    (Mode.GRID,      TcInterval.HOURLY,  None, None),
+}
+SUITE_ORDER = [name for name in _BUILTINS if name != "hourly"]
 
 REC_PRICE_BAND_AUD = (20.0, 60.0)
 
 
 def builtin_scenario(name: str, config: RunConfig) -> ScenarioSpec:
-    """Standard scenarios derived from the config's zone and capacity
-    bounds: isolated plant, sell-only, interval-matched trading at three
-    widths, unconstrained trading, and a zero-marginal-emissions cap."""
-    geo = CoLocated(config.zone)
-    caps = config.capacities
-    if name == "offgrid":
-        return ScenarioSpec(name, Mode.OFF_GRID, geo, caps)
-    if name == "sell_only":
-        return ScenarioSpec(name, Mode.SELL_ONLY, geo, caps)
-    if name in _BUILTIN_TC:
-        return ScenarioSpec(name, Mode.GRID, geo, caps,
-                            tc_interval=_BUILTIN_TC[name])
-    if name == "flexible":
-        return ScenarioSpec(name, Mode.GRID, geo, caps)
-    if name == "mef_zero":
-        return ScenarioSpec(name, Mode.GRID, geo, caps, ei_mef_cap=0.0)
-    raise ValueError(f"unknown scenario {name!r}; config defines none by that "
-                     f"name and built-ins are {SUITE_ORDER + ['hourly']}")
+    """A built-in scenario (see _BUILTINS) at the config's zone and
+    capacity bounds."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown scenario {name!r}; config defines none by that "
+                         f"name and built-ins are {list(_BUILTINS)}")
+    mode, tc_interval, ei_mef_cap, _ = _BUILTINS[name]
+    return ScenarioSpec(name, mode, CoLocated(config.zone), config.capacities,
+                        tc_interval=tc_interval, ei_mef_cap=ei_mef_cap)
 
 
 def resolve_scenario(config: RunConfig, name: str) -> ScenarioSpec:
@@ -135,12 +133,14 @@ def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
 
 
 def cmd_suite(config: RunConfig, export_lp: bool) -> int:
-    """Run the standard scenario set in dependency order: the isolated
-    plant first, whose capital cost, rounded up to a whole cent, caps
-    every other member. monthly, yearly and flexible each start from
-    daily's final basis (their models are daily's with other matching
-    rows, or none), and mef_zero from flexible's (its model adds cap rows
-    to flexible's); see _SUITE_SEEDS."""
+    """Run the built-in scenarios in SUITE_ORDER. The isolated plant
+    comes first: once it is optimal, its capital cost, rounded up to a
+    whole cent, caps every member after it. A member that _BUILTINS
+    names as a seed keeps its final solution, which starts the first
+    solve of the members that name it: monthly, yearly and flexible start
+    from daily (their models are daily's with other matching rows, or
+    none), and mef_zero from flexible (its model adds cap rows to
+    flexible's)."""
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,18 +148,17 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     rows = []
     cap = None
     worst = EXIT_OK
+    seed_of = {name: row[-1] for name, row in _BUILTINS.items()}
     seeds = {}
     for name in SUITE_ORDER:
-        scenario = builtin_scenario(name, config)
-        if name != "offgrid" and cap is not None:
-            scenario = replace(scenario, capex_cap_usd=cap)
+        scenario = replace(builtin_scenario(name, config), capex_cap_usd=cap)
         report, breakdown, emissions = _solve_one(
             scenario, config, dataset, out_dir, export_lp,
-            start=seeds.get(_SUITE_SEEDS.get(name)))
+            start=seeds.get(seed_of[name]))
         _print_outcome(report, breakdown)
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
-        if name in _SUITE_SEEDS.values() and report.solution is not None:
+        if name in seed_of.values() and report.solution is not None:
             # kept as a seed: its point and its HighsBasis, matched to a
             # later member's rows by name
             seeds[name] = report.solution
@@ -396,6 +395,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ValueError("--seed must be >= 0")
+            if config.fixture_kind is None:
+                raise ValueError("--seed needs a config with a fixture")
             config.fixture_seed = args.seed
         if args.fx is not None:
             if args.fx <= 0:

@@ -1,5 +1,9 @@
 """Cost mathematics and the top-level sizing optimization.
 
+cost_terms prices a plant once, for both the LP objective and the
+reported CostBreakdown; the CAPEX cap and capex_usd read the
+un-annualised PlantParameters.capacity_costs.
+
 The storage unit cost depends on the storage capacity being chosen (two
 log-linear cost curves, one per technology), which an LP cannot express
 directly. optimize_plant therefore iterates: solve at a trial unit cost,
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,17 +32,7 @@ from .policy import (
     make_partition,
     wire_two_grid,
 )
-from .types import (
-    CAPACITIES,
-    Dataset,
-    GridProfile,
-    HourlySeries,
-    PlantParameters,
-    ScenarioSpec,
-    Split,
-    Unit,
-    expect_unit,
-)
+from .types import CAPACITIES, Dataset, GridProfile, PlantParameters, ScenarioSpec, Split
 
 STORAGE_SEED_CAPACITY_KG = 1000.0
 STORAGE_CONVERGENCE_REL = 0.01
@@ -80,31 +75,7 @@ def storage_unit_cost(capacity_kg: float, tech: StorageTech) -> float:
 def select_storage_tech(capacity_kg: float, threshold_kg: float) -> StorageTech:
     """Pipeline below the threshold capacity, cavern at or above it (the
     two cost curves cross there, so the boundary assignment is a tie)."""
-    if threshold_kg <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold_kg}")
     return StorageTech.PIPELINE if capacity_kg < threshold_kg else StorageTech.LRC
-
-
-def electricity_cost(import_kw, export_kw, p_buy, p_sell, ts_fee: float) -> float:
-    """Net grid electricity cost: imports pay spot plus the transmission
-    fee, exports earn spot. Negative when sales beat purchases."""
-    imp = _as_values(import_kw)
-    exp = _as_values(export_kw)
-    buy = _as_values(p_buy, Unit.USD_PER_KWH)
-    sell = _as_values(p_sell, Unit.USD_PER_KWH)
-    if not (imp.size == exp.size == buy.size == sell.size):
-        raise ValueError("electricity_cost series lengths differ")
-    if ts_fee < 0:
-        raise ValueError(f"transmission fee must be >= 0, got {ts_fee}")
-    return float(imp @ (buy + ts_fee) - exp @ sell)
-
-
-def _as_values(series, unit: Unit | None = None) -> np.ndarray:
-    if isinstance(series, HourlySeries):
-        if unit is not None:
-            expect_unit(series, unit, "electricity_cost")
-        return series.values
-    return np.asarray(series, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -164,6 +135,7 @@ class SolutionReport:
         return {"wind_kw": d.c_wind_kw, "pv_kw": d.c_pv_kw,
                 "electrolyser_kw": d.c_el_kw, "storage_kg": d.c_store_kg}
 
+
 def zone_pair(scenario: ScenarioSpec, dataset: Dataset) -> tuple[GridProfile, GridProfile]:
     """(buy zone, sell zone) for a scenario; identical objects when
     co-located."""
@@ -171,6 +143,27 @@ def zone_pair(scenario: ScenarioSpec, dataset: Dataset) -> tuple[GridProfile, Gr
         return dataset.zone(scenario.geo.buy_zone), dataset.zone(scenario.geo.sell_zone)
     zone = dataset.zone(scenario.geo.zone)
     return zone, zone
+
+
+class CostTerms(NamedTuple):
+    """What a plant costs over the horizon, at one storage unit cost."""
+
+    capital: np.ndarray       # annualised capital per unit of each of CAPACITIES
+    fom: np.ndarray           # fixed O&M per unit-year, same order
+    import_price: np.ndarray  # USD/kWh per hour: buy-zone spot plus ts_fee
+    export_price: np.ndarray  # USD/kWh per hour: sell-zone spot
+    vom: float                # the electrolyser's variable O&M, USD
+
+
+def cost_terms(scenario: ScenarioSpec, params: PlantParameters,
+               dataset: Dataset, u_store: float) -> CostTerms:
+    """The plant's cost terms over the dataset's horizon, with storage
+    at unit cost u_store."""
+    buy, sell = zone_pair(scenario, dataset)
+    capex, fom = params.capacity_costs(u_store)
+    return CostTerms(crf(params.interest, params.lifetime_years) * capex, fom,
+                     buy.spot_price.values + params.ts_fee, sell.spot_price.values,
+                     params.vom_el * (params.load_kg_per_h * dataset.horizon))
 
 
 def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
@@ -195,15 +188,15 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
     if scenario.capex_cap_usd is not None:
         apply_capex_cap(model, pvars, params, u_store, scenario.capex_cap_usd)
 
-    capex, fom = params.capacity_costs(u_store)
+    terms = cost_terms(scenario, params, dataset, u_store)
     # fixed costs of the four capacities, then trade; minimizing annual
     # cost is exact for LCOH because annual hydrogen mass is fixed by the
     # constant delivery rate
     model.set_objective(
         np.concatenate([pvars.capacities, pvars.import_kw, pvars.export_kw]),
-        np.concatenate([crf(params.interest, params.lifetime_years) * capex + fom,
-                        buy.spot_price.values + params.ts_fee, -sell.spot_price.values]),
-        params.vom_el * annual_h2)
+        np.concatenate([terms.capital + terms.fom, terms.import_price,
+                        -terms.export_price]),
+        terms.vom)
     return model, pvars
 
 
@@ -263,14 +256,12 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             solution=solution)
         return report, None
     dispatch = extract_dispatch(solution, pvars)
-    buy, sell = zone_pair(scenario, dataset)
-    grid_cost = electricity_cost(dispatch.import_kw, dispatch.export_kw,
-                                 buy.spot_price, sell.spot_price, params.ts_fee)
-    unit_capex, fom = params.capacity_costs(u_store)
-    annual_om = fom * dispatch.built
-    annual_om[0] += params.vom_el * annual_h2   # the electrolyser's variable O&M
-    capex = dict(zip(CAPACITIES, (crf(params.interest, params.lifetime_years)
-                                  * unit_capex * dispatch.built).tolist()))
+    terms = cost_terms(scenario, params, dataset, u_store)
+    grid_cost = float(dispatch.import_kw @ terms.import_price
+                      - dispatch.export_kw @ terms.export_price)
+    annual_om = terms.fom * dispatch.built
+    annual_om[0] += terms.vom   # the electrolyser's variable O&M
+    capex = dict(zip(CAPACITIES, (terms.capital * dispatch.built).tolist()))
     om = dict(zip(CAPACITIES, annual_om.tolist()))
     total = sum(capex.values()) + sum(om.values()) + grid_cost
     breakdown = CostBreakdown(

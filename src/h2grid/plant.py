@@ -133,8 +133,6 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     if len(ref_wind) != horizon or len(ref_pv) != horizon:
         raise ValueError(f"reference profiles have lengths {len(ref_wind)}/"
                          f"{len(ref_pv)}, expected horizon {horizon}")
-    if params.c_ref_wind_kw <= 0 or params.c_ref_pv_kw <= 0:
-        raise ValueError("reference capacities must be positive")
     if np.any(ref_wind.values < 0) or np.any(ref_wind.values > params.c_ref_wind_kw):
         raise ValueError(f"ref_wind outside [0, {params.c_ref_wind_kw}] kW")
     if np.any(ref_pv.values < 0) or np.any(ref_pv.values > params.c_ref_pv_kw):

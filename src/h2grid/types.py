@@ -149,10 +149,12 @@ class PlantParameters:
             raise ValueError("lifetime_years must be >= 1")
         for name in ("load_kg_per_h", "mu_comp1", "mu_comp2_pipeline", "mu_comp2_lrc",
                      "capex_el", "capex_wind", "capex_pv", "fom_el", "fom_wind",
-                     "fom_pv", "vom_el", "ts_fee", "c_ref_wind_kw", "c_ref_pv_kw",
-                     "storage_tech_threshold_kg"):
+                     "fom_pv", "vom_el", "ts_fee"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("interest", "c_ref_wind_kw", "c_ref_pv_kw", "storage_tech_threshold_kg"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def capacity_costs(self, u_store: float) -> tuple[np.ndarray, np.ndarray]:
         """The cost table: capital cost per unit and fixed O&M per

@@ -20,7 +20,6 @@ from h2grid.economics import (
     StorageTech,
     capex_usd,
     crf,
-    electricity_cost,
     optimize_plant,
     storage_unit_cost,
 )
@@ -255,12 +254,10 @@ def dp_min_cost(price, ts_fee):
 
 def test_criterion_7_dp_oracle(params):
     dataset, scenario, price = dp_fixture(params)
-    solved, _ = optimize_plant(scenario, params, dataset)
+    solved, breakdown = optimize_plant(scenario, params, dataset)
     assert solved.is_optimal, solved.message
     assert solved.storage_tech is StorageTech.PIPELINE
-    d = solved.dispatch
-    lp_cost = electricity_cost(d.import_kw, d.export_kw, price, price,
-                               params.ts_fee)
+    lp_cost = breakdown.grid_electricity_usd
     dp_cost = dp_min_cost(price, params.ts_fee)
     floor_ok = dp_cost >= lp_cost - 1e-6 * max(1.0, abs(lp_cost))
     gap = abs(dp_cost - lp_cost) / max(abs(lp_cost), 1.0)

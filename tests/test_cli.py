@@ -41,7 +41,11 @@ def test_solve_unknown_scenario_is_input_error(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["solve", "--config", str(config), "--scenario", "mystery"])
     assert code == 1
-    assert "mystery" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "mystery" in err
+    for name in ["offgrid", "sell_only", "hourly", "daily", "monthly", "yearly",
+                 "flexible", "mef_zero"]:
+        assert repr(name) in err, name
 
 
 def test_missing_config_is_input_error(tmp_path, capsys):
@@ -121,13 +125,21 @@ def test_bad_override_values(tmp_path, capsys):
                  "--fx", "-2"]) == 1
 
 
-
 def test_negative_seed_flag_is_named(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["solve", "--config", str(config), "--scenario", "flexible",
                  "--seed", "-3"]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+
+def test_seed_flag_needs_a_fixture(tmp_path, capsys):
+    """A config that reads zone files has no fixture for --seed to seed."""
+    config = write_file_config(tmp_path)
+    inputs = sorted(tmp_path.rglob("*"))
+    assert main(["suite", "--config", str(config), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: --seed needs a config with a fixture\n"
+    assert sorted(tmp_path.rglob("*")) == inputs
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -148,11 +160,17 @@ def test_negative_seed_flag_is_named(tmp_path, capsys):
      "zone_files"),
     ({"fixture": None, "zone_files": {"Z1": 5}, "re_profile_file": "re.csv"},
      "zone_files.Z1"),
+    ({"plant": {"interest": 0}}, "interest"),
+    ({"plant": {"interest": -0.01}}, "interest"),
+    ({"plant": {"storage_tech_threshold_kg": 0}}, "storage_tech_threshold_kg"),
+    ({"plant": {"c_ref_wind_kw": 0}}, "c_ref_wind_kw"),
+    ({"plant": {"c_ref_pv_kw": 0}}, "c_ref_pv_kw"),
 ], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "fixture-seed-float",
         "fixture-seed-bool", "fixture-seed-digits", "fixture-seed-negative",
         "capacity-value",
         "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
-        "zone-file"])
+        "zone-file", "interest-zero", "interest-negative", "storage-threshold-zero",
+        "wind-reference-zero", "pv-reference-zero"])
 def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     config = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
@@ -184,6 +202,50 @@ def test_suite_runs_all_members(tmp_path):
     for name in names:
         assert (tmp_path / "out" / f"{name}_report.json").exists()
         assert (tmp_path / "out" / f"{name}_dispatch.csv").exists()
+
+
+@pytest.mark.parametrize("name, mode, tc_interval, ei_mef_cap", [
+    ("offgrid", "offgrid", None, None),
+    ("sell_only", "sell_only", None, None),
+    ("hourly", "grid", "hourly", None),
+    ("daily", "grid", "daily", None),
+    ("monthly", "grid", "monthly", None),
+    ("yearly", "grid", "yearly", None),
+    ("flexible", "grid", None, None),
+    ("mef_zero", "grid", None, 0.0),
+])
+def test_builtin_scenarios(tmp_path, name, mode, tc_interval, ei_mef_cap):
+    config = write_config(tmp_path, {"horizon": 24})
+    assert main(["solve", "--config", str(config), "--scenario", name]) == 0
+    spec = json.loads((tmp_path / "out" / f"{name}_report.json").read_text())["scenario"]
+    assert (spec["name"], spec["mode"], spec["tc_interval"],
+            spec["ei_mef_cap_kgco2e_per_kgh2"], spec["capex_cap_usd"],
+            spec["geo"]) == (name, mode, tc_interval, ei_mef_cap, None, {"zone": "Z1"})
+
+
+def test_suite_seeds_name_earlier_members(tmp_path, monkeypatch):
+    """monthly, yearly and flexible start from daily's final solution and
+    mef_zero from flexible's; every seed comes from an earlier member."""
+    from h2grid import cli
+    solved, seeds = {}, {}
+    solve = cli.optimize_plant
+
+    def recorded(scenario, params, dataset, start=None, **kwargs):
+        if start is not None:
+            seeds[scenario.name] = next(n for n, s in solved.items() if s is start)
+        report, breakdown = solve(scenario, params, dataset, start=start, **kwargs)
+        solved[scenario.name] = report.solution
+        return report, breakdown
+
+    monkeypatch.setattr(cli, "optimize_plant", recorded)
+    assert main(["suite", "--config", str(write_config(tmp_path))]) == 0
+    assert seeds == {"monthly": "daily", "yearly": "daily", "flexible": "daily",
+                     "mef_zero": "flexible"}
+    order = cli.SUITE_ORDER
+    assert all(order.index(seed) < order.index(name) for name, seed in seeds.items())
+    # the table itself: a seed named after its member would be dropped
+    table = {name: row[-1] for name, row in cli._BUILTINS.items() if row[-1]}
+    assert table == seeds
 
 
 def test_suite_reruns_are_byte_identical(tmp_path):

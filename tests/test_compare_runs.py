@@ -62,6 +62,22 @@ def test_moves_past_the_gate_are_flagged(tmp_path):
     assert lines[-1].endswith("3 mismatches")
 
 
+def test_plain_lists_are_compared_only_under_gated_keys(tmp_path):
+    """A list of plain values under an ungated key is not compared; a
+    gated list and a list of records are."""
+    a = write_run(tmp_path / "a", {**report(), "inputs": {"zone_files": []},
+                                   "lcoh_with_recs_usd_per_kg": [37.0, 38.0],
+                                   "points": [report()]})
+    b = write_run(tmp_path / "b", {**report(), "inputs": {"zone_files": ["z1.csv"]},
+                                   "lcoh_with_recs_usd_per_kg": [37.0],
+                                   "points": [report(status="infeasible")]})
+    code, lines = compare(a, b)
+    assert code == 1
+    assert lines == ["daily_report.json/lcoh_with_recs_usd_per_kg: 2 vs 1 entries",
+                     "daily_report.json/points[0]/status: status 'optimal' vs 'infeasible'",
+                     "2 files, 12 values compared, 2 mismatches"]
+
+
 LP_TEXT = """\\ h2grid linear program
 Minimize
  obj: 1250.5 c_store + 3.0 e_el_0

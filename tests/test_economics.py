@@ -20,8 +20,8 @@ from h2grid.economics import (
     build_scenario_model,
     capex_cap_usd,
     capex_usd,
+    cost_terms,
     crf,
-    electricity_cost,
     optimize_plant,
     select_storage_tech,
     storage_unit_cost,
@@ -32,7 +32,10 @@ from h2grid.plant import verify_conservation
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
+    Dataset,
     Fixed,
+    GridProfile,
+    HourlySeries,
     Mode,
     ScenarioSpec,
     Split,
@@ -108,40 +111,31 @@ def test_select_storage_tech_boundary_goes_to_cavern():
     assert select_storage_tech(10.0, 21742.0) is StorageTech.PIPELINE
 
 
-# -- grid electricity cost -------------------------------------------------
+# -- the cost function -------------------------------------------------------
 
-def test_electricity_cost_by_hand():
-    imp = np.array([1000.0, 0.0])
-    exp = np.array([0.0, 500.0])
-    buy = np.array([0.05, 0.05])
-    sell = np.array([0.04, 0.04])
+def zone(zone_id, spot):
+    return GridProfile(zone_id=zone_id,
+                       spot_price=HourlySeries(np.array(spot), Unit.USD_PER_KWH),
+                       mef=constant_series(0.5, Unit.KGCO2E_PER_KWH, len(spot)),
+                       aef=constant_series(0.5, Unit.KGCO2E_PER_KWH, len(spot)),
+                       ef_location=0.5, arpp=0.0, rmf=0.5)
+
+
+def test_cost_terms_by_hand(params):
+    """Imports pay the buy zone's spot plus the fee, exports earn the sell
+    zone's spot; capital is annualised, and VOM covers the horizon."""
+    dataset = Dataset(zones={"Z1": zone("Z1", [0.05, 0.05]), "Z2": zone("Z2", [0.04, 0.04])},
+                      ref_wind=constant_series(0.0, Unit.KW, 2),
+                      ref_pv=constant_series(0.0, Unit.KW, 2))
+    scenario = ScenarioSpec("split", Mode.GRID, Split(sell_zone="Z2", buy_zone="Z1"))
+    terms = cost_terms(scenario, params, dataset, 500.0)
+    imp, exp = np.array([1000.0, 0.0]), np.array([0.0, 500.0])
     # 1000*(0.05+0.007) - 500*0.04 = 57 - 20
-    assert electricity_cost(imp, exp, buy, sell, 0.007) == pytest.approx(37.0)
-
-
-def test_electricity_cost_accepts_series():
-    imp = constant_series(100.0, Unit.KW, 3)
-    exp = constant_series(0.0, Unit.KW, 3)
-    buy = constant_series(0.05, Unit.USD_PER_KWH, 3)
-    sell = constant_series(0.04, Unit.USD_PER_KWH, 3)
-    assert electricity_cost(imp, exp, buy, sell, 0.0) == pytest.approx(15.0)
-    with pytest.raises(ValueError):
-        electricity_cost(imp, exp, constant_series(0.05, Unit.KW, 3), sell, 0.0)
-
-
-def test_electricity_cost_rejects_negative_fee():
-    z = np.zeros(2)
-    with pytest.raises(ValueError):
-        electricity_cost(z, z, z, z, -0.001)
-
-
-@given(fee=st.floats(0.0, 0.1))
-def test_electricity_cost_linear_in_fee(fee):
-    imp = np.array([10.0, 20.0])
-    z = np.zeros(2)
-    base = electricity_cost(imp, z, z + 0.05, z + 0.04, 0.0)
-    assert electricity_cost(imp, z, z + 0.05, z + 0.04, fee) == pytest.approx(
-        base + fee * 30.0, rel=1e-12, abs=1e-12)
+    assert imp @ terms.import_price - exp @ terms.export_price == pytest.approx(37.0)
+    assert terms.capital == pytest.approx(
+        [CRF_6_25 * 1343.3, CRF_6_25 * 2126.6, CRF_6_25 * 1068.2, CRF_6_25 * 500.0])
+    assert list(terms.fom) == [37.4, 17.5, 11.9, 0.0]
+    assert terms.vom == pytest.approx(0.02 * 180.0 * 2)   # USD/kg * kg/h * 2 h
 
 
 # -- cost breakdown invariants ---------------------------------------------
