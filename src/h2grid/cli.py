@@ -245,8 +245,7 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
     renewables-to-electrolyser ratio, re-optimizing storage and dispatch
     at each point and certifying under every accounting method."""
     if n_points < 2:
-        print("sweep-re needs --points >= 2", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("sweep-re needs --points >= 2")
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,16 +302,14 @@ def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
     baseline annotated with the cost of covering every purchased MWh with
     a bought certificate."""
     if not sell_zones:
-        print("sweep-geo needs at least one sell zone", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("sweep-geo needs at least one sell zone")
     dataset = dataset_from_config(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     missing = [z for z in sell_zones if z not in dataset.zones]
     if missing:
-        print(f"unknown sell zones {missing}; dataset has "
-              f"{sorted(dataset.zones)}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown sell zones {missing}; dataset has "
+                         f"{sorted(dataset.zones)}")
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     baseline_caps = replace(config.capacities, wind_kw=Fixed(0.0),
                             pv_kw=Fixed(0.0))

@@ -203,9 +203,10 @@ def write_dispatch_csv(dispatch: Dispatch, path) -> None:
             dispatch.e_comp1_kw, dispatch.e_comp2_kw, dispatch.import_kw,
             dispatch.export_kw, dispatch.curtail_kw, dispatch.h_comp1_kg,
             dispatch.h_comp2_kg, dispatch.h_from_store_kg, dispatch.soc_kg]
+    # tolist() yields Python floats, so each cell is the repr of a float
     lines = [",".join(DISPATCH_HEADER)]
-    for t in range(dispatch.horizon):
-        lines.append(str(t) + "," + ",".join(repr(float(c[t])) for c in cols))
+    lines.extend(",".join(map(repr, row))
+                 for row in zip(range(dispatch.horizon), *(c.tolist() for c in cols)))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

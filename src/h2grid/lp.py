@@ -10,11 +10,12 @@ of an exported model are distinct ASCII identifiers.
 
 Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, handed the model's own CSR matrix as a rowwise
-HiGHS matrix, so HiGHS row i is model row i. Each row is ranged by its
-sense: LE [-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the
-verdict (optimal, infeasible, unbounded, anything else a solver failure)
-and its status string the message. Every run keeps HiGHS's stock
-feasibility tolerances (1e-7), ten times tighter than the 1e-6 of
+HiGHS matrix, so HiGHS row i is model row i, in one array call that
+HiGHS copies (see linprog). Each row is ranged by its sense: LE
+[-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the verdict
+(optimal, infeasible, unbounded, anything else a solver failure) and its
+status string the message. Every run keeps HiGHS's stock feasibility
+tolerances (1e-7), ten times tighter than the 1e-6 of
 `check_feasibility`, the one test every point must pass.
 
 `LpModel.solve` makes at most two runs. With `warm=`, the optimal
@@ -491,22 +492,18 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> 
     and simplex_dual_edge_weight_strategy 1 prices dual simplex with
     devex).
     A_ub is a CsrMatrix (or anything with the same indptr, indices, data
-    and shape), loaded by rows: HiGHS row i is its row i. basis, from an
-    earlier result of a model of the same shape, is the starting basis.
-    Dual simplex is the default: deterministic, and its vertex solutions
-    resolve degenerate ties such as simultaneous import and export."""
+    and shape), loaded by rows: HiGHS row i is its row i. One array call
+    loads the model, and HiGHS copies the arrays (indptr and indices as
+    int32, HiGHS's HighsInt). A load that warns, as when HiGHS drops
+    entries of |a| <= 1e-9, is not an error; a load error (an index out
+    of range, a repeated entry, an array whose length does not match the
+    shape) is a SOLVER_FAILURE with the message "Model error". basis,
+    from an earlier result of a model of the same shape, is the starting
+    basis. Dual simplex is the default: deterministic, and its vertex
+    solutions resolve degenerate ties such as simultaneous import and
+    export."""
     core = _load_highs()
-    model = core.HighsLp()
     m, n = A_ub.shape
-    model.num_row_ = model.a_matrix_.num_row_ = m
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-        A_ub.indptr, A_ub.indices, A_ub.data)
-    model.col_cost_ = c
-    model.col_lower_, model.col_upper_ = bounds
-    model.row_lower_, model.row_upper_ = b_lb, b_ub
-
     highs_options = core.HighsOptions()
     settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
                 "simplex_strategy": 1, **options}
@@ -516,8 +513,19 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> 
     solver.passOptions(highs_options)
 
     nit = 0
-    passed = solver.passModel(model)
-    del model  # HiGHS holds its own copy
+    lower, upper = bounds
+    arrays = (c, lower, upper, b_lb, b_ub, A_ub.indptr, A_ub.indices, A_ub.data)
+    # the array call reads n, m or nnz values from each array, past the end
+    # of a shorter one
+    if [np.size(a) for a in arrays] != [n, n, n, m, m, m + 1, A_ub.nnz, A_ub.nnz]:
+        passed = core.HighsStatus.kError
+    else:
+        # zero integrality marks every column continuous (an empty array
+        # is an error, and loads an empty model)
+        passed = solver.passModel(
+            n, m, A_ub.nnz, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
+            0.0, c, lower, upper, b_lb, b_ub, A_ub.indptr.astype(np.int32),
+            A_ub.indices.astype(np.int32), A_ub.data, np.zeros(n, np.int32))
     if passed == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
     elif basis is not None and solver.setBasis(basis) == core.HighsStatus.kError:

@@ -274,6 +274,8 @@ def test_sweep_re_csv_has_requested_points(tmp_path):
 def test_sweep_re_needs_two_points(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["sweep-re", "--config", str(config), "--points", "1"]) == 1
+    assert capsys.readouterr().err == "error: sweep-re needs --points >= 2\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_geo_outputs(tmp_path):
@@ -296,7 +298,18 @@ def test_sweep_geo_unknown_zone_is_input_error(tmp_path, capsys):
         "fixture": {"kind": "two-zone-contrast", "seed": 0}})
     assert main(["sweep-geo", "--config", str(config),
                  "--sell-zones", "Z9"]) == 1
-    assert "Z9" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown sell zones ['Z9']; dataset has ['Z1', 'Z2']\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("zones", ["", " , "])
+def test_sweep_geo_needs_a_sell_zone(tmp_path, capsys, zones):
+    config = write_config(tmp_path, {
+        "fixture": {"kind": "two-zone-contrast", "seed": 0}})
+    assert main(["sweep-geo", "--config", str(config), "--sell-zones", zones]) == 1
+    assert capsys.readouterr().err == "error: sweep-geo needs at least one sell zone\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_imports_no_scipy_package(tmp_path):

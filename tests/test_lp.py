@@ -384,6 +384,49 @@ class TestBackend:
         assert c @ got.x == pytest.approx(ref.fun, rel=1e-9)
         assert model.check_feasibility(got.x) == []
 
+    @pytest.mark.parametrize("indices", [[0, 2], [1, 1]],
+                             ids=["column-out-of-range", "repeated-entry"])
+    def test_matrix_highs_rejects_is_a_model_error(self, indices):
+        """A matrix HiGHS refuses to load is a solver failure named by
+        HiGHS's status string, and no exception."""
+        A = lp.CsrMatrix(np.array([0, 2]), np.array(indices), np.array([1.0, 1.0]), (1, 2))
+        got = lp.linprog(np.ones(2), A, np.array([-math.inf]), np.array([4.0]),
+                         (np.zeros(2), np.full(2, 10.0)))
+        assert got == SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "Model error")
+
+    @pytest.mark.parametrize("short", ["c", "b_lb", "b_ub", "bounds"])
+    def test_array_shorter_than_the_shape_is_a_model_error(self, short):
+        """HiGHS reads as many values from each array as the shape asks
+        for, so an array that is too short is refused before the load, as
+        a load error."""
+        A = lp.CsrMatrix(np.array([0, 2]), np.array([0, 1]), np.array([1.0, 1.0]), (1, 2))
+        args = dict(c=np.ones(2), A_ub=A, b_lb=np.array([-math.inf]), b_ub=np.array([4.0]),
+                    bounds=(np.zeros(2), np.full(2, 10.0)))
+        args[short] = (np.zeros(1), np.ones(1)) if short == "bounds" else args[short][:-1]
+        got = lp.linprog(**args)
+        assert got == SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "Model error")
+
+    def test_model_without_rows_is_optimal(self):
+        m = LpModel()
+        x, y = m.add_variables(["x", "y"], [1.0, -2.0], [4.0, 3.0])
+        m.set_objective([x, y], [1.0, -1.0])
+        sol = m.solve()
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.values.tolist() == [1.0, 3.0]
+        assert sol.objective_value == -2.0
+
+    def test_tiny_coefficient_is_loaded_with_a_warning(self):
+        """HiGHS drops a coefficient of |a| <= 1e-9 and warns; the warning
+        is not an error, so the model solves."""
+        m = LpModel()
+        x, y = m.add_variables(["x", "y"], 0.0, 10.0)
+        m.add_rows(["floor"], Sense.GE, 2.0, [0, 0], [x, y], [1.0, 1e-12])
+        m.set_objective([x, y], [1.0, 1.0])
+        sol = m.solve()
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.values.tolist() == pytest.approx([2.0, 0.0])
+        assert sol.objective_value == pytest.approx(2.0)
+
     def test_basis_rows_are_model_rows(self):
         """HiGHS row i is model row i: with an EQ row first, the binding LE
         row's status sits at its own index, and on a golden model every
