@@ -10,6 +10,7 @@ config, seed, and backend are byte-identical).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,11 +20,11 @@ from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     RunConfig,
     atomic_write,
+    breakdown_to_dict,
     dataset_from_config,
     dump_json,
     emissions_to_dict,
     load_config,
-    report_to_dict,
     write_dispatch_csv,
     write_report,
 )
@@ -59,6 +60,11 @@ _BUILTINS = {
     "hourly":    (Mode.GRID,      TcInterval.HOURLY,  None, None),
 }
 SUITE_ORDER = [name for name in _BUILTINS if name != "hourly"]
+# what a suite_report.json row copies from each member's report, under
+# the report's own keys (ingest.breakdown_to_dict, emissions_to_dict)
+_SUITE_COSTS = ("capex_annualized_usd", "om_usd", "grid_electricity_usd")
+_SUITE_INTENSITIES = ("ei_market_kgco2e_per_kgh2", "ei_recs_kgco2e_per_kgh2",
+                      "ei_mef_kgco2e_per_kgh2")
 
 REC_PRICE_BAND_AUD = (20.0, 60.0)
 
@@ -164,25 +170,16 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
             seeds[name] = report.solution
         if not report.is_optimal and worst == EXIT_OK:
             worst = _STATUS_EXIT[report.status]
+        cost = None if breakdown is None else breakdown_to_dict(breakdown)
+        ei = None if emissions is None else emissions_to_dict(emissions)
         rows.append({
             "scenario": name,
             "status": report.status.value,
             "converged": report.converged,
-            "lcoh_usd_per_kg": (None if breakdown is None
-                                else breakdown.lcoh_usd_per_kg),
+            "lcoh_usd_per_kg": None if cost is None else cost["lcoh_usd_per_kg"],
             "capacities": report.capacities or None,
-            "cost_breakdown": (None if breakdown is None else {
-                "capex_annualized_usd": dict(sorted(
-                    breakdown.capex_annualized_usd.items())),
-                "om_usd": dict(sorted(breakdown.om_usd.items())),
-                "grid_electricity_usd": breakdown.grid_electricity_usd,
-            }),
-            "ei_market_kgco2e_per_kgh2": (None if emissions is None
-                                          else emissions.ei_market),
-            "ei_recs_kgco2e_per_kgh2": (None if emissions is None
-                                        else emissions.ei_recs),
-            "ei_mef_kgco2e_per_kgh2": (None if emissions is None
-                                       else emissions.ei_mef),
+            "cost_breakdown": None if cost is None else {k: cost[k] for k in _SUITE_COSTS},
+            **{k: None if ei is None else ei[k] for k in _SUITE_INTENSITIES},
         })
     dump_json({
         "schema_version": 1,
@@ -396,8 +393,8 @@ def main(argv=None) -> int:
                 raise ValueError("--seed needs a config with a fixture")
             config.fixture_seed = args.seed
         if args.fx is not None:
-            if args.fx <= 0:
-                raise ValueError("--fx must be positive")
+            if not 0 < args.fx < math.inf:
+                raise ValueError("--fx must be positive and finite")
             config.fx_usd_per_aud = args.fx
         if args.out is not None:
             config.out_dir = args.out

@@ -29,7 +29,6 @@ from .policy import (
     apply_capex_cap,
     apply_emission_cap,
     apply_temporal_correlation,
-    make_partition,
     wire_two_grid,
 )
 from .types import CAPACITIES, Dataset, GridProfile, PlantParameters, ScenarioSpec, Split
@@ -174,13 +173,11 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
     two_bus = isinstance(scenario.geo, Split)
     model, pvars = build_plant(params, dataset.ref_wind, dataset.ref_pv,
                                scenario.capacities, scenario.mode,
-                               dataset.horizon, mu_comp2=tech.mu_comp2(params),
-                               two_bus=two_bus)
+                               mu_comp2=tech.mu_comp2(params), two_bus=two_bus)
     if two_bus:
         wire_two_grid(model, pvars)
     if scenario.tc_interval is not None:
-        apply_temporal_correlation(
-            model, pvars, make_partition(scenario.tc_interval, dataset.horizon))
+        apply_temporal_correlation(model, pvars, scenario.tc_interval)
     annual_h2 = params.load_kg_per_h * dataset.horizon
     if scenario.ei_mef_cap is not None:
         apply_emission_cap(model, pvars, buy.mef, sell.mef,

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -515,9 +515,17 @@ def load_config(path) -> RunConfig:
 
 
 def dataset_from_config(config: RunConfig) -> Dataset:
+    """The configuration's dataset, checked against the configuration:
+    reference output within the plant's reference capacities (a CSV
+    profile is checked line by line as it is read) and every zone it
+    names present."""
     if config.fixture_kind is not None:
         dataset = synth_fixture(config.fixture_kind, config.horizon,
                                 config.fixture_seed)
+        for name, series, cap in (("ref_wind", dataset.ref_wind, config.params.c_ref_wind_kw),
+                                  ("ref_pv", dataset.ref_pv, config.params.c_ref_pv_kw)):
+            if np.any(series.values < 0) or np.any(series.values > cap):
+                raise ValueError(f"{name} outside [0, {cap}] kW")
     else:
         zones = {}
         for zone_id, file_path in config.zone_files.items():
@@ -535,6 +543,11 @@ def dataset_from_config(config: RunConfig) -> Dataset:
     if config.zone not in dataset.zones:
         raise ValueError(f"configured zone {config.zone!r} not in dataset "
                          f"zones {sorted(dataset.zones)}")
+    for scenario in config.scenarios:
+        for key, zone in asdict(scenario.geo).items():
+            if zone not in dataset.zones:
+                raise ValueError(f"scenario {scenario.name!r}: {key} {zone!r} not in "
+                                 f"dataset zones {sorted(dataset.zones)}")
     return dataset
 
 
@@ -548,15 +561,13 @@ def _bound_json(bound) -> dict:
 
 
 def _scenario_json(s: ScenarioSpec) -> dict:
-    geo = ({"zone": s.geo.zone} if isinstance(s.geo, CoLocated)
-           else {"sell_zone": s.geo.sell_zone, "buy_zone": s.geo.buy_zone})
     return {
         "name": s.name,
         "mode": s.mode.value,
         "tc_interval": None if s.tc_interval is None else s.tc_interval.value,
         "ei_mef_cap_kgco2e_per_kgh2": s.ei_mef_cap,
         "capex_cap_usd": s.capex_cap_usd,
-        "geo": geo,
+        "geo": asdict(s.geo),
         "capacity_bounds": {
             "wind_kw": _bound_json(s.capacities.wind_kw),
             "pv_kw": _bound_json(s.capacities.pv_kw),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpModel, LpSolution, Sense
-from .types import CapacitySpec, HourlySeries, Mode, PlantParameters, Unit, expect_unit
+from .types import CapacitySpec, HourlySeries, Mode, PlantParameters
 
 
 @dataclass
@@ -114,11 +114,15 @@ def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
 
 
 def build_plant(params: PlantParameters, ref_wind: HourlySeries,
-                ref_pv: HourlySeries, caps: CapacitySpec, mode: Mode,
-                horizon: int, mu_comp2: float | None = None,
+                ref_pv: HourlySeries, caps: CapacitySpec, mode: Mode, *,
+                mu_comp2: float | None = None,
                 two_bus: bool = False) -> tuple[LpModel, PlantVars]:
     """Build the LP skeleton: flow variables, bus balance, conversion
     chains, storage recursion with cyclic closure, capacity limits.
+
+    The horizon is the reference profiles' length; they come from one
+    Dataset, which holds them to one length, and ingest holds their
+    values within the reference capacities.
 
     mu_comp2 is the storage-compressor coefficient for the currently
     selected storage technology (defaults to the pipeline value); it must
@@ -128,20 +132,11 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     balance rows, and policy.wire_two_grid must append the farm-side and
     plant-side balances before any other rows are added.
     """
-    expect_unit(ref_wind, Unit.KW, "ref_wind")
-    expect_unit(ref_pv, Unit.KW, "ref_pv")
-    if len(ref_wind) != horizon or len(ref_pv) != horizon:
-        raise ValueError(f"reference profiles have lengths {len(ref_wind)}/"
-                         f"{len(ref_pv)}, expected horizon {horizon}")
-    if np.any(ref_wind.values < 0) or np.any(ref_wind.values > params.c_ref_wind_kw):
-        raise ValueError(f"ref_wind outside [0, {params.c_ref_wind_kw}] kW")
-    if np.any(ref_pv.values < 0) or np.any(ref_pv.values > params.c_ref_pv_kw):
-        raise ValueError(f"ref_pv outside [0, {params.c_ref_pv_kw}] kW")
     if mu_comp2 is None:
         mu_comp2 = params.mu_comp2_pipeline
 
     model = LpModel()
-    T = horizon
+    T = len(ref_wind)
 
     def var_block(name: str, upper=math.inf) -> np.ndarray:
         return model.add_variables([name + suffix for suffix in hour_suffixes(T)], 0.0, upper)

@@ -5,13 +5,13 @@ model built without its one bus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 from .lp import LpModel, Sense
 from .plant import PlantVars, add_hourly_rows
-from .types import HourlySeries, PlantParameters, TcInterval, Unit, expect_unit
+from .types import HourlySeries, PlantParameters, TcInterval
 
 # calendar month lengths (hours, non-leap year) used when the horizon is
 # a full year; synthetic horizons fall back to equal blocks
@@ -20,62 +20,25 @@ _CALENDAR_MONTH_HOURS = [31 * 24, 28 * 24, 31 * 24, 30 * 24, 31 * 24, 30 * 24,
 _SYNTHETIC_MONTH_HOURS = 730
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Contiguous, ordered, gap-free cover of [0, horizon)."""
-
-    intervals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("partition must contain at least one interval")
-        cursor = 0
-        for start, end in self.intervals:
-            if start != cursor:
-                raise ValueError(f"interval starts at {start}, expected {cursor}")
-            if end <= start:
-                raise ValueError(f"empty interval [{start}, {end})")
-            cursor = end
-
-    @property
-    def horizon(self) -> int:
-        return self.intervals[-1][1]
-
-
-def make_partition(interval: TcInterval, horizon: int) -> IntervalPartition:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if interval is TcInterval.HOURLY:
-        width = 1
-    elif interval is TcInterval.DAILY:
-        width = 24
-    elif interval is TcInterval.MONTHLY:
-        if horizon == 8760:
-            bounds, cursor = [], 0
-            for hours in _CALENDAR_MONTH_HOURS:
-                bounds.append((cursor, cursor + hours))
-                cursor += hours
-            return IntervalPartition(tuple(bounds))
-        width = _SYNTHETIC_MONTH_HOURS
-    elif interval is TcInterval.YEARLY:
-        width = horizon
-    else:
-        raise ValueError(f"unknown interval {interval!r}")
-    bounds = [(start, min(start + width, horizon))
-              for start in range(0, horizon, width)]
-    return IntervalPartition(tuple(bounds))
+def make_partition(interval: TcInterval, horizon: int) -> tuple[tuple[int, int], ...]:
+    """The (start, end) hour ranges that interval cuts [0, horizon) into:
+    in order, without gaps, the last one cut short at the horizon."""
+    if interval is TcInterval.MONTHLY and horizon == 8760:
+        ends = list(itertools.accumulate(_CALENDAR_MONTH_HOURS, initial=0))
+        return tuple(zip(ends, ends[1:]))
+    width = {TcInterval.HOURLY: 1, TcInterval.DAILY: 24,
+             TcInterval.MONTHLY: _SYNTHETIC_MONTH_HOURS, TcInterval.YEARLY: horizon}[interval]
+    return tuple((start, min(start + width, horizon)) for start in range(0, horizon, width))
 
 
 def apply_temporal_correlation(model: LpModel, pvars: PlantVars,
-                               partition: IntervalPartition) -> np.ndarray:
-    """Within each interval, electricity sold must cover electricity
-    bought: sum(export - import) >= 0. Returns the new constraint ids."""
-    if partition.horizon != pvars.horizon:
-        raise ValueError(f"partition covers {partition.horizon} hours, "
-                         f"model has {pvars.horizon}")
-    row = np.repeat(np.arange(len(partition.intervals)),
-                    [end - start for start, end in partition.intervals])
-    return model.add_rows([f"tc_{start}_{end}" for start, end in partition.intervals],
+                               interval: TcInterval) -> np.ndarray:
+    """Within each interval of the model's horizon, electricity sold must
+    cover electricity bought: sum(export - import) >= 0. Returns the new
+    constraint ids."""
+    intervals = make_partition(interval, pvars.horizon)
+    row = np.repeat(np.arange(len(intervals)), [end - start for start, end in intervals])
+    return model.add_rows([f"tc_{start}_{end}" for start, end in intervals],
                           Sense.GE, 0.0, np.concatenate([row, row]),
                           np.concatenate([pvars.export_kw, pvars.import_kw]),
                           np.repeat([1.0, -1.0], pvars.horizon))
@@ -87,12 +50,6 @@ def apply_emission_cap(model: LpModel, pvars: PlantVars,
     """Cap the marginal-factor emission intensity of the produced
     hydrogen. Linear because annual hydrogen mass is a constant of the
     model (fixed delivery rate)."""
-    expect_unit(mef_buy, Unit.KGCO2E_PER_KWH, "mef_buy")
-    expect_unit(mef_sell, Unit.KGCO2E_PER_KWH, "mef_sell")
-    if len(mef_buy) != pvars.horizon or len(mef_sell) != pvars.horizon:
-        raise ValueError("emission-factor series length differs from horizon")
-    if annual_h2_kg <= 0:
-        raise ValueError(f"annual hydrogen mass must be positive, got {annual_h2_kg}")
     return int(model.add_rows(["emission_cap"], Sense.LE, cap_kg_per_kgh2 * annual_h2_kg,
                               np.zeros(2 * pvars.horizon, dtype=int),
                               np.concatenate([pvars.import_kw, pvars.export_kw]),
@@ -104,8 +61,6 @@ def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
     """Cap total (un-annualized) capital cost. Storage enters at the unit
     cost currently selected by the sizing loop, so the cap is refreshed on
     every iteration of that loop."""
-    if storage_unit_cost < 0:
-        raise ValueError(f"storage unit cost must be >= 0, got {storage_unit_cost}")
     capex, _ = params.capacity_costs(storage_unit_cost)
     return int(model.add_rows(["capex_cap"], Sense.LE, cap_usd, np.zeros(4, dtype=int),
                               pvars.capacities, capex)[0])

@@ -3,6 +3,12 @@
 Canonical internal units: USD/kWh for prices, kgCO2e/kWh for emission
 factors, kW for power, kg for hydrogen mass, one timestep = 1 hour.
 All ingestion converts at the boundary; nothing downstream rescales.
+
+Each input is checked once, where it enters: a HourlySeries, GridProfile,
+PlantParameters, ScenarioSpec or Dataset checks itself when it is built,
+and ingest checks what these types cannot see (file formats, config keys,
+reference-profile range, the zones a configuration names). The model
+layer (plant, policy, economics) trusts the types it is given.
 """
 
 from __future__ import annotations
@@ -16,10 +22,6 @@ import numpy as np
 # Default component bound: study-scale RE and electrolyser capacities sit
 # in the 10-50 MW project range; 0 is allowed so fixings stay expressible.
 DEFAULT_CAPACITY_UPPER_KW = 50_000.0
-
-
-class UnitError(ValueError):
-    """Assembly mixed incompatible unit tags."""
 
 
 class Unit(Enum):
@@ -55,13 +57,6 @@ class HourlySeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def expect_unit(series: HourlySeries, unit: Unit, what: str) -> HourlySeries:
-    """Assembly-time unit check; raises UnitError naming the consumer."""
-    if series.unit is not unit:
-        raise UnitError(f"{what} expects {unit.value}, got {series.unit.value}")
-    return series
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,14 @@ class PlantParameters:
             raise ValueError("hhv must be positive")
         if self.lifetime_years < 1:
             raise ValueError("lifetime_years must be >= 1")
-        for name in ("load_kg_per_h", "mu_comp1", "mu_comp2_pipeline", "mu_comp2_lrc",
+        for name in ("mu_comp1", "mu_comp2_pipeline", "mu_comp2_lrc",
                      "capex_el", "capex_wind", "capex_pv", "fom_el", "fom_wind",
                      "fom_pv", "vom_el", "ts_fee"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("interest", "c_ref_wind_kw", "c_ref_pv_kw", "storage_tech_threshold_kg"):
+        # the LCOH divides by the delivered mass, so the load cannot be zero
+        for name in ("load_kg_per_h", "interest", "c_ref_wind_kw", "c_ref_pv_kw",
+                     "storage_tech_threshold_kg"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -269,15 +266,18 @@ class Dataset:
     ref_pv: HourlySeries     # kW, output of the reference PV field
 
     def __post_init__(self):
+        # each GridProfile checked its own tags and lengths when it was
+        # built; left to check are the reference tags and one horizon
         horizon = len(self.ref_wind)
-        expect_unit(self.ref_wind, Unit.KW, "ref_wind")
-        expect_unit(self.ref_pv, Unit.KW, "ref_pv")
+        for name, series in (("ref_wind", self.ref_wind), ("ref_pv", self.ref_pv)):
+            if series.unit is not Unit.KW:
+                raise ValueError(f"{name} expects {Unit.KW.value}, got {series.unit.value}")
         if len(self.ref_pv) != horizon:
             raise ValueError("ref_wind and ref_pv lengths differ")
         for zone_id, profile in self.zones.items():
-            errors = validate_profile(profile, horizon)
-            if errors:
-                raise ValueError(f"zone {zone_id!r}: " + "; ".join(errors))
+            if len(profile.spot_price) != horizon:
+                raise ValueError(f"zone {zone_id!r}: series have length "
+                                 f"{len(profile.spot_price)}, expected {horizon}")
 
     @property
     def horizon(self) -> int:

@@ -178,6 +178,30 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     assert err.startswith(f"error: {config}: ") and key in err
 
 
+@pytest.mark.parametrize("doc, argv, err", [
+    ({"plant": {"load_kg_per_h": 0}}, ["suite"],
+     "{config}: invalid plant parameters: load_kg_per_h must be positive"),
+    ({}, ["solve", "--scenario", "flexible", "--fx", "nan"],
+     "--fx must be positive and finite"),
+    ({}, ["solve", "--scenario", "flexible", "--fx", "inf"],
+     "--fx must be positive and finite"),
+    ({"scenarios": [{"name": "far", "mode": "grid", "sell_zone": "Z9"}]},
+     ["solve", "--scenario", "far"],
+     "scenario 'far': sell_zone 'Z9' not in dataset zones ['Z1']"),
+    ({"scenarios": [{"name": "far", "mode": "grid", "sell_zone": "Z9"}]}, ["suite"],
+     "scenario 'far': sell_zone 'Z9' not in dataset zones ['Z1']"),
+    ({"plant": {"c_ref_wind_kw": 100000}}, ["solve", "--scenario", "flexible"],
+     "ref_wind outside [0, 100000] kW"),
+], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
+        "wind-above-reference"])
+def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
+    """Each input is checked before the first output is written."""
+    config = write_config(tmp_path, doc)
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {err.format(config=config)}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+
+
 def test_scenario_name_cannot_write_outside_out(tmp_path, capsys):
     config = write_config(tmp_path, {
         "scenarios": [{"name": "../escaped", "mode": "grid"}]})

@@ -35,7 +35,7 @@ def refs(horizon, wind_cf=0.4, pv_cf=0.25):
 def test_model_dimensions():
     params = PlantParameters()
     rw, rp = refs(24)
-    model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID, 24)
+    model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID)
     # 11 hourly variables plus 4 capacities and the initial storage level
     assert model.num_variables == 11 * 24 + 5
     # 10 hourly constraint families plus soc0 bound and cyclic closure
@@ -49,7 +49,7 @@ def test_mode_bounds():
     for mode, imp_open, exp_open in [(Mode.GRID, True, True),
                                      (Mode.SELL_ONLY, False, True),
                                      (Mode.OFF_GRID, False, False)]:
-        model, pvars = build_plant(params, rw, rp, CapacitySpec(), mode, 6)
+        model, pvars = build_plant(params, rw, rp, CapacitySpec(), mode)
         bounds = read_back(model).bounds
         imp_ub = bounds[pvars.import_kw[0]][1]
         exp_ub = bounds[pvars.export_kw[0]][1]
@@ -61,24 +61,10 @@ def test_comp2_coefficient_follows_storage_tech():
     params = PlantParameters()
     rw, rp = refs(4)
     for mu_comp2, coef in [(None, -0.83), (params.mu_comp2_lrc, -1.24)]:
-        model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID, 4,
+        model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID,
                                    mu_comp2=mu_comp2)
         [row] = [r for r in read_back(model).rows.values() if r.name == "comp2_0"]
         assert row.coeffs[pvars.h_comp2[0]] == pytest.approx(coef)
-
-
-def test_ref_profile_validation():
-    params = PlantParameters()
-    rw, rp = refs(8)
-    bad_unit = constant_series(1.0, Unit.KG_PER_H, 8)
-    with pytest.raises(ValueError):
-        build_plant(params, bad_unit, rp, CapacitySpec(), Mode.GRID, 8)
-    short = constant_series(1.0, Unit.KW, 7)
-    with pytest.raises(ValueError):
-        build_plant(params, short, rp, CapacitySpec(), Mode.GRID, 8)
-    over = constant_series(400_000.0, Unit.KW, 8)  # above reference capacity
-    with pytest.raises(ValueError):
-        build_plant(params, over, rp, CapacitySpec(), Mode.GRID, 8)
 
 
 def test_grid_only_direct_path(flat_grid_only):

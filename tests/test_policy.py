@@ -7,9 +7,7 @@ import pytest
 from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
 from h2grid.plant import build_plant, extract_dispatch, verify_conservation
 from h2grid.policy import (
-    IntervalPartition,
     apply_capex_cap,
-    apply_emission_cap,
     apply_temporal_correlation,
     make_partition,
     wire_two_grid,
@@ -32,42 +30,30 @@ from conftest import constant_series, grid_only_scenario, read_back
 # -- partitions ---------------------------------------------------------
 
 def test_hourly_partition():
-    p = make_partition(TcInterval.HOURLY, 5)
-    assert p.intervals == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+    assert make_partition(TcInterval.HOURLY, 5) == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_daily_partition_even_and_ragged():
-    assert make_partition(TcInterval.DAILY, 48).intervals == ((0, 24), (24, 48))
-    assert make_partition(TcInterval.DAILY, 50).intervals == (
+    assert make_partition(TcInterval.DAILY, 48) == ((0, 24), (24, 48))
+    assert make_partition(TcInterval.DAILY, 50) == (
         (0, 24), (24, 48), (48, 50))
 
 
 def test_monthly_partition_full_year_is_calendar():
     p = make_partition(TcInterval.MONTHLY, 8760)
-    assert len(p.intervals) == 12
-    assert p.intervals[0] == (0, 744)        # 31-day opening month
-    assert p.intervals[1] == (744, 744 + 672)  # 28-day second month
-    assert p.intervals[-1][1] == 8760
-    assert p.horizon == 8760
+    assert len(p) == 12
+    assert p[0] == (0, 744)        # 31-day opening month
+    assert p[1] == (744, 744 + 672)  # 28-day second month
+    assert p[-1][1] == 8760
 
 
 def test_monthly_partition_short_horizon_uses_uniform_blocks():
-    assert make_partition(TcInterval.MONTHLY, 168).intervals == ((0, 168),)
-    p = make_partition(TcInterval.MONTHLY, 1500)
-    assert p.intervals == ((0, 730), (730, 1460), (1460, 1500))
+    assert make_partition(TcInterval.MONTHLY, 168) == ((0, 168),)
+    assert make_partition(TcInterval.MONTHLY, 1500) == ((0, 730), (730, 1460), (1460, 1500))
 
 
 def test_yearly_partition_is_single_interval():
-    assert make_partition(TcInterval.YEARLY, 168).intervals == ((0, 168),)
-
-
-def test_partition_rejects_gaps_and_disorder():
-    with pytest.raises(ValueError):
-        IntervalPartition(((0, 10), (11, 20)))
-    with pytest.raises(ValueError):
-        IntervalPartition(((0, 10), (10, 10)))
-    with pytest.raises(ValueError):
-        IntervalPartition(())
+    assert make_partition(TcInterval.YEARLY, 168) == ((0, 168),)
 
 
 # -- temporal correlation ----------------------------------------------
@@ -75,26 +61,17 @@ def test_partition_rejects_gaps_and_disorder():
 def build_flat(params, horizon=24, mode=Mode.GRID, caps=None, two_bus=False):
     rw = constant_series(0.4 * 320_000.0, Unit.KW, horizon)
     rp = constant_series(0.25 * 1_000.0, Unit.KW, horizon)
-    return build_plant(params, rw, rp, caps or CapacitySpec(), mode, horizon,
-                       two_bus=two_bus)
+    return build_plant(params, rw, rp, caps or CapacitySpec(), mode, two_bus=two_bus)
 
 
 def test_tc_adds_one_row_per_interval(params):
     model, pvars = build_flat(params)
     before = len(read_back(model).rows)
-    cids = apply_temporal_correlation(model, pvars,
-                                      make_partition(TcInterval.DAILY, 24))
+    cids = apply_temporal_correlation(model, pvars, TcInterval.DAILY)
     assert len(cids) == 1
     rows = read_back(model).rows
     assert len(rows) == before + 1
     assert rows[cids[0]].name == "tc_0_24"
-
-
-def test_tc_horizon_mismatch_rejected(params):
-    model, pvars = build_flat(params, horizon=24)
-    with pytest.raises(ValueError):
-        apply_temporal_correlation(model, pvars,
-                                   make_partition(TcInterval.DAILY, 48))
 
 
 def test_tc_forces_net_export_per_interval(diurnal_week, params):
@@ -148,18 +125,6 @@ def test_loose_emission_cap_changes_nothing(flat_week, params, flat_grid_only):
     assert report.is_optimal
     assert report.objective_usd == pytest.approx(base_report.objective_usd,
                                                  rel=1e-9)
-
-
-def test_emission_cap_validates_inputs(params):
-    model, pvars = build_flat(params)
-    mef = constant_series(0.5, Unit.KGCO2E_PER_KWH, 24)
-    with pytest.raises(ValueError):
-        apply_emission_cap(model, pvars, mef, mef, cap_kg_per_kgh2=0.0,
-                           annual_h2_kg=-1.0)
-    bad_unit = constant_series(0.5, Unit.KW, 24)
-    with pytest.raises(ValueError):
-        apply_emission_cap(model, pvars, bad_unit, bad_unit,
-                           cap_kg_per_kgh2=0.0, annual_h2_kg=100.0)
 
 
 # -- capex cap ----------------------------------------------------------

@@ -20,9 +20,7 @@ from h2grid.types import (
     Split,
     TcInterval,
     Unit,
-    UnitError,
     convert_price,
-    expect_unit,
     validate_profile,
 )
 
@@ -60,12 +58,6 @@ class TestHourlySeries:
         assert len(s) == 4
         assert s.values.tolist() == [5.0] * 4
         assert s.unit is Unit.KG_PER_H
-
-    def test_expect_unit(self):
-        s = kw_series([1.0])
-        assert expect_unit(s, Unit.KW, "x") is s
-        with pytest.raises(UnitError, match="ref_pv expects"):
-            expect_unit(s, Unit.KG_PER_H, "ref_pv expects")
 
 
 def make_profile(horizon=24, arpp=0.1872, rmf=0.81, ef=0.71, price=0.05, mef=0.5, aef=0.6):
@@ -227,4 +219,12 @@ class TestDataset:
                 zones={},
                 ref_wind=constant_series(1.0, Unit.KW, 24),
                 ref_pv=constant_series(1.0, Unit.KW, 12),
+            )
+
+    def test_ref_unit_tag_rejected(self):
+        with pytest.raises(ValueError, match="^ref_pv expects kW, got kg_per_h$"):
+            Dataset(
+                zones={},
+                ref_wind=constant_series(1.0, Unit.KW, 24),
+                ref_pv=constant_series(1.0, Unit.KG_PER_H, 24),
             )
