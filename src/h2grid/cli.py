@@ -48,10 +48,12 @@ _STATUS_EXIT = {
 # marginal-emissions cap (kgCO2e/kgH2), and the earlier suite member
 # whose final solution starts the row's first solve in the suite. The
 # suite runs them in this order, without hourly; one rule needs no
-# column: once offgrid is optimal, its capital cost caps every member.
+# column: once offgrid is optimal, its capital cost caps every member,
+# and a member seeded from offgrid (sell_only, which only relaxes it)
+# also starts at the storage price that cost was computed at.
 _BUILTINS = {
     "offgrid":   (Mode.OFF_GRID,  None,               None, None),
-    "sell_only": (Mode.SELL_ONLY, None,               None, None),
+    "sell_only": (Mode.SELL_ONLY, None,               None, "offgrid"),
     "daily":     (Mode.GRID,      TcInterval.DAILY,   None, None),
     "monthly":   (Mode.GRID,      TcInterval.MONTHLY, None, "daily"),
     "yearly":    (Mode.GRID,      TcInterval.YEARLY,  None, "daily"),
@@ -99,13 +101,14 @@ def _inputs_block(config: RunConfig) -> dict:
 
 
 def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
-               out_dir: Path, export_lp: bool, start=None):
-    """Optimize, certify, and write one scenario's outputs; start seeds
-    the first solve (see optimize_plant). Returns (report, breakdown,
-    emissions)."""
+               out_dir: Path, export_lp: bool, start=None, price=None):
+    """Optimize, certify, and write one scenario's outputs; start and
+    price seed the first solve's basis and storage price (see
+    optimize_plant). Returns (report, breakdown, emissions)."""
     lp_path = out_dir / f"{scenario.name}.lp" if export_lp else None
     report, breakdown = optimize_plant(scenario, config.params, dataset,
-                                       export_lp_path=lp_path, start=start)
+                                       export_lp_path=lp_path, start=start,
+                                       price=price)
     emissions = None
     if report.is_optimal:
         buy, sell = zone_pair(scenario, dataset)
@@ -143,16 +146,19 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     comes first: once it is optimal, its capital cost, rounded up to a
     whole cent, caps every member after it. A member that _BUILTINS
     names as a seed keeps its final solution, which starts the first
-    solve of the members that name it: monthly, yearly and flexible start
-    from daily (their models are daily's with other matching rows, or
-    none), and mef_zero from flexible (its model adds cap rows to
-    flexible's)."""
+    solve of the members that name it: sell_only starts from offgrid (its
+    model relaxes offgrid's export bounds and adds the cap row), at
+    offgrid's converged storage technology and unit cost, where offgrid's
+    plant meets the cap and so is a feasible start; monthly, yearly and
+    flexible start from daily (their models are daily's with other
+    matching rows, or none), and mef_zero from flexible (its model adds
+    cap rows to flexible's)."""
     dataset = dataset_from_config(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    cap = None
+    cap = cap_price = None
     worst = EXIT_OK
     seed_of = {name: row[-1] for name, row in _BUILTINS.items()}
     seeds = {}
@@ -160,10 +166,12 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
         scenario = replace(builtin_scenario(name, config), capex_cap_usd=cap)
         report, breakdown, emissions = _solve_one(
             scenario, config, dataset, out_dir, export_lp,
-            start=seeds.get(seed_of[name]))
+            start=seeds.get(seed_of[name]),
+            price=cap_price if seed_of[name] == "offgrid" else None)
         _print_outcome(report, breakdown)
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
+            cap_price = report.storage_tech, report.storage_unit_cost_usd_per_kg
         if name in seed_of.values() and report.solution is not None:
             # kept as a seed: its point and its HighsBasis, matched to a
             # later member's rows by name

@@ -199,7 +199,9 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
 
 def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
                    dataset: Dataset, export_lp_path=None,
-                   start: LpSolution | None = None) -> tuple[SolutionReport, CostBreakdown | None]:
+                   start: LpSolution | None = None,
+                   price: tuple[StorageTech, float] | None = None,
+                   ) -> tuple[SolutionReport, CostBreakdown | None]:
     """Size and dispatch the plant for one scenario.
 
     Storage pricing loop: seed with pipeline storage priced at 1000 kg,
@@ -212,11 +214,16 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     variables and the same rows (such as report.solution of the previous
     sweep point) or other rows (an earlier suite member's, its basis
     matched to these rows by name), warm-starts the first solve (see
-    LpModel.solve); the loop then runs as it would from a cold first
-    solve.
+    LpModel.solve). price, a (technology, unit cost) pair, replaces the
+    seed price of the first solve: the suite starts sell_only at the
+    price offgrid converged on, at which offgrid's plant meets the
+    CAPEX cap it set. The loop then runs as it would from a cold first
+    solve at that price.
     """
-    tech = StorageTech.PIPELINE
-    u_store = storage_unit_cost(STORAGE_SEED_CAPACITY_KG, tech)
+    if price is None:
+        price = StorageTech.PIPELINE, storage_unit_cost(STORAGE_SEED_CAPACITY_KG,
+                                                        StorageTech.PIPELINE)
+    tech, u_store = price
     annual_h2 = params.load_kg_per_h * dataset.horizon
 
     solution, model, pvars = start, None, None

@@ -128,15 +128,18 @@ def load_grid_profile(path, fx_usd_per_aud: float = 0.7,
     if set(meta) != _META_KEYS:
         raise ValueError(f"{meta_path}: keys {sorted(meta)} do not match "
                          f"required {sorted(_META_KEYS)}")
-    return GridProfile(
-        zone_id=str(meta["zone_id"]),
-        spot_price=HourlySeries(price, Unit.USD_PER_KWH),
-        mef=HourlySeries(mef, Unit.KGCO2E_PER_KWH),
-        aef=HourlySeries(aef, Unit.KGCO2E_PER_KWH),
-        ef_location=float(meta["ef_location"]),
-        arpp=float(meta["arpp"]),
-        rmf=float(meta["rmf"]),
-    )
+    factors = {key: _number(meta[key], str(meta_path), key)
+               for key in ("ef_location", "arpp", "rmf")}
+    try:
+        return GridProfile(
+            zone_id=str(meta["zone_id"]),
+            spot_price=HourlySeries(price, Unit.USD_PER_KWH),
+            mef=HourlySeries(mef, Unit.KGCO2E_PER_KWH),
+            aef=HourlySeries(aef, Unit.KGCO2E_PER_KWH),
+            **factors,
+        )
+    except ValueError as exc:  # a factor out of range, named by its key
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def load_re_profile(path, horizon: int | None = None,

@@ -26,24 +26,29 @@ follow; so infeasible and unbounded verdicts come only from cold runs.
 The optimal point of either run must pass `check_feasibility`, or the
 result is a solver failure that names the violated rows. With the same
 rows, HiGHS's basis is passed on as it is (storage-pricing re-solves,
-sweep points), and the data picks the simplex variant that starts
-there: primal simplex when the earlier point passes this model's
-`check_feasibility` (only costs moved, as between storage-pricing
-re-solves; primal needs a few iterations, dual from the same basis took
-longer than a cold solve), else dual simplex (bounds moved, as between
-sweep points; the basis is no longer primal feasible, and dual simplex
-needed fewer iterations than primal from it). With other rows (suite
-members, whose models differ in their matching or cap rows), HiGHS's
-row statuses are matched by row name (`LpSolution.model_rows`): a row
-both models have keeps its status, a row only this model has starts
-basic, its slack taking up the new constraint, and a row only the
-earlier model had is dropped. HiGHS factors that basis as an alien one
-and completes it where dropped binding rows left too many basic
-variables. Every dual warm run, on either path, is priced with devex
-(see _WARM_DUAL_OPTIONS). The binding is loaded from its extension file
-inside the installed scipy package, and the matrices are plain numpy
-arrays, so no scipy module is imported; a scipy without that file
-raises a named ImportError, as there is no other solver path.
+sweep points). With other rows (suite members, whose models differ in
+their matching or cap rows), HiGHS's row statuses are matched by row
+name (`LpSolution.model_rows`): a row both models have keeps its status,
+a row only this model has starts basic, its slack taking up the new
+constraint, and a row only the earlier model had is dropped. HiGHS
+factors that basis as an alien one and completes it where dropped
+binding rows left too many basic variables. The data then picks the
+simplex variant that starts there. Primal simplex when no row of the
+earlier model is dropped and its point passes this model's
+`check_feasibility`: the basis, with any new slacks basic, is primal
+feasible. That covers re-solves where only costs moved (storage pricing;
+a few primal iterations finish, where dual from the same basis took
+longer than a cold solve) and a model that only appends rows its seed
+meets (the suite's `sell_only`, started from `offgrid` under the
+`capex_cap` row). Else dual simplex: bounds moved (sweep points), rows
+were dropped (the suite's matching members), or the point breaks an
+appended row. Dual needed fewer iterations than primal from such a
+basis, and from the seeds whose rows were dropped primal was slower
+even where the point was feasible. Every dual warm run is priced with
+devex (see _WARM_DUAL_OPTIONS). The binding is loaded from its
+extension file inside the installed scipy package, and the matrices are
+plain numpy arrays, so no scipy module is imported; a scipy without
+that file raises a named ImportError, as there is no other solver path.
 """
 
 from __future__ import annotations
@@ -294,14 +299,15 @@ class LpModel:
         else the result is a SOLVER_FAILURE naming the violated rows.
 
         With the same rows (as between storage-pricing re-solves and
-        sweep points) the warm run is primal simplex when warm's point is
-        feasible here (only costs moved: the basis stays primal feasible
-        and a few primal iterations finish), else dual simplex (bounds
-        moved: primal simplex would first have to regain feasibility).
-        With other rows (as between suite members) the basis is matched
-        by row name; rows only this model has start basic, rows only
-        warm's model had are dropped, HiGHS completes the basis, and the
-        run is dual simplex. Dual runs are priced with devex."""
+        sweep points) warm's basis is passed on as it is. With other rows
+        (as between suite members) it is matched by row name: rows only
+        this model has start basic, rows only warm's model had are
+        dropped, and HiGHS completes the basis. The warm run is primal
+        simplex when no row of warm's model is dropped and warm's point
+        is feasible here (only costs moved, or only rows the point meets
+        were appended: the basis is primal feasible and primal simplex
+        finishes from it), else dual simplex priced with devex (bounds
+        moved, rows were dropped, or an appended row is broken)."""
         cols, coefs, constant = self._obj
         if self.num_variables == 0:  # every row is a constant
             if self.check_feasibility(np.zeros(0)):
@@ -340,7 +346,8 @@ class LpModel:
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
         same = warm.model_rows == names
-        options = _WARM_OPTIONS if same and self._feasible(warm.values) else _WARM_DUAL_OPTIONS
+        kept = same or set(warm.model_rows).issubset(names)
+        options = _WARM_OPTIONS if kept and self._feasible(warm.values) else _WARM_DUAL_OPTIONS
         if same:
             return warm.basis, options
         # each access to a status list converts all of it, so read it once

@@ -248,8 +248,9 @@ def test_builtin_scenarios(tmp_path, name, mode, tc_interval, ei_mef_cap):
 
 
 def test_suite_seeds_name_earlier_members(tmp_path, monkeypatch):
-    """monthly, yearly and flexible start from daily's final solution and
-    mef_zero from flexible's; every seed comes from an earlier member."""
+    """sell_only starts from offgrid's final solution, monthly, yearly and
+    flexible from daily's and mef_zero from flexible's; every seed comes
+    from an earlier member."""
     from h2grid import cli
     solved, seeds = {}, {}
     solve = cli.optimize_plant
@@ -263,8 +264,8 @@ def test_suite_seeds_name_earlier_members(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "optimize_plant", recorded)
     assert main(["suite", "--config", str(write_config(tmp_path))]) == 0
-    assert seeds == {"monthly": "daily", "yearly": "daily", "flexible": "daily",
-                     "mef_zero": "flexible"}
+    assert seeds == {"sell_only": "offgrid", "monthly": "daily", "yearly": "daily",
+                     "flexible": "daily", "mef_zero": "flexible"}
     order = cli.SUITE_ORDER
     assert all(order.index(seed) < order.index(name) for name, seed in seeds.items())
     # the table itself: a seed named after its member would be dropped

@@ -372,16 +372,18 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
         assert warm_nit < cold_nit
 
 
-def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0):
-    """report and breakdown are what a cold optimize_plant of scenario
-    gives: the same status, storage iterations, convergence and tech;
+def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0,
+                        price=None):
+    """report and breakdown are what a cold optimize_plant of scenario,
+    its first solve at price (see optimize_plant), gives: the same
+    status, storage iterations, convergence and tech;
     LCOH, capacities and the emission intensities within 1e-9 relative,
     each value under floor in magnitude taken as 0.0; and the dispatch
     passes verify_conservation."""
     def snap(values):
         return [0.0 if abs(v) < floor else v for v in values]
 
-    cold, cold_breakdown = optimize_plant(scenario, params, dataset)
+    cold, cold_breakdown = optimize_plant(scenario, params, dataset, price=price)
     assert (report.status, report.iterations, report.converged, report.storage_tech) == (
         cold.status, cold.iterations, cold.converged, cold.storage_tech), scenario.name
     if not cold.is_optimal:
@@ -450,10 +452,12 @@ def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
 
 
 def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
-    """monthly, yearly and flexible start dual simplex from daily's final
-    basis, mef_zero from flexible's; each report is the cold solve's of
-    the same capped scenario. offgrid, sell_only and daily solve cold,
-    and the members are solved and reported in SUITE_ORDER. Every
+    """sell_only starts primal simplex from offgrid's final basis, at the
+    storage price offgrid converged on; monthly, yearly and flexible
+    start dual simplex from daily's final basis, mef_zero from
+    flexible's. Each report is the cold solve's of the same capped
+    scenario at the same first price. offgrid and daily solve cold, and
+    the members are solved and reported in SUITE_ORDER. Every
     LpModel.solve ends on its first HiGHS run."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
@@ -465,10 +469,38 @@ def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
     assert all(m[4].is_optimal for m in members)
     out = capsys.readouterr()
     assert [line.split(":")[0] for line in out.out.splitlines()] == cli.SUITE_ORDER
+    offgrid = members[0][4]
     for scenario, params, dataset, first, report, breakdown in members:
-        seeded = scenario.name in ("monthly", "yearly", "flexible", "mef_zero")
+        seeded = scenario.name not in ("offgrid", "daily")
         assert calls[first][0] is seeded, scenario.name
         if seeded:
-            assert options[first] == lp._WARM_DUAL_OPTIONS
+            primal = scenario.name == "sell_only"
+            assert options[first] == (lp._WARM_OPTIONS if primal else lp._WARM_DUAL_OPTIONS)
         assert (scenario.capex_cap_usd is None) is (scenario.name == "offgrid")
-        assert_matches_cold(scenario, params, dataset, report, breakdown, floor=1e-7)
+        price = None
+        if scenario.name == "sell_only":
+            price = offgrid.storage_tech, offgrid.storage_unit_cost_usd_per_kg
+        assert_matches_cold(scenario, params, dataset, report, breakdown, floor=1e-7,
+                            price=price)
+
+
+@pytest.mark.parametrize("horizon, seed", [(48, 10), (168, 0)])
+def test_suite_relaxations_are_monotone(tmp_path, monkeypatch, horizon, seed):
+    """On random-walk inputs where a first sell_only trial at the 1000 kg
+    seed price breaks the CAPEX cap that offgrid set at its own converged
+    price, the suite still exits 0 with every member optimal, and a
+    member that only relaxes another costs no more than it: objectives
+    offgrid >= sell_only >= flexible and daily >= monthly >= yearly >=
+    flexible, within 1e-9 relative."""
+    config = write_config(tmp_path, {"horizon": horizon,
+                                     "fixture": {"kind": "random-walk", "seed": seed}})
+    code, members, *_ = recorded_command(monkeypatch, ["suite", "--config", str(config)])
+    assert [(m[0].name, m[4].status) for m in members] == [
+        (name, lp.LpStatus.OPTIMAL) for name in cli.SUITE_ORDER]
+    assert code == 0
+    objective = {m[0].name: m[4].objective_usd for m in members}
+    for chain in (["offgrid", "sell_only", "flexible"],
+                  ["daily", "monthly", "yearly", "flexible"]):
+        for parent, child in zip(chain, chain[1:]):
+            assert objective[child] <= objective[parent] + 1e-9 * abs(objective[parent]), (
+                parent, child)

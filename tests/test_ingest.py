@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from h2grid.cli import main
 from h2grid.ingest import (
     DISPATCH_HEADER,
     FIXTURE_KINDS,
@@ -21,6 +22,8 @@ from h2grid.ingest import (
     write_re_profile_csv,
 )
 from h2grid.types import Fixed, Free, Split, TcInterval
+
+from test_cli import write_file_config
 
 
 # -- synthetic fixtures -------------------------------------------------
@@ -163,6 +166,25 @@ def test_sidecar_keys_validated(tmp_path):
     meta.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="extra"):
         load_grid_profile(path)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "arpp must be a finite number, got 'x'"),
+    (1.2, "invalid profile 'Z1': arpp 1.2 outside [0, 1]"),
+])
+def test_sidecar_values_name_the_sidecar_and_key(tmp_path, capsys, value, message):
+    """A bad sidecar value, not a number or out of range, names the
+    sidecar file and the key, and the CLI exits 1 with that message."""
+    config = write_file_config(tmp_path)
+    meta = tmp_path / "z1.meta.json"
+    doc = json.loads(meta.read_text())
+    doc["arpp"] = value
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_grid_profile(tmp_path / "z1.csv")
+    assert str(err.value) == f"{meta}: {message}"
+    assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
+    assert capsys.readouterr().err == f"error: {meta}: {message}\n"
 
 
 def test_re_profile_range_checked(tmp_path):

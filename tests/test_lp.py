@@ -664,6 +664,42 @@ class TestBackend:
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
+    @pytest.mark.parametrize("rows, options", [
+        (["cover", "gap", "x_cap"], lp._WARM_OPTIONS),   # seed's rows, one appended
+        (["x_cap", "cover", "gap"], lp._WARM_OPTIONS),   # seed's rows, not a prefix
+        (["cover", "x_cap"], lp._WARM_DUAL_OPTIONS),     # seed's gap row dropped
+        (["cover", "gap", "x_low"], lp._WARM_DUAL_OPTIONS),  # seed's point breaks x_low
+    ])
+    def test_appended_rows_the_seed_meets_start_primal(self, monkeypatch, rows, options):
+        """A model that keeps every row of the seed's model, where the
+        seed's point is feasible, starts primal simplex from the seed's
+        basis, and that first run ends optimal; a dropped row, or an
+        appended row the point breaks, starts dual."""
+        # (sense, rhs, coefficients on x and y) per row name
+        table = {"cover": (Sense.GE, 2.0, [1.0, 1.0]), "gap": (Sense.LE, 3.0, [1.0, -1.0]),
+                 "x_cap": (Sense.LE, 5.0, [1.0, 0.0]), "x_low": (Sense.LE, 1.0, [1.0, 0.0])}
+
+        def tiny(names, costs):
+            m = LpModel()
+            x, y = m.add_variables(["x", "y"], 0.0, 10.0)
+            for name in names:
+                sense, rhs, coefs = table[name]
+                m.add_rows([name], sense, rhs, [0, 0], [x, y], coefs)
+            m.set_objective([x, y], costs)
+            return m
+
+        seed = tiny(["cover", "gap"], [1.0, 2.0]).solve()
+        assert seed.values.tolist() == pytest.approx([2.0, 0.0])
+        model = tiny(rows, [2.0, 1.0])
+        cold = model.solve()
+        got_options = []
+        calls = recording_backend(monkeypatch, options=got_options)
+        got = model.solve(warm=seed)
+        assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
+        assert got_options == [options]
+        assert got.values.tolist() == pytest.approx(cold.values.tolist())
+        assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+
     def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
