@@ -15,16 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .plant import Dispatch
-from .types import GridProfile, HourlySeries
+from .types import GridProfile
 
 
-def _values(series) -> np.ndarray:
-    if isinstance(series, HourlySeries):
-        return series.values
-    return np.asarray(series, dtype=float)
-
-
-def _window(arr: np.ndarray, t_range: tuple[int, int] | None) -> np.ndarray:
+def _window(arr, t_range: tuple[int, int] | None) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
     if t_range is None:
         return arr
     t1, t2 = t_range
@@ -45,12 +40,8 @@ def emissions_market(import_kw, export_kw, arpp: float, rmf: float,
     Returns (e_market_kg, surplus_kg) with e_market_kg >= 0 >= surplus_kg
     and at most one of them nonzero.
     """
-    if not 0.0 <= arpp <= 1.0:
-        raise ValueError(f"arpp {arpp} outside [0, 1]")
-    if rmf < 0:
-        raise ValueError(f"rmf {rmf} must be >= 0")
-    imp = _window(_values(import_kw), t_range)
-    exp = _window(_values(export_kw), t_range)
+    imp = _window(import_kw, t_range)
+    exp = _window(export_kw, t_range)
     raw = (float(imp.sum()) * (1.0 - arpp) - float(exp.sum())) * rmf
     if raw >= 0.0:
         return raw, 0.0
@@ -62,22 +53,19 @@ def emissions_factor_tracked(import_kw, export_kw, ef_buy, ef_sell,
     """Hourly factor-tracked emissions [kgCO2e]: imports charged at the
     buy-side factor, exports credited at the sell-side factor. Pass the
     same series twice for a co-located plant."""
-    imp = _window(_values(import_kw), t_range)
-    exp = _window(_values(export_kw), t_range)
-    fb = _window(_values(ef_buy), t_range)
-    fs = _window(_values(ef_sell), t_range)
-    if not (imp.size == exp.size == fb.size == fs.size):
-        raise ValueError("factor-tracked series lengths differ")
-    return float(imp @ fb - exp @ fs)
+    imp = _window(import_kw, t_range)
+    exp = _window(export_kw, t_range)
+    return float(imp @ _window(ef_buy, t_range) - exp @ _window(ef_sell, t_range))
 
 
-def re_capacity_factor(gen_wind, gen_pv, c_wind_kw: float, c_pv_kw: float) -> float:
+def re_capacity_factor(gen_wind, gen_pv, c_wind_kw: float, c_pv_kw: float) -> float | None:
     """Combined renewable capacity factor: produced energy over the
-    horizon divided by installed capacity times hours."""
+    horizon divided by installed capacity times hours; None when no
+    renewable capacity is installed."""
     if c_wind_kw + c_pv_kw <= 0:
-        raise ValueError("capacity factor undefined for zero installed capacity")
-    gw = _values(gen_wind)
-    gp = _values(gen_pv)
+        return None
+    gw = np.asarray(gen_wind, dtype=float)
+    gp = np.asarray(gen_pv, dtype=float)
     if gw.size != gp.size:
         raise ValueError("generation series lengths differ")
     return float((gw.sum() + gp.sum()) / ((c_wind_kw + c_pv_kw) * gw.size))
@@ -101,17 +89,6 @@ class EmissionsReport:
     d_location: float | None
     annual_h2_kg: float
     recs_generated_mwh: float
-
-    def __post_init__(self):
-        if self.ei_market < 0:
-            raise ValueError(f"ei_market {self.ei_market} must be >= 0")
-        if self.ei_recs > 0:
-            raise ValueError(f"ei_recs {self.ei_recs} must be <= 0")
-        if self.ei_market > 0 and self.ei_recs < 0:
-            raise ValueError("market intensity and certificate surplus cannot "
-                             "both be nonzero")
-        if self.annual_h2_kg <= 0:
-            raise ValueError("hydrogen mass must be positive")
 
 
 def difference_metrics(report: EmissionsReport) -> tuple[float | None, float | None]:
@@ -148,8 +125,8 @@ def certify(dispatch: Dispatch, buy: GridProfile,
         imp, exp,
         np.full(imp.size, buy.ef_location), np.full(exp.size, sell.ef_location),
         t_range)
-    e_mef = emissions_factor_tracked(imp, exp, buy.mef, sell.mef, t_range)
-    e_aef = emissions_factor_tracked(imp, exp, buy.aef, sell.aef, t_range)
+    e_mef = emissions_factor_tracked(imp, exp, buy.mef.values, sell.mef.values, t_range)
+    e_aef = emissions_factor_tracked(imp, exp, buy.aef.values, sell.aef.values, t_range)
     recs = float(_window(exp, t_range).sum()) / 1000.0
 
     report = EmissionsReport(

@@ -111,9 +111,7 @@ def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
                                        price=price)
     emissions = None
     if report.is_optimal:
-        buy, sell = zone_pair(scenario, dataset)
-        emissions = certify(report.dispatch, buy,
-                            None if isinstance(scenario.geo, CoLocated) else sell)
+        emissions = certify(report.dispatch, *zone_pair(scenario, dataset))
         write_dispatch_csv(report.dispatch,
                            out_dir / f"{scenario.name}_dispatch.csv")
     write_report(report, breakdown, emissions,
@@ -279,9 +277,8 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
 
     def cells(report, breakdown, emissions) -> list:
         disp = report.dispatch
-        cf = (None if disp.c_wind_kw + disp.c_pv_kw <= 0 else
-              re_capacity_factor(disp.gen_wind_kw, disp.gen_pv_kw,
-                                 disp.c_wind_kw, disp.c_pv_kw))
+        cf = re_capacity_factor(disp.gen_wind_kw, disp.gen_pv_kw,
+                                disp.c_wind_kw, disp.c_pv_kw)
         return [breakdown.lcoh_usd_per_kg, emissions.ei_market,
                 emissions.ei_recs, emissions.ei_location, emissions.ei_mef,
                 emissions.ei_aef, emissions.d_market, emissions.d_location, cf,

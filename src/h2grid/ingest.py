@@ -33,7 +33,6 @@ from .types import (
     Split,
     TcInterval,
     Unit,
-    convert_price,
 )
 
 GRID_HEADER = ["hour", "spot_price_aud_per_mwh", "mef_kgco2e_per_kwh",
@@ -111,8 +110,9 @@ def load_grid_profile(path, fx_usd_per_aud: float = 0.7,
     rows = _read_rows(path, GRID_HEADER)
     _check_length(len(rows), horizon, path)
     _check_hours(rows, path)
-    price = np.array([convert_price(_parse_cell(c[1], path, ln, "spot_price"),
-                                    fx_usd_per_aud) for ln, c in rows])
+    # AUD/MWh -> USD/kWh; negative spot prices pass through unclamped
+    price = np.array([_parse_cell(c[1], path, ln, "spot_price") * fx_usd_per_aud / 1000.0
+                      for ln, c in rows])
     mef = np.array([_parse_cell(c[2], path, ln, "mef") for ln, c in rows])
     aef = np.array([_parse_cell(c[3], path, ln, "aef") for ln, c in rows])
 

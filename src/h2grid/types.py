@@ -8,13 +8,14 @@ Each input is checked once, where it enters: a HourlySeries, GridProfile,
 PlantParameters, ScenarioSpec or Dataset checks itself when it is built,
 and ingest checks what these types cannot see (file formats, config keys,
 reference-profile range, the zones a configuration names). The model
-layer (plant, policy, economics) trusts the types it is given.
+layer (plant, policy, economics) and certification trust the types
+they are given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -98,15 +99,6 @@ def validate_profile(profile: GridProfile, horizon: int) -> list[str]:
     return errors
 
 
-def convert_price(aud_per_mwh: float, fx_usd_per_aud: float) -> float:
-    """AUD/MWh -> USD/kWh. Negative spot prices pass through unclamped."""
-    if not math.isfinite(aud_per_mwh) or not math.isfinite(fx_usd_per_aud):
-        raise ValueError("non-finite price or fx rate")
-    if fx_usd_per_aud <= 0:
-        raise ValueError(f"fx rate must be positive, got {fx_usd_per_aud}")
-    return aud_per_mwh * fx_usd_per_aud / 1000.0
-
-
 # the priced capacities, in the order of PlantParameters.capacity_costs
 CAPACITIES = ("electrolyser", "wind", "pv", "storage")
 
@@ -136,6 +128,9 @@ class PlantParameters:
     storage_tech_threshold_kg: float = 21_742.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.eta_el <= 1.0:
             raise ValueError(f"eta_el {self.eta_el} outside (0, 1]")
         if self.hhv <= 0:

@@ -30,6 +30,7 @@ from h2grid.economics import (
 from h2grid.lp import LpModel
 from h2grid.plant import verify_conservation
 from h2grid.types import (
+    CAPACITIES,
     CapacitySpec,
     CoLocated,
     Dataset,
@@ -57,15 +58,6 @@ def test_crf_reference_values():
     assert crf(0.06, 25) == pytest.approx(CRF_6_25, abs=1e-12)
     assert crf(0.10, 2) == pytest.approx(0.5761904761904758, abs=1e-12)
     assert crf(0.06, 1) == pytest.approx(1.06, abs=1e-12)
-
-
-def test_crf_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        crf(0.0, 25)
-    with pytest.raises(ValueError):
-        crf(-0.05, 25)
-    with pytest.raises(ValueError):
-        crf(0.06, 0)
 
 
 @given(i=st.floats(0.001, 0.5), n=st.integers(1, 60))
@@ -96,12 +88,6 @@ def test_storage_curves_cross_at_threshold():
         5000.0, StorageTech.LRC)
     assert storage_unit_cost(100_000.0, StorageTech.LRC) < storage_unit_cost(
         100_000.0, StorageTech.PIPELINE)
-
-
-def test_storage_cost_rejects_nonpositive_capacity():
-    for bad in (0.0, -5.0, math.nan):
-        with pytest.raises(ValueError):
-            storage_unit_cost(bad, StorageTech.PIPELINE)
 
 
 def test_select_storage_tech_boundary_goes_to_cavern():
@@ -138,32 +124,10 @@ def test_cost_terms_by_hand(params):
     assert terms.vom == pytest.approx(0.02 * 180.0 * 2)   # USD/kg * kg/h * 2 h
 
 
-# -- cost breakdown invariants ---------------------------------------------
-
-def make_breakdown(**overrides):
-    capex = {"electrolyser": 100.0, "wind": 0.0, "pv": 0.0, "storage": 0.0}
-    om = {"electrolyser": 50.0, "wind": 0.0, "pv": 0.0, "storage": 0.0}
-    fields = dict(capex_annualized_usd=capex, om_usd=om,
-                  grid_electricity_usd=30.0, annual_h2_kg=10.0,
-                  lcoh_usd_per_kg=18.0)
-    fields.update(overrides)
-    return CostBreakdown(**fields)
-
-
 def total_annual_usd(breakdown: CostBreakdown) -> float:
-    return breakdown.lcoh_usd_per_kg * breakdown.annual_h2_kg
-
-
-def test_breakdown_identity_enforced():
-    b = make_breakdown()
-    assert total_annual_usd(b) == pytest.approx(180.0)
-    with pytest.raises(ValueError):
-        make_breakdown(lcoh_usd_per_kg=17.0)
-
-
-def test_breakdown_requires_component_keys():
-    with pytest.raises(ValueError):
-        make_breakdown(capex_annualized_usd={"electrolyser": 100.0})
+    """The breakdown's annual cost, summed from its components."""
+    return (sum(breakdown.capex_annualized_usd.values())
+            + sum(breakdown.om_usd.values()) + breakdown.grid_electricity_usd)
 
 
 # -- end-to-end sizing ------------------------------------------------------
@@ -236,8 +200,11 @@ def test_objective_matches_breakdown_total(case, request, params):
     fixture, sc = COST_TABLE_CASES[case]
     report, breakdown = optimize_plant(sc, params, request.getfixturevalue(fixture))
     assert report.is_optimal, report.message
-    assert report.objective_usd == pytest.approx(total_annual_usd(breakdown),
-                                                 rel=1e-9)
+    total = total_annual_usd(breakdown)
+    assert report.objective_usd == pytest.approx(total, rel=1e-9)
+    assert breakdown.lcoh_usd_per_kg * breakdown.annual_h2_kg == pytest.approx(
+        total, rel=1e-12)
+    assert set(breakdown.capex_annualized_usd) == set(breakdown.om_usd) == set(CAPACITIES)
     assert breakdown.om_usd["storage"] == 0.0
 
 
@@ -293,8 +260,6 @@ def test_failure_report_has_no_breakdown(flat_week, params):
     assert breakdown is None
     assert report.dispatch is None
     assert "iteration 1" in report.message
-    with pytest.raises(ValueError):
-        capex_usd(report, params)
 
 
 def test_export_lp_writes_file(tmp_path, flat_week, params):

@@ -1,11 +1,13 @@
 """Unit-tagged series, parameter validation, price conversion."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from h2grid.ingest import load_grid_profile
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
@@ -20,7 +22,6 @@ from h2grid.types import (
     Split,
     TcInterval,
     Unit,
-    convert_price,
     validate_profile,
 )
 
@@ -105,30 +106,25 @@ class TestGridProfile:
 
 
 class TestConvertPrice:
-    def test_reference_rate(self):
-        assert convert_price(95.0, 0.7) == pytest.approx(0.0665, abs=1e-12)
+    """Spot prices load as AUD/MWh * fx / 1000; negatives pass unclamped."""
 
-    def test_zero(self):
-        assert convert_price(0.0, 0.7) == 0.0
+    @staticmethod
+    def load_price(tmp_path, aud_per_mwh, fx):
+        path = tmp_path / "z1.csv"
+        path.write_text("hour,spot_price_aud_per_mwh,mef_kgco2e_per_kwh,"
+                        f"aef_kgco2e_per_kwh\n0,{aud_per_mwh},0.5,0.6\n")
+        (tmp_path / "z1.meta.json").write_text(json.dumps(
+            {"zone_id": "Z1", "ef_location": 0.71, "arpp": 0.2, "rmf": 0.81}))
+        return load_grid_profile(path, fx_usd_per_aud=fx).spot_price.values[0]
 
-    def test_negative_passes_through(self):
-        assert convert_price(-50.0, 0.7) == pytest.approx(-0.035, abs=1e-12)
+    def test_reference_rate(self, tmp_path):
+        assert self.load_price(tmp_path, 95, 0.7) == pytest.approx(0.0665, abs=1e-12)
 
-    def test_bad_fx_rejected(self):
-        with pytest.raises(ValueError):
-            convert_price(95.0, 0.0)
-        with pytest.raises(ValueError):
-            convert_price(math.nan, 0.7)
+    def test_zero(self, tmp_path):
+        assert self.load_price(tmp_path, 0, 0.7) == 0.0
 
-    @given(
-        a=st.floats(-1000, 1000, allow_nan=False),
-        b=st.floats(-1000, 1000, allow_nan=False),
-        fx=st.floats(0.1, 2.0, allow_nan=False),
-    )
-    def test_linear_in_price(self, a, b, fx):
-        lhs = convert_price(a + b, fx)
-        rhs = convert_price(a, fx) + convert_price(b, fx)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+    def test_negative_passes_through(self, tmp_path):
+        assert self.load_price(tmp_path, -50, 0.7) == pytest.approx(-0.035, abs=1e-12)
 
 
 class TestPlantParameters:
@@ -148,6 +144,12 @@ class TestPlantParameters:
     def test_zero_lifetime_rejected(self):
         with pytest.raises(ValueError, match="lifetime"):
             PlantParameters(lifetime_years=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PlantParameters)])
+    def test_every_field_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PlantParameters(**{name: value})
 
 
 class TestCapacityBounds:
