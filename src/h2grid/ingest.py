@@ -47,6 +47,10 @@ SCHEMA_VERSION = 1
 
 _META_KEYS = {"zone_id", "ef_location", "arpp", "rmf"}
 
+# the exchange rate of a config that sets no fx_usd_per_aud, and of
+# fixture CSVs; prices are stored in AUD/MWh and modelled in USD/kWh
+DEFAULT_FX_USD_PER_AUD = 0.7
+
 
 # ---------------------------------------------------------------- CSV in
 
@@ -98,23 +102,33 @@ def _check_hours(rows, path) -> None:
                              f"expected {i} (rows must be 0..T-1 in order)")
 
 
-def _check_length(n: int, horizon, path) -> None:
-    if horizon is not None and n != horizon:
+def _check_length(n: int, horizon: int, path) -> None:
+    if n != horizon:
         raise ValueError(f"{path}: {n} data rows, expected horizon {horizon}")
 
 
-def load_grid_profile(path, fx_usd_per_aud: float = 0.7,
-                      horizon: int | None = None) -> GridProfile:
+def _price(text: str, path, lineno: int, fx_usd_per_aud: float) -> float:
+    """One spot price cell, AUD/MWh -> USD/kWh; negative prices pass
+    through unclamped, a price that overflows in conversion is an error."""
+    price = _parse_cell(text, path, lineno, "spot_price") * fx_usd_per_aud / 1000.0
+    if not math.isfinite(price):
+        raise ValueError(f"{path}:{lineno}: spot_price value {text!r} overflows in "
+                         f"conversion to USD/kWh (fx_usd_per_aud {fx_usd_per_aud!r})")
+    return price
+
+
+def load_grid_profile(path, fx_usd_per_aud: float, horizon: int) -> GridProfile:
     """Read one zone: hourly CSV plus a '<stem>.meta.json' sidecar holding
     zone_id, ef_location, arpp, rmf. Prices convert from AUD/MWh."""
     rows = _read_rows(path, GRID_HEADER)
     _check_length(len(rows), horizon, path)
     _check_hours(rows, path)
-    # AUD/MWh -> USD/kWh; negative spot prices pass through unclamped
-    price = np.array([_parse_cell(c[1], path, ln, "spot_price") * fx_usd_per_aud / 1000.0
-                      for ln, c in rows])
-    mef = np.array([_parse_cell(c[2], path, ln, "mef") for ln, c in rows])
-    aef = np.array([_parse_cell(c[3], path, ln, "aef") for ln, c in rows])
+    price = HourlySeries(np.array([_price(c[1], path, ln, fx_usd_per_aud) for ln, c in rows]),
+                         Unit.USD_PER_KWH)
+    mef = HourlySeries(np.array([_parse_cell(c[2], path, ln, "mef") for ln, c in rows]),
+                       Unit.KGCO2E_PER_KWH)
+    aef = HourlySeries(np.array([_parse_cell(c[3], path, ln, "aef") for ln, c in rows]),
+                       Unit.KGCO2E_PER_KWH)
 
     meta_path = Path(path).with_suffix(".meta.json")
     if not meta_path.exists():
@@ -131,20 +145,14 @@ def load_grid_profile(path, fx_usd_per_aud: float = 0.7,
     factors = {key: _number(meta[key], str(meta_path), key)
                for key in ("ef_location", "arpp", "rmf")}
     try:
-        return GridProfile(
-            zone_id=str(meta["zone_id"]),
-            spot_price=HourlySeries(price, Unit.USD_PER_KWH),
-            mef=HourlySeries(mef, Unit.KGCO2E_PER_KWH),
-            aef=HourlySeries(aef, Unit.KGCO2E_PER_KWH),
-            **factors,
-        )
+        return GridProfile(zone_id=str(meta["zone_id"]), spot_price=price,
+                           mef=mef, aef=aef, **factors)
     except ValueError as exc:  # a factor out of range, named by its key
         raise ValueError(f"{meta_path}: {exc}") from None
 
 
-def load_re_profile(path, horizon: int | None = None,
-                    c_ref_wind_kw: float = 320_000.0,
-                    c_ref_pv_kw: float = 1000.0) -> tuple[HourlySeries, HourlySeries]:
+def load_re_profile(path, horizon: int, c_ref_wind_kw: float,
+                    c_ref_pv_kw: float) -> tuple[HourlySeries, HourlySeries]:
     """Read the reference renewable output pair; values must stay within
     the reference capacities the scaling is defined against."""
     rows = _read_rows(path, RE_HEADER)
@@ -177,13 +185,13 @@ def atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_grid_profile_csv(profile: GridProfile, path,
-                           fx_usd_per_aud: float = 0.7) -> None:
-    """Inverse of load_grid_profile (prices converted back to AUD/MWh);
-    also writes the metadata sidecar."""
+def write_grid_profile_csv(profile: GridProfile, path) -> None:
+    """Inverse of load_grid_profile at the default rate (prices converted
+    back to AUD/MWh at DEFAULT_FX_USD_PER_AUD); also writes the metadata
+    sidecar."""
     lines = [",".join(GRID_HEADER)]
     for t in range(len(profile.spot_price)):
-        aud = float(profile.spot_price.values[t]) * 1000.0 / fx_usd_per_aud
+        aud = float(profile.spot_price.values[t]) * 1000.0 / DEFAULT_FX_USD_PER_AUD
         lines.append(f"{t},{aud!r},{float(profile.mef.values[t])!r},"
                      f"{float(profile.aef.values[t])!r}")
     atomic_write(path, "\n".join(lines) + "\n")
@@ -225,14 +233,13 @@ def _clipped_walk(rng, n: int, start: float, step: float,
     return out
 
 
-def _zone(zone_id: str, price, mef, aef, ef: float,
-          arpp: float = 0.1872, rmf: float = 0.81) -> GridProfile:
+def _zone(zone_id: str, price, mef, aef, ef: float) -> GridProfile:
     return GridProfile(
         zone_id=zone_id,
         spot_price=HourlySeries(price, Unit.USD_PER_KWH),
         mef=HourlySeries(mef, Unit.KGCO2E_PER_KWH),
         aef=HourlySeries(aef, Unit.KGCO2E_PER_KWH),
-        ef_location=ef, arpp=arpp, rmf=rmf,
+        ef_location=ef, arpp=0.1872, rmf=0.81,
     )
 
 
@@ -257,7 +264,7 @@ def synth_fixture(kind: str, horizon: int, seed: int = 0) -> Dataset:
     t = np.arange(horizon)
     hod = t % 24
     pv_bell = np.clip(np.sin((hod - 6) * np.pi / 12.0), 0.0, None)
-    w_cap, p_cap = 320_000.0, 1000.0
+    w_cap, p_cap = PlantParameters.c_ref_wind_kw, PlantParameters.c_ref_pv_kw
 
     if kind == "flat":
         price = np.full(horizon, 0.056)
@@ -438,7 +445,7 @@ def load_config(path) -> RunConfig:
     horizon = doc.get("horizon", 8760)
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError(f"{path}: horizon must be a positive integer")
-    fx = _number(doc.get("fx_usd_per_aud", 0.7), path, "fx_usd_per_aud")
+    fx = _number(doc.get("fx_usd_per_aud", DEFAULT_FX_USD_PER_AUD), path, "fx_usd_per_aud")
     if fx <= 0:
         raise ValueError(f"{path}: fx_usd_per_aud must be positive")
 
@@ -608,11 +615,13 @@ def breakdown_to_dict(b: CostBreakdown) -> dict:
     }
 
 
-def report_to_dict(report: SolutionReport, breakdown: CostBreakdown | None,
-                   emissions: EmissionsReport | None,
-                   scenario: ScenarioSpec | None = None,
-                   inputs: dict | None = None) -> dict:
-    doc = {
+def write_report(report: SolutionReport, breakdown: CostBreakdown | None,
+                 emissions: EmissionsReport | None, path,
+                 scenario: ScenarioSpec, inputs: dict) -> None:
+    """One scenario's report JSON: the solve's outcome, its cost
+    breakdown and emissions (None unless optimal), the scenario as
+    configured and the run's inputs."""
+    dump_json({
         "schema_version": SCHEMA_VERSION,
         "scenario_name": report.scenario_name,
         "status": report.status.value,
@@ -628,12 +637,9 @@ def report_to_dict(report: SolutionReport, breakdown: CostBreakdown | None,
         "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
         "cost_breakdown": None if breakdown is None else breakdown_to_dict(breakdown),
         "emissions": None if emissions is None else emissions_to_dict(emissions),
-    }
-    if scenario is not None:
-        doc["scenario"] = _scenario_json(scenario)
-    if inputs is not None:
-        doc["inputs"] = inputs
-    return doc
+        "scenario": _scenario_json(scenario),
+        "inputs": inputs,
+    }, path)
 
 
 def _num(x: float):
@@ -645,10 +651,3 @@ def dump_json(obj, path) -> None:
     trailing newline, strict floats. Deterministic for identical inputs."""
     atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
                                   allow_nan=False) + "\n")
-
-
-def write_report(report: SolutionReport, breakdown: CostBreakdown | None,
-                 emissions: EmissionsReport | None, path,
-                 scenario: ScenarioSpec | None = None,
-                 inputs: dict | None = None) -> None:
-    dump_json(report_to_dict(report, breakdown, emissions, scenario, inputs), path)

@@ -309,12 +309,6 @@ class LpModel:
         finishes from it), else dual simplex priced with devex (bounds
         moved, rows were dropped, or an appended row is broken)."""
         cols, coefs, constant = self._obj
-        if self.num_variables == 0:  # every row is a constant
-            if self.check_feasibility(np.zeros(0)):
-                return LpSolution(LpStatus.INFEASIBLE, math.nan, None,
-                                  "constant constraint violated")
-            return LpSolution(LpStatus.OPTIMAL, constant, np.zeros(0))
-
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
         c[cols] = coefs

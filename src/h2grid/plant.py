@@ -115,8 +115,7 @@ def add_hourly_rows(model: LpModel, horizon: int, families) -> np.ndarray:
 
 def build_plant(params: PlantParameters, ref_wind: HourlySeries,
                 ref_pv: HourlySeries, caps: CapacitySpec, mode: Mode, *,
-                mu_comp2: float | None = None,
-                two_bus: bool = False) -> tuple[LpModel, PlantVars]:
+                mu_comp2: float, two_bus: bool = False) -> tuple[LpModel, PlantVars]:
     """Build the LP skeleton: flow variables, bus balance, conversion
     chains, storage recursion with cyclic closure, capacity limits.
 
@@ -125,16 +124,13 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     values within the reference capacities.
 
     mu_comp2 is the storage-compressor coefficient for the currently
-    selected storage technology (defaults to the pipeline value); it must
-    be a scalar for the model to stay linear.
+    selected storage technology; it must be a scalar for the model to
+    stay linear.
 
     two_bus leaves the electricity bus out: the model then has no
     balance rows, and policy.wire_two_grid must append the farm-side and
     plant-side balances before any other rows are added.
     """
-    if mu_comp2 is None:
-        mu_comp2 = params.mu_comp2_pipeline
-
     model = LpModel()
     T = len(ref_wind)
 
@@ -239,8 +235,11 @@ def extract_dispatch(solution: LpSolution, pvars: PlantVars) -> Dispatch:
     )
 
 
-def verify_conservation(d: Dispatch, load_kg_per_h: float,
-                        tol: float = 1e-6) -> list[str]:
+# relative tolerance of verify_conservation (absolute for cyclic closure)
+_TOL = 1e-6
+
+
+def verify_conservation(d: Dispatch, load_kg_per_h: float) -> list[str]:
     """Physical-consistency audit of a solved dispatch: hourly bus
     balance, load coverage, storage recursion and bounds, cyclic closure,
     horizon-level hydrogen mass balance. Returns violations."""
@@ -248,14 +247,14 @@ def verify_conservation(d: Dispatch, load_kg_per_h: float,
     lhs = d.e_el_kw + d.e_comp1_kw + d.e_comp2_kw + d.export_kw + d.curtail_kw
     rhs = d.gen_wind_kw + d.gen_pv_kw + d.import_kw
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    bad = np.flatnonzero(np.abs(lhs - rhs) > tol * scale)
+    bad = np.flatnonzero(np.abs(lhs - rhs) > _TOL * scale)
     if bad.size:
         t = int(bad[0])
         problems.append(f"electricity balance off by {lhs[t]-rhs[t]:.3e} kW at hour {t}"
                         f" (+{bad.size - 1} more)")
 
     load_gap = np.abs(d.h_comp1_kg + d.h_from_store_kg - load_kg_per_h)
-    bad = np.flatnonzero(load_gap > tol * max(1.0, load_kg_per_h))
+    bad = np.flatnonzero(load_gap > _TOL * max(1.0, load_kg_per_h))
     if bad.size:
         t = int(bad[0])
         problems.append(f"load not met at hour {t} (gap {load_gap[t]:.3e} kg)")
@@ -263,26 +262,26 @@ def verify_conservation(d: Dispatch, load_kg_per_h: float,
     soc_prev = np.concatenate(([d.soc0_kg], d.soc_kg[:-1]))
     step = np.abs(d.soc_kg - soc_prev - d.h_comp2_kg + d.h_from_store_kg)
     scale = np.maximum(1.0, np.abs(d.soc_kg))
-    bad = np.flatnonzero(step > tol * scale)
+    bad = np.flatnonzero(step > _TOL * scale)
     if bad.size:
         t = int(bad[0])
         problems.append(f"storage recursion off by {step[t]:.3e} kg at hour {t}")
 
     cap_scale = max(1.0, d.c_store_kg)
-    if np.any(d.soc_kg < -tol * cap_scale) or np.any(d.soc_kg > d.c_store_kg + tol * cap_scale):
+    if np.any(d.soc_kg < -_TOL * cap_scale) or np.any(d.soc_kg > d.c_store_kg + _TOL * cap_scale):
         problems.append("storage level outside [0, c_store]")
-    if not 0.0 - tol * cap_scale <= d.soc0_kg <= d.c_store_kg + tol * cap_scale:
+    if not 0.0 - _TOL * cap_scale <= d.soc0_kg <= d.c_store_kg + _TOL * cap_scale:
         problems.append(f"initial storage level {d.soc0_kg} outside [0, {d.c_store_kg}]")
 
     # closure is held to an absolute tolerance: basic solutions satisfy the
     # single equality row essentially exactly
     closure = abs(d.soc_kg[-1] - d.soc0_kg)
-    if closure > tol:
+    if closure > _TOL:
         problems.append(f"cyclic closure violated: |soc(T-1) - soc0| = {closure:.3e} kg")
 
     produced = float(d.h_el_kg.sum())
     delivered = load_kg_per_h * d.horizon
     drift = abs(produced - delivered - (d.soc_kg[-1] - d.soc0_kg))
-    if drift > tol * max(1.0, delivered):
+    if drift > _TOL * max(1.0, delivered):
         problems.append(f"hydrogen mass balance off by {drift:.3e} kg over the horizon")
     return problems

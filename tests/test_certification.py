@@ -1,13 +1,10 @@
-"""Emissions accounting: the four methods, floor and surplus logic,
-difference metrics, and batch windows."""
-
-import dataclasses
+"""Emissions accounting over the horizon: the four methods, floor and
+surplus logic, and difference metrics."""
 
 import numpy as np
 import pytest
 
 from h2grid.certification import (
-    EmissionsReport,
     certify,
     difference_metrics,
     emissions_factor_tracked,
@@ -38,13 +35,12 @@ EI_LOCATION = {"QLD": 40.55215714285714, "SA": 13.136614285714284,
 EF_STATE = {"QLD": 0.71, "SA": 0.23, "TAS": 0.15, "VIC": 0.77, "NSW": 0.66}
 
 
-def emissions_location(import_kw, export_kw, ef_location, t_range=None):
-    """Reference location-method emissions [kgCO2e] over the window
-    [t1, t2): net consumption times the zone's annual factor, negative
-    for a net seller. certify computes the same quantity as a
-    factor-tracked sum with a constant factor."""
-    t1, t2 = t_range or (0, len(import_kw))
-    return (float(np.sum(import_kw[t1:t2])) - float(np.sum(export_kw[t1:t2]))) * ef_location
+def emissions_location(import_kw, export_kw, ef_location):
+    """Reference location-method emissions [kgCO2e]: net consumption
+    times the zone's annual factor, negative for a net seller. certify
+    computes the same quantity as a factor-tracked sum with a constant
+    factor."""
+    return (float(np.sum(import_kw)) - float(np.sum(export_kw))) * ef_location
 
 
 # -- method primitives ----------------------------------------------------
@@ -104,55 +100,30 @@ def test_re_capacity_factor():
     assert re_capacity_factor(gw, gp, 0.0, 0.0) is None
 
 
-# -- batch windows ----------------------------------------------------------
+# -- difference metrics -----------------------------------------------------
 
-def test_window_restricts_all_methods():
-    imp = np.concatenate([np.full(24, 100.0), np.zeros(24)])
-    exp = np.concatenate([np.zeros(24), np.full(24, 40.0)])
-    full, _ = emissions_market(imp, exp, 0.1, 0.9)
-    first, _ = emissions_market(imp, exp, 0.1, 0.9, t_range=(0, 24))
-    assert first == pytest.approx(24 * 100 * 0.9 * 0.9)
-    assert full < first  # exports in the second day offset
-    assert emissions_location(imp, exp, 0.5, t_range=(24, 48)) == pytest.approx(
-        -24 * 40 * 0.5)
-
-
-def test_window_bounds_checked():
-    z = np.zeros(24)
-    for bad in [(5, 5), (-1, 10), (0, 25), (20, 10)]:
-        with pytest.raises(ValueError):
-            emissions_market(z, z, 0.1, 0.9, t_range=bad)
-
-
-# -- report and difference metrics -------------------------------------------
-
-def make_report(**overrides):
-    fields = dict(e_market_kg=100.0, ei_market=1.0, ei_recs=0.0,
-                  e_location_kg=200.0, ei_location=2.0,
-                  e_mef_kg=400.0, ei_mef=4.0, e_aef_kg=300.0, ei_aef=3.0,
-                  d_market=None, d_location=None,
-                  annual_h2_kg=100.0, recs_generated_mwh=0.0)
-    fields.update(overrides)
-    return EmissionsReport(**fields)
+def intensities(**overrides):
+    """difference_metrics' arguments: marginal 4, market 1, no surplus,
+    location 2 kgCO2e/kgH2, unless overridden."""
+    return {"ei_mef": 4.0, "ei_market": 1.0, "ei_recs": 0.0, "ei_location": 2.0,
+            **overrides}
 
 
 def test_difference_metrics_plain():
-    d_market, d_location = difference_metrics(make_report())
+    d_market, d_location = difference_metrics(**intensities())
     assert d_market == pytest.approx((4.0 - 1.0) / 4.0)
     assert d_location == pytest.approx((4.0 - 2.0) / 4.0)
 
 
 def test_difference_metrics_floored_market_uses_surplus():
-    report = make_report(ei_market=0.0, ei_recs=-5.0, ei_mef=10.0)
-    d_market, _ = difference_metrics(report)
+    d_market, _ = difference_metrics(**intensities(ei_market=0.0, ei_recs=-5.0,
+                                                   ei_mef=10.0))
     assert d_market == pytest.approx((10.0 - (-5.0)) / 10.0)
 
 
 def test_difference_metrics_undefined_at_zero_mef():
-    report = make_report(ei_mef=0.0, e_mef_kg=0.0)
-    assert difference_metrics(report) == (None, None)
-    dusty = make_report(ei_mef=1e-13, e_mef_kg=1e-11)
-    assert difference_metrics(dusty) == (None, None)
+    assert difference_metrics(**intensities(ei_mef=0.0)) == (None, None)
+    assert difference_metrics(**intensities(ei_mef=1e-13)) == (None, None)
 
 
 # -- full certification of solved dispatches ----------------------------------
@@ -168,17 +139,6 @@ def test_certify_flat_grid_only(flat_grid_only, flat_week):
     assert em.annual_h2_kg == pytest.approx(H2_WEEK)
     assert em.d_market == pytest.approx(
         (em.ei_mef - em.ei_market) / em.ei_mef)
-
-
-def test_certify_window_matches_slice(flat_grid_only, flat_week):
-    report, _ = flat_grid_only
-    full = certify(report.dispatch, flat_week.zone("Z1"))
-    head = certify(report.dispatch, flat_week.zone("Z1"), t_range=(0, 24))
-    # constant dispatch: intensities identical, masses scale with hours
-    assert head.ei_market == pytest.approx(full.ei_market, rel=1e-9)
-    assert head.e_market_kg == pytest.approx(full.e_market_kg * 24 / 168,
-                                             rel=1e-9)
-    assert head.annual_h2_kg == pytest.approx(180.0 * 24)
 
 
 def test_certify_split_prices_exports_at_sell_zone(contrast_week, params):

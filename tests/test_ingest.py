@@ -9,6 +9,7 @@ import pytest
 
 from h2grid.cli import main
 from h2grid.ingest import (
+    DEFAULT_FX_USD_PER_AUD,
     DISPATCH_HEADER,
     FIXTURE_KINDS,
     dataset_from_config,
@@ -21,9 +22,12 @@ from h2grid.ingest import (
     write_grid_profile_csv,
     write_re_profile_csv,
 )
-from h2grid.types import Fixed, Free, Split, TcInterval
+from h2grid.types import Fixed, Free, PlantParameters, Split, TcInterval
 
 from test_cli import write_file_config
+
+FX = DEFAULT_FX_USD_PER_AUD  # the rate write_grid_profile_csv writes at
+REF_CAPS = (PlantParameters.c_ref_wind_kw, PlantParameters.c_ref_pv_kw)
 
 
 # -- synthetic fixtures -------------------------------------------------
@@ -62,7 +66,7 @@ def test_grid_profile_round_trip(tmp_path):
     src = ds.zone("Z1")
     path = tmp_path / "z1.csv"
     write_grid_profile_csv(src, path)
-    back = load_grid_profile(path)
+    back = load_grid_profile(path, FX, 60)
     assert back.zone_id == src.zone_id
     # prices pass through an AUD conversion both ways, so last-ulp only;
     # the unconverted factor columns round-trip exactly
@@ -78,8 +82,8 @@ def test_grid_profile_fx_changes_usd_prices(tmp_path):
     ds = synth_fixture("flat", horizon=24, seed=0)
     path = tmp_path / "z1.csv"
     write_grid_profile_csv(ds.zone("Z1"), path)
-    half = load_grid_profile(path, fx_usd_per_aud=0.35)
-    full = load_grid_profile(path, fx_usd_per_aud=0.7)
+    half = load_grid_profile(path, 0.35, 24)
+    full = load_grid_profile(path, 0.7, 24)
     assert half.spot_price.values == pytest.approx(
         full.spot_price.values * 0.5, rel=1e-12)
 
@@ -88,7 +92,7 @@ def test_re_profile_round_trip(tmp_path):
     ds = synth_fixture("diurnal", horizon=48, seed=5)
     path = tmp_path / "re.csv"
     write_re_profile_csv(ds.ref_wind, ds.ref_pv, path)
-    wind, pv = load_re_profile(path)
+    wind, pv = load_re_profile(path, 48, *REF_CAPS)
     assert np.array_equal(wind.values, ds.ref_wind.values)
     assert np.array_equal(pv.values, ds.ref_pv.values)
 
@@ -117,7 +121,7 @@ def test_header_mismatch_cites_file(tmp_path):
     lines[0] = lines[0].replace("mef", "marginal")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="header"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 def test_bad_cell_cites_line_number(tmp_path):
@@ -127,7 +131,7 @@ def test_bad_cell_cites_line_number(tmp_path):
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r":3:"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 def test_hours_must_be_contiguous(tmp_path):
@@ -135,27 +139,27 @@ def test_hours_must_be_contiguous(tmp_path):
     lines[2] = "7" + lines[2][1:]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="hour"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 def test_empty_data_rejected(tmp_path):
     path, lines = grid_csv_lines(tmp_path)
     path.write_text(lines[0] + "\n")
     with pytest.raises(ValueError, match="no data"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 def test_horizon_enforced_when_given(tmp_path):
     path, _ = grid_csv_lines(tmp_path)
     with pytest.raises(ValueError, match="4"):
-        load_grid_profile(path, horizon=8760)
+        load_grid_profile(path, FX, 8760)
 
 
 def test_missing_sidecar_rejected(tmp_path):
     path, _ = grid_csv_lines(tmp_path)
     path.with_suffix(".meta.json").unlink()
     with pytest.raises(ValueError, match="meta"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 def test_sidecar_keys_validated(tmp_path):
@@ -165,7 +169,7 @@ def test_sidecar_keys_validated(tmp_path):
     doc["extra"] = 1
     meta.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="extra"):
-        load_grid_profile(path)
+        load_grid_profile(path, FX, 4)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -181,10 +185,62 @@ def test_sidecar_values_name_the_sidecar_and_key(tmp_path, capsys, value, messag
     doc["arpp"] = value
     meta.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
-        load_grid_profile(tmp_path / "z1.csv")
+        load_grid_profile(tmp_path / "z1.csv", FX, 48)
     assert str(err.value) == f"{meta}: {message}"
     assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
     assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+
+
+def load_one_price(tmp_path, aud_per_mwh, fx):
+    """The USD/kWh price a one-hour zone CSV holding aud_per_mwh loads as."""
+    path = tmp_path / "z1.csv"
+    path.write_text("hour,spot_price_aud_per_mwh,mef_kgco2e_per_kwh,"
+                    f"aef_kgco2e_per_kwh\n0,{aud_per_mwh},0.5,0.6\n")
+    (tmp_path / "z1.meta.json").write_text(json.dumps(
+        {"zone_id": "Z1", "ef_location": 0.71, "arpp": 0.2, "rmf": 0.81}))
+    return load_grid_profile(path, fx, 1).spot_price.values[0]
+
+
+def test_spot_price_converts_aud_per_mwh_to_usd_per_kwh(tmp_path):
+    assert load_one_price(tmp_path, 95, 0.7) == pytest.approx(0.0665, abs=1e-12)
+
+
+def test_zero_spot_price_loads_as_zero(tmp_path):
+    assert load_one_price(tmp_path, 0, 0.7) == 0.0
+
+
+def test_negative_spot_price_passes_through_unclamped(tmp_path):
+    assert load_one_price(tmp_path, -50, 0.7) == pytest.approx(-0.035, abs=1e-12)
+
+
+def overflow_price_at_line_3(path):
+    """Set the spot price of hour 1 (line 3) of a zone CSV to 1e300, which
+    overflows to inf when converted at fx 1e10."""
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[1] = "1e300"
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return (f"{path}:3: spot_price value '1e300' overflows in conversion to "
+            f"USD/kWh (fx_usd_per_aud 10000000000.0)")
+
+
+def test_spot_price_overflow_names_csv_line_and_column(tmp_path):
+    path, _ = grid_csv_lines(tmp_path)
+    message = overflow_price_at_line_3(path)
+    with pytest.raises(ValueError) as err:
+        load_grid_profile(path, 1e10, 4)
+    assert str(err.value) == message
+
+
+def test_spot_price_overflow_is_an_input_error(tmp_path, capsys):
+    config = write_file_config(tmp_path)
+    message = overflow_price_at_line_3(tmp_path / "z1.csv")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--scenario", "flexible",
+                 "--fx", "1e10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_re_profile_range_checked(tmp_path):
@@ -197,7 +253,7 @@ def test_re_profile_range_checked(tmp_path):
     lines[1] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="reference capacity"):
-        load_re_profile(path)
+        load_re_profile(path, 4, *REF_CAPS)
 
 
 # -- run configuration ----------------------------------------------------

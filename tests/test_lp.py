@@ -295,12 +295,6 @@ class TestSolve:
         sol = m.solve()
         assert sol.series([y, x]).tolist() == pytest.approx([3.0, 2.0])
 
-    def test_empty_model(self):
-        m = LpModel()
-        sol = m.solve()
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == 0.0
-
 
 def golden_model(name: str) -> LpModel:
     scenario, dataset, tech = GOLDEN_CASES[name]()

@@ -35,7 +35,8 @@ def refs(horizon, wind_cf=0.4, pv_cf=0.25):
 def test_model_dimensions():
     params = PlantParameters()
     rw, rp = refs(24)
-    model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID)
+    model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID,
+                               mu_comp2=params.mu_comp2_pipeline)
     # 11 hourly variables plus 4 capacities and the initial storage level
     assert model.num_variables == 11 * 24 + 5
     # 10 hourly constraint families plus soc0 bound and cyclic closure
@@ -49,7 +50,8 @@ def test_mode_bounds():
     for mode, imp_open, exp_open in [(Mode.GRID, True, True),
                                      (Mode.SELL_ONLY, False, True),
                                      (Mode.OFF_GRID, False, False)]:
-        model, pvars = build_plant(params, rw, rp, CapacitySpec(), mode)
+        model, pvars = build_plant(params, rw, rp, CapacitySpec(), mode,
+                                   mu_comp2=params.mu_comp2_pipeline)
         bounds = read_back(model).bounds
         imp_ub = bounds[pvars.import_kw[0]][1]
         exp_ub = bounds[pvars.export_kw[0]][1]
@@ -60,7 +62,8 @@ def test_mode_bounds():
 def test_comp2_coefficient_follows_storage_tech():
     params = PlantParameters()
     rw, rp = refs(4)
-    for mu_comp2, coef in [(None, -0.83), (params.mu_comp2_lrc, -1.24)]:
+    for mu_comp2, coef in [(params.mu_comp2_pipeline, -0.83),
+                           (params.mu_comp2_lrc, -1.24)]:
         model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID,
                                    mu_comp2=mu_comp2)
         [row] = [r for r in read_back(model).rows.values() if r.name == "comp2_0"]

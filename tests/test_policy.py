@@ -61,7 +61,8 @@ def test_yearly_partition_is_single_interval():
 def build_flat(params, horizon=24, mode=Mode.GRID, caps=None, two_bus=False):
     rw = constant_series(0.4 * 320_000.0, Unit.KW, horizon)
     rp = constant_series(0.25 * 1_000.0, Unit.KW, horizon)
-    return build_plant(params, rw, rp, caps or CapacitySpec(), mode, two_bus=two_bus)
+    return build_plant(params, rw, rp, caps or CapacitySpec(), mode,
+                       mu_comp2=params.mu_comp2_pipeline, two_bus=two_bus)
 
 
 def test_tc_adds_one_row_per_interval(params):

@@ -1,13 +1,11 @@
-"""Unit-tagged series, parameter validation, price conversion."""
+"""Unit-tagged series and parameter validation."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
-from h2grid.ingest import load_grid_profile
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
@@ -103,28 +101,6 @@ class TestGridProfile:
                 arpp=0.2,
                 rmf=0.81,
             )
-
-
-class TestConvertPrice:
-    """Spot prices load as AUD/MWh * fx / 1000; negatives pass unclamped."""
-
-    @staticmethod
-    def load_price(tmp_path, aud_per_mwh, fx):
-        path = tmp_path / "z1.csv"
-        path.write_text("hour,spot_price_aud_per_mwh,mef_kgco2e_per_kwh,"
-                        f"aef_kgco2e_per_kwh\n0,{aud_per_mwh},0.5,0.6\n")
-        (tmp_path / "z1.meta.json").write_text(json.dumps(
-            {"zone_id": "Z1", "ef_location": 0.71, "arpp": 0.2, "rmf": 0.81}))
-        return load_grid_profile(path, fx_usd_per_aud=fx).spot_price.values[0]
-
-    def test_reference_rate(self, tmp_path):
-        assert self.load_price(tmp_path, 95, 0.7) == pytest.approx(0.0665, abs=1e-12)
-
-    def test_zero(self, tmp_path):
-        assert self.load_price(tmp_path, 0, 0.7) == 0.0
-
-    def test_negative_passes_through(self, tmp_path):
-        assert self.load_price(tmp_path, -50, 0.7) == pytest.approx(-0.035, abs=1e-12)
 
 
 class TestPlantParameters:
