@@ -2,9 +2,11 @@
 suite, renewable-capacity sweeps, and geographic (two-market) sweeps.
 
 Exit codes: 0 optimal, 1 input error, 2 infeasible, 3 unbounded,
-4 solver failure. Diagnostics go to stderr; results go to --out as JSON
-reports and CSV tables with stable key order (repeat runs with the same
-config, seed, and backend are byte-identical).
+4 solver failure. A command that solves several scenarios prints each
+one's outcome as it goes and exits with the code of the first scenario
+that is not optimal. Diagnostics go to stderr; results go to --out as
+JSON reports and CSV tables with stable key order (repeat runs with the
+same config, seed, and backend are byte-identical).
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from .certification import certify, re_capacity_factor
 from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     RunConfig,
-    atomic_write,
     breakdown_to_dict,
     dataset_from_config,
     dump_json,
     emissions_to_dict,
     load_config,
+    write_csv,
     write_dispatch_csv,
     write_report,
 )
@@ -102,8 +104,8 @@ def _inputs_block(config: RunConfig) -> dict:
 
 def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
                out_dir: Path, export_lp: bool, start=None, price=None):
-    """Optimize, certify, and write one scenario's outputs; start and
-    price seed the first solve's basis and storage price (see
+    """Optimize, certify, write and print one scenario's outcome; start
+    and price seed the first solve's basis and storage price (see
     optimize_plant). Returns (report, breakdown, emissions)."""
     lp_path = out_dir / f"{scenario.name}.lp" if export_lp else None
     report, breakdown = optimize_plant(scenario, config.params, dataset,
@@ -117,15 +119,18 @@ def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
     write_report(report, breakdown, emissions,
                  out_dir / f"{scenario.name}_report.json",
                  scenario=scenario, inputs=_inputs_block(config))
+    if report.is_optimal:
+        print(f"{scenario.name}: optimal, "
+              f"lcoh={breakdown.lcoh_usd_per_kg:.4f} USD/kg")
+    else:
+        print(f"{scenario.name}: {report.status.value}", file=sys.stderr)
     return report, breakdown, emissions
 
 
-def _print_outcome(report, breakdown) -> None:
-    if report.is_optimal:
-        print(f"{report.scenario_name}: optimal, "
-              f"lcoh={breakdown.lcoh_usd_per_kg:.4f} USD/kg")
-    else:
-        print(f"{report.scenario_name}: {report.status.value}", file=sys.stderr)
+def _first_failure(codes) -> int:
+    """The first of the scenarios' exit codes that is not EXIT_OK, else
+    EXIT_OK."""
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
 
 
 def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
@@ -133,9 +138,7 @@ def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
     scenario = resolve_scenario(config, scenario_name)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, breakdown, _ = _solve_one(scenario, config, dataset, out_dir,
-                                      export_lp)
-    _print_outcome(report, breakdown)
+    report, _, _ = _solve_one(scenario, config, dataset, out_dir, export_lp)
     return _STATUS_EXIT[report.status]
 
 
@@ -155,9 +158,8 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, codes = [], []
     cap = cap_price = None
-    worst = EXIT_OK
     seed_of = {name: row[-1] for name, row in _BUILTINS.items()}
     seeds = {}
     for name in SUITE_ORDER:
@@ -166,7 +168,7 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
             scenario, config, dataset, out_dir, export_lp,
             start=seeds.get(seed_of[name]),
             price=cap_price if seed_of[name] == "offgrid" else None)
-        _print_outcome(report, breakdown)
+        codes.append(_STATUS_EXIT[report.status])
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
             cap_price = report.storage_tech, report.storage_unit_cost_usd_per_kg
@@ -174,8 +176,6 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
             # kept as a seed: its point and its HighsBasis, matched to a
             # later member's rows by name
             seeds[name] = report.solution
-        if not report.is_optimal and worst == EXIT_OK:
-            worst = _STATUS_EXIT[report.status]
         cost = None if breakdown is None else breakdown_to_dict(breakdown)
         ei = None if emissions is None else emissions_to_dict(emissions)
         rows.append({
@@ -193,21 +193,7 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
         "inputs": _inputs_block(config),
         "scenarios": rows,
     }, out_dir / "suite_report.json")
-    return worst
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
+    return _first_failure(codes)
 
 
 def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
@@ -219,27 +205,30 @@ def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
 
 def _write_sweep(name: str, points: list, header: list[str], cells, summary: dict,
                  config: RunConfig, dataset: Dataset, out_dir: Path,
-                 export_lp: bool) -> None:
+                 export_lp: bool) -> int:
     """Solve each (value, scenario) point and write <name>.csv, one row
     per point (the value, the status, then cells(report, breakdown,
     emissions) when optimal, else empty cells), and <name>.json (schema
     version, summary, inputs and one entry per point, keyed header[0]).
+    Returns the exit code of the first point that is not optimal.
 
     The points' models have the same variables and rows, so each point
     after the first starts from the final solution of the point before."""
-    rows, entries = [], []
+    rows, entries, codes = [], [], []
     start = None
     for value, scenario in points:
         report, breakdown, emissions = _solve_one(scenario, config, dataset, out_dir,
                                                   export_lp, start)
+        codes.append(_STATUS_EXIT[report.status])
         start = report.solution
         rows.append([value, report.status.value] + (
             cells(report, breakdown, emissions) if report.is_optimal
             else [None] * (len(header) - 2)))
         entries.append(_point_entry(header[0], value, report, breakdown, emissions))
-    _write_csv(out_dir / f"{name}.csv", header, rows)
+    write_csv(out_dir / f"{name}.csv", header, rows)
     dump_json({"schema_version": 1, **summary, "inputs": _inputs_block(config),
                "points": entries}, out_dir / f"{name}.json")
+    return _first_failure(codes)
 
 
 def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
@@ -256,8 +245,6 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
     base_report, _, _ = _solve_one(builtin_scenario("offgrid", config), config,
                                    dataset, out_dir, export_lp)
     if not base_report.is_optimal:
-        print(f"offgrid baseline failed: {base_report.status.value}",
-              file=sys.stderr)
         return _STATUS_EXIT[base_report.status]
     d = base_report.dispatch
     c_el, c_wind, c_pv = d.c_el_kw, d.c_wind_kw, d.c_pv_kw
@@ -285,16 +272,15 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
                 disp.c_wind_kw, disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
 
     rs = [r_max * i / (n_points - 1) for i in range(n_points)]
-    _write_sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
-                 ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
-                  "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
-                  "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
-                  "c_el_kw", "c_store_kg"], cells,
-                 {"baseline_capacities": base_report.capacities,
-                  "notes": "electrolyser and renewable split fixed at the "
-                           "isolated optimum; storage re-optimized at every point"},
-                 config, dataset, out_dir, export_lp)
-    return EXIT_OK
+    return _write_sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
+                        ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
+                         "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
+                         "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
+                         "c_el_kw", "c_store_kg"], cells,
+                        {"baseline_capacities": base_report.capacities,
+                         "notes": "electrolyser and renewable split fixed at the "
+                                  "isolated optimum; storage re-optimized at every point"},
+                        config, dataset, out_dir, export_lp)
 
 
 def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
@@ -342,13 +328,13 @@ def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
                                   capacities=config.capacities,
                                   tc_interval=TcInterval.YEARLY))
               for zone in sell_zones]
-    _write_sweep("sweep_geo", points,
-                 ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
-                  "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
-                  "c_store_kg"], cells,
-                 {"buy_zone": config.zone, "grid_only_baseline": baseline_block},
-                 config, dataset, out_dir, export_lp)
-    return EXIT_OK
+    code = _write_sweep("sweep_geo", points,
+                        ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
+                         "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
+                         "c_store_kg"], cells,
+                        {"buy_zone": config.zone, "grid_only_baseline": baseline_block},
+                        config, dataset, out_dir, export_lp)
+    return _STATUS_EXIT[base_report.status] or code
 
 
 def _build_parser() -> argparse.ArgumentParser:

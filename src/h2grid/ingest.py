@@ -2,6 +2,8 @@
 synthetic fixture generation, run configuration, and report
 serialization. All files are UTF-8, decimal point '.', no thousands
 separators; parse errors carry the file path and 1-based line number.
+Every CSV table is written by write_csv, and every profile is read by
+_read_rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +56,10 @@ DEFAULT_FX_USD_PER_AUD = 0.7
 
 # ---------------------------------------------------------------- CSV in
 
-def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """Rows of a strict CSV: exact header, fixed column count. Returns
-    (1-based line number, cells) pairs for the data rows."""
+def _read_rows(path, header: list[str], horizon: int) -> list[tuple[int, list[str]]]:
+    """Rows of a strict CSV: exact header, fixed column count, and
+    horizon data rows whose hour column reads 0..horizon-1 in order.
+    Returns (1-based line number, cells) pairs for the data rows."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -81,6 +84,12 @@ def _read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
             rows.append((lineno, cells))
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    if len(rows) != horizon:
+        raise ValueError(f"{path}: {len(rows)} data rows, expected horizon {horizon}")
+    for i, (lineno, cells) in enumerate(rows):
+        if cells[0] != str(i):
+            raise ValueError(f"{path}:{lineno}: hour column reads {cells[0]!r}, "
+                             f"expected {i} (rows must be 0..T-1 in order)")
     return rows
 
 
@@ -93,18 +102,6 @@ def _parse_cell(text: str, path, lineno: int, column: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {column} value {text!r}")
     return value
-
-
-def _check_hours(rows, path) -> None:
-    for i, (lineno, cells) in enumerate(rows):
-        if cells[0] != str(i):
-            raise ValueError(f"{path}:{lineno}: hour column reads {cells[0]!r}, "
-                             f"expected {i} (rows must be 0..T-1 in order)")
-
-
-def _check_length(n: int, horizon: int, path) -> None:
-    if n != horizon:
-        raise ValueError(f"{path}: {n} data rows, expected horizon {horizon}")
 
 
 def _price(text: str, path, lineno: int, fx_usd_per_aud: float) -> float:
@@ -120,9 +117,7 @@ def _price(text: str, path, lineno: int, fx_usd_per_aud: float) -> float:
 def load_grid_profile(path, fx_usd_per_aud: float, horizon: int) -> GridProfile:
     """Read one zone: hourly CSV plus a '<stem>.meta.json' sidecar holding
     zone_id, ef_location, arpp, rmf. Prices convert from AUD/MWh."""
-    rows = _read_rows(path, GRID_HEADER)
-    _check_length(len(rows), horizon, path)
-    _check_hours(rows, path)
+    rows = _read_rows(path, GRID_HEADER, horizon)
     price = HourlySeries(np.array([_price(c[1], path, ln, fx_usd_per_aud) for ln, c in rows]),
                          Unit.USD_PER_KWH)
     mef = HourlySeries(np.array([_parse_cell(c[2], path, ln, "mef") for ln, c in rows]),
@@ -155,9 +150,7 @@ def load_re_profile(path, horizon: int, c_ref_wind_kw: float,
                     c_ref_pv_kw: float) -> tuple[HourlySeries, HourlySeries]:
     """Read the reference renewable output pair; values must stay within
     the reference capacities the scaling is defined against."""
-    rows = _read_rows(path, RE_HEADER)
-    _check_length(len(rows), horizon, path)
-    _check_hours(rows, path)
+    rows = _read_rows(path, RE_HEADER, horizon)
     wind, pv = [], []
     for lineno, cells in rows:
         w = _parse_cell(cells[1], path, lineno, "wind_ref_kw")
@@ -185,40 +178,43 @@ def atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """A strict CSV table: the header line, then one line per row, each
+    ending in a newline. A str cell is written as itself, None as an
+    empty cell, and a number as its repr (an int as its digits, a float
+    at full precision, so that it reads back bit for bit). Numbers must
+    be Python ints and floats, as tolist() gives them: the repr of a
+    numpy scalar names its type."""
+    lines = [",".join(header)]
+    # the cell rule inline: a function call per cell slows an hourly table
+    lines.extend(",".join(["" if v is None else v if isinstance(v, str) else repr(v)
+                           for v in row]) for row in rows)
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
 def write_grid_profile_csv(profile: GridProfile, path) -> None:
     """Inverse of load_grid_profile at the default rate (prices converted
     back to AUD/MWh at DEFAULT_FX_USD_PER_AUD); also writes the metadata
     sidecar."""
-    lines = [",".join(GRID_HEADER)]
-    for t in range(len(profile.spot_price)):
-        aud = float(profile.spot_price.values[t]) * 1000.0 / DEFAULT_FX_USD_PER_AUD
-        lines.append(f"{t},{aud!r},{float(profile.mef.values[t])!r},"
-                     f"{float(profile.aef.values[t])!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    aud = profile.spot_price.values * 1000.0 / DEFAULT_FX_USD_PER_AUD
+    write_csv(path, GRID_HEADER, zip(range(aud.size), aud.tolist(),
+                                     profile.mef.values.tolist(),
+                                     profile.aef.values.tolist()))
     meta = {"zone_id": profile.zone_id, "ef_location": profile.ef_location,
             "arpp": profile.arpp, "rmf": profile.rmf}
     dump_json(meta, Path(path).with_suffix(".meta.json"))
 
 
 def write_re_profile_csv(ref_wind: HourlySeries, ref_pv: HourlySeries, path) -> None:
-    lines = [",".join(RE_HEADER)]
-    for t in range(len(ref_wind)):
-        lines.append(f"{t},{float(ref_wind.values[t])!r},"
-                     f"{float(ref_pv.values[t])!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, RE_HEADER, zip(range(len(ref_wind)), ref_wind.values.tolist(),
+                                   ref_pv.values.tolist()))
 
 
 def write_dispatch_csv(dispatch: Dispatch, path) -> None:
-    """Hourly flows of a solved scenario, one row per hour."""
-    cols = [dispatch.gen_wind_kw, dispatch.gen_pv_kw, dispatch.e_el_kw,
-            dispatch.e_comp1_kw, dispatch.e_comp2_kw, dispatch.import_kw,
-            dispatch.export_kw, dispatch.curtail_kw, dispatch.h_comp1_kg,
-            dispatch.h_comp2_kg, dispatch.h_from_store_kg, dispatch.soc_kg]
-    # tolist() yields Python floats, so each cell is the repr of a float
-    lines = [",".join(DISPATCH_HEADER)]
-    lines.extend(",".join(map(repr, row))
-                 for row in zip(range(dispatch.horizon), *(c.tolist() for c in cols)))
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Hourly flows of a solved scenario, one row per hour; each column
+    after the hour is the Dispatch field of its name."""
+    cols = (getattr(dispatch, name).tolist() for name in DISPATCH_HEADER[1:])
+    write_csv(path, DISPATCH_HEADER, zip(range(dispatch.horizon), *cols))
 
 
 # ------------------------------------------------------------- fixtures
@@ -314,7 +310,7 @@ _TOP_KEYS = {"horizon", "fx_usd_per_aud", "out_dir", "zone", "zone_files",
 _FIXTURE_KEYS = {"kind", "seed"}
 _SCENARIO_KEYS = {"name", "mode", "tc_interval", "ei_mef_cap", "capex_cap_usd",
                   "sell_zone", "buy_zone", "capacities"}
-_CAP_FIELDS = {"wind_kw", "pv_kw", "electrolyser_kw", "storage_kg"}
+_CAP_FIELDS = {f.name for f in fields(CapacitySpec)}
 _CAP_SUBKEYS = {"fixed", "lower", "upper"}
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -578,12 +574,9 @@ def _scenario_json(s: ScenarioSpec) -> dict:
         "ei_mef_cap_kgco2e_per_kgh2": s.ei_mef_cap,
         "capex_cap_usd": s.capex_cap_usd,
         "geo": asdict(s.geo),
-        "capacity_bounds": {
-            "wind_kw": _bound_json(s.capacities.wind_kw),
-            "pv_kw": _bound_json(s.capacities.pv_kw),
-            "electrolyser_kw": _bound_json(s.capacities.electrolyser_kw),
-            "storage_kg": _bound_json(s.capacities.storage_kg),
-        },
+        # in set order: dump_json sorts the keys
+        "capacity_bounds": {name: _bound_json(getattr(s.capacities, name))
+                            for name in _CAP_FIELDS},
     }
 
 

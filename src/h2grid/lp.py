@@ -119,7 +119,7 @@ class LpSolution:
     message: str = ""
     # the HighsBasis of the optimal run, HiGHS's own copy, which outlives
     # its solver; None when no solver run ended optimal (every result that
-    # is not optimal, and a model without variables)
+    # is not optimal)
     basis: object = field(default=None, repr=False, compare=False)
     # the solved model's row names, in LpModel order: what keys the basis
     # by row name

@@ -328,6 +328,26 @@ def test_sweep_geo_unknown_zone_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# a 1,000 kW electrolyser cannot meet the load, so every scenario is infeasible
+INFEASIBLE = {"fixture": {"kind": "two-zone-contrast", "seed": 1},
+              "capacities": {"electrolyser_kw": 1000.0}}
+
+
+def test_sweep_geo_reports_each_failed_scenario(tmp_path, capsys):
+    config = write_config(tmp_path, INFEASIBLE)
+    assert main(["sweep-geo", "--config", str(config), "--sell-zones", "Z2"]) == 2
+    assert capsys.readouterr().err == "grid_only: infeasible\ngeo_Z2: infeasible\n"
+    lines = (tmp_path / "out" / "sweep_geo.csv").read_text().splitlines()
+    assert lines[1:] == ["Z2,infeasible,,,,,,,,"]
+
+
+def test_sweep_re_stops_after_a_failed_baseline(tmp_path, capsys):
+    config = write_config(tmp_path, INFEASIBLE)
+    assert main(["sweep-re", "--config", str(config), "--points", "3"]) == 2
+    assert capsys.readouterr().err == "offgrid: infeasible\n"
+    assert not (tmp_path / "out" / "sweep_re.csv").exists()
+
+
 @pytest.mark.parametrize("zones", ["", " , "])
 def test_sweep_geo_needs_a_sell_zone(tmp_path, capsys, zones):
     config = write_config(tmp_path, {

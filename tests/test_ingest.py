@@ -1,8 +1,10 @@
 """File formats, synthetic fixtures, and run configuration parsing."""
 
+import csv
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,11 +20,24 @@ from h2grid.ingest import (
     load_grid_profile,
     load_re_profile,
     synth_fixture,
+    write_csv,
     write_dispatch_csv,
     write_grid_profile_csv,
     write_re_profile_csv,
 )
-from h2grid.types import Fixed, Free, PlantParameters, Split, TcInterval
+from h2grid.economics import optimize_plant
+from h2grid.plant import Dispatch
+from h2grid.types import (
+    CapacitySpec,
+    CoLocated,
+    Fixed,
+    Free,
+    Mode,
+    PlantParameters,
+    ScenarioSpec,
+    Split,
+    TcInterval,
+)
 
 from test_cli import write_file_config
 
@@ -105,6 +120,36 @@ def test_dispatch_csv_shape(tmp_path, flat_grid_only):
     assert lines[0] == ",".join(DISPATCH_HEADER)
     assert len(lines) == 1 + 168
     assert lines[1].split(",")[0] == "0"
+
+
+def test_dispatch_csv_reads_back_bit_for_bit(tmp_path, walk_week, params):
+    scenario = ScenarioSpec("sell_only", Mode.SELL_ONLY, CoLocated("Z1"), CapacitySpec())
+    report, _ = optimize_plant(scenario, params, walk_week)
+    written = report.dispatch
+    path = tmp_path / "dispatch.csv"
+    write_dispatch_csv(written, path)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == DISPATCH_HEADER
+    columns = dict(zip(header, zip(*rows)))
+    assert columns.pop("hour") == tuple(str(t) for t in range(written.horizon))
+    # the columns the CSV leaves out come from the dispatch itself
+    read = Dispatch(**{f.name: getattr(written, f.name) for f in fields(Dispatch)
+                       if f.name not in columns},
+                    **{name: np.array(cells, dtype=float) for name, cells in columns.items()})
+    for name in columns:
+        assert getattr(read, name).tobytes() == getattr(written, name).tobytes(), name
+    # a plant that stores and exports, so that every column but imports varies
+    assert np.any(written.soc_kg > 0) and np.any(written.export_kw > 0)
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["n", "x", "zone", "gap"],
+              [[0, 1.0 / 3.0, "Z2", None], [12, -2.5e-20, "optimal", 7.0]])
+    assert path.read_bytes() == (b"n,x,zone,gap\n0,0.3333333333333333,Z2,\n"
+                                 b"12,-2.5e-20,optimal,7.0\n")
+    assert not list(tmp_path.glob("*.tmp*"))
 
 
 # -- strict parsing ------------------------------------------------------
