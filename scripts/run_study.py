@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Desk-scale study: scenario suite, renewable-capacity sweep, and
-two-market sweep on one synthetic week, with a compact summary table.
-Each command writes its reports and each scenario's LP text (.lp).
+"""Desk-scale study: scenario suite, renewable-capacity sweep,
+two-market sweep and a single hourly-matched solve (the one built-in
+scenario the suite leaves out) on one synthetic week, with a compact
+summary table. Each command writes its reports and each scenario's LP
+text (.lp).
 
 Usage: python3 scripts/run_study.py [--kind KIND] [--seed N] [--out DIR]
 """
@@ -45,6 +47,7 @@ def main() -> None:
     run(["sweep-re", *common, "--points", "7", "--out", str(out / "sweep_re")])
     if args.kind == "two-zone-contrast":
         run(["sweep-geo", *common, "--sell-zones", "Z2", "--out", str(out / "sweep_geo")])
+    run(["solve", *common, "--scenario", "hourly", "--out", str(out / "solve_hourly")])
 
     doc = json.loads((out / "suite" / "suite_report.json").read_text())
     print(f"\n{'scenario':<12} {'status':<10} {'LCOH':>9} {'EI_mkt':>8} "

@@ -2,8 +2,9 @@
 suite, renewable-capacity sweeps, and geographic (two-market) sweeps.
 
 Exit codes: 0 optimal, 1 input error, 2 infeasible, 3 unbounded,
-4 solver failure. A command that solves several scenarios prints each
-one's outcome as it goes and exits with the code of the first scenario
+4 solver failure. main checks every input before it makes --out; then
+one context (_Command) solves, certifies, writes and prints every
+scenario of the command, and sets the exit code from the first scenario
 that is not optimal. Diagnostics go to stderr; results go to --out as
 JSON reports and CSV tables with stable key order (repeat runs with the
 same config, seed, and backend are byte-identical).
@@ -91,58 +92,78 @@ def resolve_scenario(config: RunConfig, name: str) -> ScenarioSpec:
     return builtin_scenario(name, config)
 
 
-def _inputs_block(config: RunConfig) -> dict:
-    return {
-        "horizon": config.horizon,
-        "fx_usd_per_aud": config.fx_usd_per_aud,
-        "zone": config.zone,
-        "fixture_kind": config.fixture_kind,
-        "fixture_seed": (config.fixture_seed if config.fixture_kind else None),
-        "zone_files": sorted(Path(p).name for p in config.zone_files.values()),
-    }
+class _Command:
+    """One command's run: its config, dataset, output directory and
+    --export-lp flag, the inputs block every JSON output repeats, and
+    the exit code, EXIT_OK until the first scenario that is not
+    optimal sets it."""
+
+    def __init__(self, config: RunConfig, dataset: Dataset, export_lp: bool):
+        self.config = config
+        self.dataset = dataset
+        self.out_dir = Path(config.out_dir)
+        self.export_lp = export_lp
+        self.inputs = {
+            "horizon": config.horizon,
+            "fx_usd_per_aud": config.fx_usd_per_aud,
+            "zone": config.zone,
+            "fixture_kind": config.fixture_kind,
+            "fixture_seed": (config.fixture_seed if config.fixture_kind else None),
+            "zone_files": sorted(Path(p).name for p in config.zone_files.values()),
+        }
+        self.code = EXIT_OK
+
+    def solve(self, scenario: ScenarioSpec, start=None, price=None):
+        """Optimize, certify, write and print one scenario's outcome; start
+        and price seed the first solve's basis and storage price (see
+        optimize_plant). Returns (report, breakdown, emissions)."""
+        lp_path = self.out_dir / f"{scenario.name}.lp" if self.export_lp else None
+        report, breakdown = optimize_plant(scenario, self.config.params, self.dataset,
+                                           export_lp_path=lp_path, start=start,
+                                           price=price)
+        emissions = None
+        if report.is_optimal:
+            emissions = certify(report.dispatch, *zone_pair(scenario, self.dataset))
+            write_dispatch_csv(report.dispatch,
+                               self.out_dir / f"{scenario.name}_dispatch.csv")
+        write_report(report, breakdown, emissions,
+                     self.out_dir / f"{scenario.name}_report.json",
+                     scenario=scenario, inputs=self.inputs)
+        if report.is_optimal:
+            print(f"{scenario.name}: optimal, "
+                  f"lcoh={breakdown.lcoh_usd_per_kg:.4f} USD/kg")
+        else:
+            print(f"{scenario.name}: {report.status.value}", file=sys.stderr)
+            self.code = self.code or _STATUS_EXIT[report.status]
+        return report, breakdown, emissions
+
+    def sweep(self, name: str, points: list, header: list[str], cells,
+              summary: dict) -> None:
+        """Solve each (value, scenario) point and write <name>.csv, one row
+        per point (the value, the status, then cells(report, breakdown,
+        emissions) when optimal, else empty cells), and <name>.json (schema
+        version, summary, inputs and one entry per point, keyed header[0]).
+
+        The points' models have the same variables and rows, so each point
+        after the first starts from the final solution of the point before."""
+        rows, entries = [], []
+        start = None
+        for value, scenario in points:
+            report, breakdown, emissions = self.solve(scenario, start)
+            start = report.solution
+            rows.append([value, report.status.value] + (
+                cells(report, breakdown, emissions) if report.is_optimal
+                else [None] * (len(header) - 2)))
+            entries.append({
+                header[0]: value, "status": report.status.value,
+                "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
+                "emissions": None if emissions is None else emissions_to_dict(emissions)})
+        write_csv(self.out_dir / f"{name}.csv", header, rows)
+        dump_json({"schema_version": 1, **summary, "inputs": self.inputs,
+                   "points": entries}, self.out_dir / f"{name}.json")
 
 
-def _solve_one(scenario: ScenarioSpec, config: RunConfig, dataset: Dataset,
-               out_dir: Path, export_lp: bool, start=None, price=None):
-    """Optimize, certify, write and print one scenario's outcome; start
-    and price seed the first solve's basis and storage price (see
-    optimize_plant). Returns (report, breakdown, emissions)."""
-    lp_path = out_dir / f"{scenario.name}.lp" if export_lp else None
-    report, breakdown = optimize_plant(scenario, config.params, dataset,
-                                       export_lp_path=lp_path, start=start,
-                                       price=price)
-    emissions = None
-    if report.is_optimal:
-        emissions = certify(report.dispatch, *zone_pair(scenario, dataset))
-        write_dispatch_csv(report.dispatch,
-                           out_dir / f"{scenario.name}_dispatch.csv")
-    write_report(report, breakdown, emissions,
-                 out_dir / f"{scenario.name}_report.json",
-                 scenario=scenario, inputs=_inputs_block(config))
-    if report.is_optimal:
-        print(f"{scenario.name}: optimal, "
-              f"lcoh={breakdown.lcoh_usd_per_kg:.4f} USD/kg")
-    else:
-        print(f"{scenario.name}: {report.status.value}", file=sys.stderr)
-    return report, breakdown, emissions
-
-
-def _first_failure(codes) -> int:
-    """The first of the scenarios' exit codes that is not EXIT_OK, else
-    EXIT_OK."""
-    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
-
-
-def cmd_solve(config: RunConfig, scenario_name: str, export_lp: bool) -> int:
-    dataset = dataset_from_config(config)
-    scenario = resolve_scenario(config, scenario_name)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report, _, _ = _solve_one(scenario, config, dataset, out_dir, export_lp)
-    return _STATUS_EXIT[report.status]
-
-
-def cmd_suite(config: RunConfig, export_lp: bool) -> int:
+def cmd_suite(run: _Command) -> None:
     """Run the built-in scenarios in SUITE_ORDER. The isolated plant
     comes first: once it is optimal, its capital cost, rounded up to a
     whole cent, caps every member after it. A member that _BUILTINS
@@ -154,21 +175,16 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     flexible start from daily (their models are daily's with other
     matching rows, or none), and mef_zero from flexible (its model adds
     cap rows to flexible's)."""
-    dataset = dataset_from_config(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows, codes = [], []
+    config = run.config
+    rows = []
     cap = cap_price = None
     seed_of = {name: row[-1] for name, row in _BUILTINS.items()}
     seeds = {}
     for name in SUITE_ORDER:
         scenario = replace(builtin_scenario(name, config), capex_cap_usd=cap)
-        report, breakdown, emissions = _solve_one(
-            scenario, config, dataset, out_dir, export_lp,
-            start=seeds.get(seed_of[name]),
+        report, breakdown, emissions = run.solve(
+            scenario, start=seeds.get(seed_of[name]),
             price=cap_price if seed_of[name] == "offgrid" else None)
-        codes.append(_STATUS_EXIT[report.status])
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
             cap_price = report.storage_tech, report.storage_unit_cost_usd_per_kg
@@ -190,62 +206,20 @@ def cmd_suite(config: RunConfig, export_lp: bool) -> int:
     dump_json({
         "schema_version": 1,
         "capex_cap_usd": cap,
-        "inputs": _inputs_block(config),
+        "inputs": run.inputs,
         "scenarios": rows,
-    }, out_dir / "suite_report.json")
-    return _first_failure(codes)
+    }, run.out_dir / "suite_report.json")
 
 
-def _point_entry(key: str, value, report, breakdown, emissions) -> dict:
-    """One point of a sweep's JSON summary."""
-    return {key: value, "status": report.status.value,
-            "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
-            "emissions": None if emissions is None else emissions_to_dict(emissions)}
-
-
-def _write_sweep(name: str, points: list, header: list[str], cells, summary: dict,
-                 config: RunConfig, dataset: Dataset, out_dir: Path,
-                 export_lp: bool) -> int:
-    """Solve each (value, scenario) point and write <name>.csv, one row
-    per point (the value, the status, then cells(report, breakdown,
-    emissions) when optimal, else empty cells), and <name>.json (schema
-    version, summary, inputs and one entry per point, keyed header[0]).
-    Returns the exit code of the first point that is not optimal.
-
-    The points' models have the same variables and rows, so each point
-    after the first starts from the final solution of the point before."""
-    rows, entries, codes = [], [], []
-    start = None
-    for value, scenario in points:
-        report, breakdown, emissions = _solve_one(scenario, config, dataset, out_dir,
-                                                  export_lp, start)
-        codes.append(_STATUS_EXIT[report.status])
-        start = report.solution
-        rows.append([value, report.status.value] + (
-            cells(report, breakdown, emissions) if report.is_optimal
-            else [None] * (len(header) - 2)))
-        entries.append(_point_entry(header[0], value, report, breakdown, emissions))
-    write_csv(out_dir / f"{name}.csv", header, rows)
-    dump_json({"schema_version": 1, **summary, "inputs": _inputs_block(config),
-               "points": entries}, out_dir / f"{name}.json")
-    return _first_failure(codes)
-
-
-def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
+def cmd_sweep_re(run: _Command, n_points: int) -> None:
     """Fix the electrolyser at the isolated optimum's size, then sweep
     installed renewable capacity from zero to 1.5x the isolated optimum's
     renewables-to-electrolyser ratio, re-optimizing storage and dispatch
     at each point and certifying under every accounting method."""
-    if n_points < 2:
-        raise ValueError("sweep-re needs --points >= 2")
-    dataset = dataset_from_config(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base_report, _, _ = _solve_one(builtin_scenario("offgrid", config), config,
-                                   dataset, out_dir, export_lp)
+    config = run.config
+    base_report, _, _ = run.solve(builtin_scenario("offgrid", config))
     if not base_report.is_optimal:
-        return _STATUS_EXIT[base_report.status]
+        return
     d = base_report.dispatch
     c_el, c_wind, c_pv = d.c_el_kw, d.c_wind_kw, d.c_pv_kw
     re_total = c_wind + c_pv
@@ -272,39 +246,27 @@ def cmd_sweep_re(config: RunConfig, n_points: int, export_lp: bool) -> int:
                 disp.c_wind_kw, disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
 
     rs = [r_max * i / (n_points - 1) for i in range(n_points)]
-    return _write_sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
-                        ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
-                         "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
-                         "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
-                         "c_el_kw", "c_store_kg"], cells,
-                        {"baseline_capacities": base_report.capacities,
-                         "notes": "electrolyser and renewable split fixed at the "
-                                  "isolated optimum; storage re-optimized at every point"},
-                        config, dataset, out_dir, export_lp)
+    run.sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
+              ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
+               "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
+               "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
+               "c_el_kw", "c_store_kg"], cells,
+              {"baseline_capacities": base_report.capacities,
+               "notes": "electrolyser and renewable split fixed at the "
+                        "isolated optimum; storage re-optimized at every point"})
 
 
-def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
-                  export_lp: bool) -> int:
+def cmd_sweep_geo(run: _Command, sell_zones: list[str]) -> None:
     """Solve one yearly-matched scenario per candidate sell-side zone
     (renewables trade there; the plant buys at home), plus a grid-only
     baseline annotated with the cost of covering every purchased MWh with
     a bought certificate."""
-    if not sell_zones:
-        raise ValueError("sweep-geo needs at least one sell zone")
-    dataset = dataset_from_config(config)
-    missing = [z for z in sell_zones if z not in dataset.zones]
-    if missing:
-        raise ValueError(f"unknown sell zones {missing}; dataset has "
-                         f"{sorted(dataset.zones)}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    config = run.config
     baseline_caps = replace(config.capacities, wind_kw=Fixed(0.0),
                             pv_kw=Fixed(0.0))
     baseline = ScenarioSpec("grid_only", Mode.GRID, CoLocated(config.zone),
                             capacities=baseline_caps)
-    base_report, base_breakdown, _ = _solve_one(baseline, config, dataset,
-                                                out_dir, export_lp)
+    base_report, base_breakdown, _ = run.solve(baseline)
     baseline_block = {"status": base_report.status.value,
                       "lcoh_usd_per_kg": None,
                       "rec_price_band_aud_per_mwh": list(REC_PRICE_BAND_AUD),
@@ -328,13 +290,11 @@ def cmd_sweep_geo(config: RunConfig, sell_zones: list[str],
                                   capacities=config.capacities,
                                   tc_interval=TcInterval.YEARLY))
               for zone in sell_zones]
-    code = _write_sweep("sweep_geo", points,
-                        ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
-                         "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
-                         "c_store_kg"], cells,
-                        {"buy_zone": config.zone, "grid_only_baseline": baseline_block},
-                        config, dataset, out_dir, export_lp)
-    return _STATUS_EXIT[base_report.status] or code
+    run.sweep("sweep_geo", points,
+              ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
+               "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
+               "c_store_kg"], cells,
+              {"buy_zone": config.zone, "grid_only_baseline": baseline_block})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,16 +350,35 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.out_dir = args.out
 
-        if args.command == "solve":
-            return cmd_solve(config, args.scenario, args.export_lp)
-        if args.command == "suite":
-            return cmd_suite(config, args.export_lp)
-        if args.command == "sweep-re":
-            return cmd_sweep_re(config, args.points, args.export_lp)
+        if args.command == "sweep-re" and args.points < 2:
+            raise ValueError("sweep-re needs --points >= 2")
         if args.command == "sweep-geo":
             zones = [z.strip() for z in args.sell_zones.split(",") if z.strip()]
-            return cmd_sweep_geo(config, zones, args.export_lp)
-        raise AssertionError(f"unhandled command {args.command}")
+            if not zones:
+                raise ValueError("sweep-geo needs at least one sell zone")
+            repeated = sorted({z for z in zones if zones.count(z) > 1})
+            if repeated:
+                raise ValueError(f"repeated sell zones {repeated}")
+        dataset = dataset_from_config(config)
+        if args.command == "solve":
+            scenario = resolve_scenario(config, args.scenario)
+        if args.command == "sweep-geo":
+            missing = [z for z in zones if z not in dataset.zones]
+            if missing:
+                raise ValueError(f"unknown sell zones {missing}; dataset has "
+                                 f"{sorted(dataset.zones)}")
+
+        run = _Command(config, dataset, args.export_lp)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "solve":
+            run.solve(scenario)
+        elif args.command == "suite":
+            cmd_suite(run)
+        elif args.command == "sweep-re":
+            cmd_sweep_re(run, args.points)
+        else:
+            cmd_sweep_geo(run, zones)
+        return run.code
     except (ValueError, OSError, KeyError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -229,32 +229,27 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     if export_lp_path is not None:
         # the model whose solve decided the report
         model.write_lp(export_lp_path)
-    if not solution.is_optimal:
-        report = SolutionReport(
-            scenario_name=scenario.name, status=solution.status,
-            message=f"iteration {iterations}: {solution.message}",
-            iterations=iterations, storage_tech=tech,
-            storage_unit_cost_usd_per_kg=u_store, annual_h2_kg=annual_h2,
-            solution=solution)
-        return report, None
-    dispatch = extract_dispatch(solution, pvars)
-    terms = cost_terms(scenario, params, dataset, u_store)
-    grid_cost = float(dispatch.import_kw @ terms.import_price
-                      - dispatch.export_kw @ terms.export_price)
-    annual_om = terms.fom * dispatch.built
-    annual_om[0] += terms.vom   # the electrolyser's variable O&M
-    capex = dict(zip(CAPACITIES, (terms.capital * dispatch.built).tolist()))
-    om = dict(zip(CAPACITIES, annual_om.tolist()))
-    total = sum(capex.values()) + sum(om.values()) + grid_cost
-    breakdown = CostBreakdown(
-        capex_annualized_usd=capex, om_usd=om, grid_electricity_usd=grid_cost,
-        annual_h2_kg=annual_h2, lcoh_usd_per_kg=total / annual_h2)
+    dispatch = breakdown = None
+    if solution.is_optimal:
+        dispatch = extract_dispatch(solution, pvars)
+        terms = cost_terms(scenario, params, dataset, u_store)
+        grid_cost = float(dispatch.import_kw @ terms.import_price
+                          - dispatch.export_kw @ terms.export_price)
+        annual_om = terms.fom * dispatch.built
+        annual_om[0] += terms.vom   # the electrolyser's variable O&M
+        capex = dict(zip(CAPACITIES, (terms.capital * dispatch.built).tolist()))
+        om = dict(zip(CAPACITIES, annual_om.tolist()))
+        total = sum(capex.values()) + sum(om.values()) + grid_cost
+        breakdown = CostBreakdown(
+            capex_annualized_usd=capex, om_usd=om, grid_electricity_usd=grid_cost,
+            annual_h2_kg=annual_h2, lcoh_usd_per_kg=total / annual_h2)
     report = SolutionReport(
-        scenario_name=scenario.name, status=LpStatus.OPTIMAL,
+        scenario_name=scenario.name, status=solution.status,
+        message="" if solution.is_optimal else f"iteration {iterations}: {solution.message}",
         converged=converged, iterations=iterations, storage_tech=tech,
         storage_unit_cost_usd_per_kg=u_store,
-        objective_usd=solution.objective_value, annual_h2_kg=annual_h2,
-        dispatch=dispatch, solution=solution)
+        objective_usd=solution.objective_value if solution.is_optimal else math.nan,
+        annual_h2_kg=annual_h2, dispatch=dispatch, solution=solution)
     return report, breakdown
 
 

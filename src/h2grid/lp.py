@@ -236,7 +236,7 @@ class LpModel:
 
     # -- feasibility --------------------------------------------------
 
-    def check_feasibility(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> list[str]:
+    def check_feasibility(self, x: np.ndarray) -> list[str]:
         """Violations of constraints and bounds at x, scaled per row by
         max(1, |rhs|, max |a_ij x_j|). Empty list means feasible.
 
@@ -244,7 +244,7 @@ class LpModel:
         its threshold is decided again with an exactly rounded sum."""
         x = np.asarray(x, dtype=float)
         lb, ub, sense, rhs, _ = self._arrays()
-        vids, cids, lhs, resid = self._violated(x, tol)
+        vids, cids, lhs, resid = self._violated(x, FEASIBILITY_TOL)
         return [
             f"variable {vid} ({self._var_names[vid]!r}) value {float(x[vid])} outside "
             f"[{float(lb[vid])}, {float(ub[vid])}]" for vid in vids.tolist()

@@ -192,8 +192,14 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
      "scenario 'far': sell_zone 'Z9' not in dataset zones ['Z1']"),
     ({"plant": {"c_ref_wind_kw": 100000}}, ["solve", "--scenario", "flexible"],
      "ref_wind outside [0, 100000] kW"),
+    ({}, ["solve", "--scenario", "mystery"],
+     "unknown scenario 'mystery'; config defines none by that name and built-ins "
+     "are ['offgrid', 'sell_only', 'daily', 'monthly', 'yearly', 'flexible', "
+     "'mef_zero', 'hourly']"),
+    ({"fixture": {"kind": "two-zone-contrast", "seed": 0}},
+     ["sweep-geo", "--sell-zones", "Z2,Z1,Z2"], "repeated sell zones ['Z2']"),
 ], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
-        "wind-above-reference"])
+        "wind-above-reference", "unknown-scenario", "repeated-sell-zone"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
     """Each input is checked before the first output is written."""
     config = write_config(tmp_path, doc)
