@@ -44,8 +44,8 @@ meets (the suite's `sell_only`, started from `offgrid` under the
 were dropped (the suite's matching members), or the point breaks an
 appended row. Dual needed fewer iterations than primal from such a
 basis, and from the seeds whose rows were dropped primal was slower
-even where the point was feasible. Every dual warm run is priced with
-devex (see _WARM_DUAL_OPTIONS). The binding is loaded from its
+even where the point was feasible. Every dual simplex run, cold or
+warm, is priced with devex (see linprog). The binding is loaded from its
 extension file inside the installed scipy package, and the matrices are
 plain numpy arrays, so no scipy module is imported; a scipy without
 that file raises a named ImportError, as there is no other solver path.
@@ -74,20 +74,18 @@ FEASIBILITY_TOL = 1e-6
 # absolute). check_feasibility holds the point to 1e-6 of
 # max(1, |rhs|, max |a_ij x_j|) per row, ten times looser or more, so a
 # point HiGHS calls feasible passes with headroom; the check stays the
-# one test a point must pass. The option sets hold HiGHS's own values.
-# A cold run uses presolve.
+# one test a point must pass. The option sets hold HiGHS's own values and
+# differ only in presolve and simplex variant: linprog prices every dual
+# run with devex, not HiGHS's default dual steepest edge. Steepest edge
+# first computes exact edge weights for any basis but the slack basis; at
+# T=8760 the clean-up after postsolve on the original LP took 43 of a
+# 54.5 s cold run with it (53 iterations) and 0.20 s with devex, and the
+# seeded warm runs of two T=840 suites 0.63-0.84 s in all against 0.25 s.
 _STOCK_OPTIONS = {"presolve": "on"}
 # warm starts skip presolve, which would discard the basis; LpModel._start
-# picks primal or dual simplex from the data. Every dual warm run is priced
-# with devex: on two T=840 suites the four members seeded from another
-# model's basis took 0.25 s in all with it, 0.63-0.84 s with HiGHS's
-# default dual pricing (steepest edge) and 0.46-0.53 s with primal
-# simplex, for similar iteration counts; the likely cost of steepest edge
-# is the exact edge weights it first computes for a starting basis other
-# than the slack basis.
+# picks primal or dual simplex from the data
 _WARM_OPTIONS = {"presolve": "off", "simplex_strategy": 4}
-_WARM_DUAL_OPTIONS = {"presolve": "off", "simplex_strategy": 1,
-                      "simplex_dual_edge_weight_strategy": 1}
+_WARM_DUAL_OPTIONS = {"presolve": "off", "simplex_strategy": 1}
 
 
 class Sense(IntEnum):
@@ -306,8 +304,9 @@ class LpModel:
         simplex when no row of warm's model is dropped and warm's point
         is feasible here (only costs moved, or only rows the point meets
         were appended: the basis is primal feasible and primal simplex
-        finishes from it), else dual simplex priced with devex (bounds
-        moved, rows were dropped, or an appended row is broken)."""
+        finishes from it), else dual simplex (bounds moved, rows were
+        dropped, or an appended row is broken). Every dual run, cold or
+        warm, is priced with devex."""
         cols, coefs, constant = self._obj
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
@@ -489,9 +488,7 @@ def _load_highs():
 def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> SolverResult:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
     bounds (lower, upper), with HiGHS simplex under these HiGHS options
-    (presolve "on" or "off"; simplex_strategy 4 selects primal simplex,
-    and simplex_dual_edge_weight_strategy 1 prices dual simplex with
-    devex).
+    (presolve "on" or "off"; simplex_strategy 4 selects primal simplex).
     A_ub is a CsrMatrix (or anything with the same indptr, indices, data
     and shape), loaded by rows: HiGHS row i is its row i. One array call
     loads the model, and HiGHS copies the arrays (indptr and indices as
@@ -502,12 +499,13 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> 
     from an earlier result of a model of the same shape, is the starting
     basis. Dual simplex is the default: deterministic, and its vertex
     solutions resolve degenerate ties such as simultaneous import and
-    export."""
+    export. Every run prices dual simplex with devex
+    (simplex_dual_edge_weight_strategy 1)."""
     core = _load_highs()
     m, n = A_ub.shape
     highs_options = core.HighsOptions()
     settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
-                "simplex_strategy": 1, **options}
+                "simplex_strategy": 1, "simplex_dual_edge_weight_strategy": 1, **options}
     for key, value in settings.items():
         setattr(highs_options, key, value)
     solver = core._Highs()

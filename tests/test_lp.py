@@ -529,7 +529,6 @@ class TestBackend:
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
         assert options[0] == lp._WARM_DUAL_OPTIONS
-        assert options[0]["simplex_dual_edge_weight_strategy"] == 1
         # the new row is the model's last row, and HiGHS's
         rows = bases[0].row_status
         assert rows[-1] == lp._load_highs().HighsBasisStatus.kBasic
@@ -537,6 +536,32 @@ class TestBackend:
         assert bases[0].col_status == seed.basis.col_status
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
+
+    def test_every_run_prices_dual_simplex_with_devex(self, monkeypatch):
+        """One pricing rule: the cold run, a warm primal run and a warm
+        dual run each reach HiGHS with simplex_dual_edge_weight_strategy
+        1 (devex), and the option sets differ only in presolve and
+        simplex variant."""
+        core, runs = lp._load_highs(), []
+
+        class Recording(core._Highs):
+            def run(self):
+                got = self.getOptions()
+                runs.append((got.presolve, got.simplex_strategy,
+                             got.simplex_dual_edge_weight_strategy))
+                return super().run()
+
+        monkeypatch.setattr(core, "_Highs", Recording)
+        seed = golden_model("split_yearly").solve()                 # cold
+        model, pvars = golden_variant("split_yearly")
+        assert model.solve(warm=seed).is_optimal                     # warm primal
+        # the seed's point breaks this row, so the warm run is dual
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv), [0],
+                       [pvars.c_pv], [1.0])
+        assert model.solve(warm=seed).is_optimal                     # warm dual
+        assert runs == [("on", 1, 1), ("off", 4, 1), ("off", 1, 1)]
+        assert set().union(lp._STOCK_OPTIONS, lp._WARM_OPTIONS, lp._WARM_DUAL_OPTIONS) == {
+            "presolve", "simplex_strategy"}
 
     def test_seed_of_a_model_without_rows_starts_every_row_basic(self, monkeypatch):
         m = LpModel()
