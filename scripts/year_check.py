@@ -16,6 +16,7 @@ compare_runs.py's tolerances: every status the same; LCOH, capacities
 and `ei_*` within 1e-9 relative, a value under 1e-7 counting as zero;
 and storage iterations equal, since a moved count is another solve
 path. It prints each mismatch and exits 1 if there is any, else 0.
+With either flag it prints the wall time of each command as it ends.
 
 A run takes a few minutes and about 0.4 GB of memory, so it is not part
 of the tests or of CI. Run it from the repository root with src/ on
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from compare_runs import compare
@@ -83,7 +85,9 @@ def run_year(out: Path) -> dict:
         config.write_text(json.dumps({"horizon": HORIZON,
                                       "fixture": {"kind": kind, "seed": SEED}}) + "\n")
         print(f"h2grid {' '.join(argv)} ({kind}, seed {SEED}, T={HORIZON})", flush=True)
+        start = time.perf_counter()
         h2grid([*argv, "--config", str(config), "--out", str(out / directory)])
+        print(f"h2grid {argv[0]}: {time.perf_counter() - start:.2f} s", flush=True)
     return summarize(out)
 
 

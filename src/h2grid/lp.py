@@ -32,23 +32,16 @@ name (`LpSolution.model_rows`): a row both models have keeps its status,
 a row only this model has starts basic, its slack taking up the new
 constraint, and a row only the earlier model had is dropped. HiGHS
 factors that basis as an alien one and completes it where dropped
-binding rows left too many basic variables. The data then picks the
-simplex variant that starts there. Primal simplex when no row of the
-earlier model is dropped and its point passes this model's
-`check_feasibility`: the basis, with any new slacks basic, is primal
-feasible. That covers re-solves where only costs moved (storage pricing;
-a few primal iterations finish, where dual from the same basis took
-longer than a cold solve) and a model that only appends rows its seed
-meets (the suite's `sell_only`, started from `offgrid` under the
-`capex_cap` row). Else dual simplex: bounds moved (sweep points), rows
-were dropped (the suite's matching members), or the point breaks an
-appended row. Dual needed fewer iterations than primal from such a
-basis, and from the seeds whose rows were dropped primal was slower
-even where the point was feasible. Every dual simplex run, cold or
-warm, is priced with devex (see linprog). The binding is loaded from its
-extension file inside the installed scipy package, and the matrices are
-plain numpy arrays, so no scipy module is imported; a scipy without
-that file raises a named ImportError, as there is no other solver path.
+binding rows left too many basic variables. HiGHS picks the simplex
+variant of every run from the basis it starts at: primal simplex when
+that basis is primal feasible (as when only costs moved), else dual (as
+when bounds moved, between sweep points, or when a storage-pricing
+re-solve moves the storage coefficient of a binding `capex_cap` row).
+Every dual run, cold or warm, is priced with devex (see linprog). The
+binding is loaded from its extension file inside the installed scipy
+package, and the matrices are plain numpy arrays, so no scipy module is
+imported; a scipy without that file raises a named ImportError, as
+there is no other solver path.
 """
 
 from __future__ import annotations
@@ -69,23 +62,6 @@ import numpy as np
 VarId = int
 
 FEASIBILITY_TOL = 1e-6
-
-# Every HiGHS run keeps HiGHS's stock feasibility tolerances (1e-7,
-# absolute). check_feasibility holds the point to 1e-6 of
-# max(1, |rhs|, max |a_ij x_j|) per row, ten times looser or more, so a
-# point HiGHS calls feasible passes with headroom; the check stays the
-# one test a point must pass. The option sets hold HiGHS's own values and
-# differ only in presolve and simplex variant: linprog prices every dual
-# run with devex, not HiGHS's default dual steepest edge. Steepest edge
-# first computes exact edge weights for any basis but the slack basis; at
-# T=8760 the clean-up after postsolve on the original LP took 43 of a
-# 54.5 s cold run with it (53 iterations) and 0.20 s with devex, and the
-# seeded warm runs of two T=840 suites 0.63-0.84 s in all against 0.25 s.
-_STOCK_OPTIONS = {"presolve": "on"}
-# warm starts skip presolve, which would discard the basis; LpModel._start
-# picks primal or dual simplex from the data
-_WARM_OPTIONS = {"presolve": "off", "simplex_strategy": 4}
-_WARM_DUAL_OPTIONS = {"presolve": "off", "simplex_strategy": 1}
 
 
 class Sense(IntEnum):
@@ -278,13 +254,6 @@ class LpModel:
         bad = resid > limit[near]
         return vids, near[bad], lhs[bad], resid[bad]
 
-    def _feasible(self, x) -> bool:
-        """Whether x, if it has one value per variable, passes
-        check_feasibility."""
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.num_variables,) and not any(
-            a.size for a in self._violated(x, FEASIBILITY_TOL)[:2])
-
     # -- solving ------------------------------------------------------
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
@@ -300,13 +269,8 @@ class LpModel:
         sweep points) warm's basis is passed on as it is. With other rows
         (as between suite members) it is matched by row name: rows only
         this model has start basic, rows only warm's model had are
-        dropped, and HiGHS completes the basis. The warm run is primal
-        simplex when no row of warm's model is dropped and warm's point
-        is feasible here (only costs moved, or only rows the point meets
-        were appended: the basis is primal feasible and primal simplex
-        finishes from it), else dual simplex (bounds moved, rows were
-        dropped, or an appended row is broken). Every dual run, cold or
-        warm, is priced with devex."""
+        dropped, and HiGHS completes the basis. HiGHS runs primal simplex
+        from a primal feasible basis, else dual (see linprog)."""
         cols, coefs, constant = self._obj
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
@@ -315,12 +279,11 @@ class LpModel:
                        b_ub=np.where(sense == Sense.GE, math.inf, rhs), bounds=(lb, ub))
         names = tuple(self._row_names)
         res = None
-        start = self._start(warm, names)
-        if start is not None:
-            basis, options = start
-            res = linprog(c, **problem, options=options, basis=basis)
+        basis = self._start(warm, names)
+        if basis is not None:
+            res = linprog(c, **problem, basis=basis)
         if res is None or res.status is not LpStatus.OPTIMAL:
-            res = linprog(c, **problem, options=_STOCK_OPTIONS)
+            res = linprog(c, **problem)
         if res.status is not LpStatus.OPTIMAL:
             return LpSolution(res.status, math.nan, None, res.message)
 
@@ -334,20 +297,16 @@ class LpModel:
                           res.message, res.basis, names)
 
     def _start(self, warm: LpSolution | None, names: tuple):
-        """The basis and the options warm starts this model, whose row
-        names are names, with (see solve), or None."""
+        """The basis warm starts this model, whose row names are names,
+        from (see solve), or None."""
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
-        same = warm.model_rows == names
-        kept = same or set(warm.model_rows).issubset(names)
-        options = _WARM_OPTIONS if kept and self._feasible(warm.values) else _WARM_DUAL_OPTIONS
-        if same:
-            return warm.basis, options
+        if warm.model_rows == names:
+            return warm.basis
         # each access to a status list converts all of it, so read it once
         rows = dict(zip(warm.model_rows, warm.basis.row_status))
         basic = _load_highs().HighsBasisStatus.kBasic
-        return _highs_basis(warm.basis.col_status,
-                            [rows.get(name, basic) for name in names]), options
+        return _highs_basis(warm.basis.col_status, [rows.get(name, basic) for name in names])
 
     # -- export -------------------------------------------------------
 
@@ -485,27 +444,35 @@ def _load_highs():
 # by wrapping this module attribute by name; it reads c (the first
 # positional argument), the shape[0] and nnz of the A_ub keyword (the
 # whole ranged matrix) and the result's nit.
-def linprog(c, A_ub, b_lb, b_ub, bounds, options=_STOCK_OPTIONS, basis=None) -> SolverResult:
+def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> SolverResult:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
-    bounds (lower, upper), with HiGHS simplex under these HiGHS options
-    (presolve "on" or "off"; simplex_strategy 4 selects primal simplex).
+    bounds (lower, upper), with HiGHS simplex. basis, from an earlier
+    result of a model of the same shape, starts a warm run without
+    presolve, which would discard it; a run without one is cold, with
+    presolve. HiGHS picks the variant from the basis it starts at
+    (simplex_strategy 0): primal simplex when that basis is primal
+    feasible, else dual. Every dual run is priced with devex
+    (simplex_dual_edge_weight_strategy 1), not HiGHS's default dual
+    steepest edge, which first computes exact edge weights for any basis
+    but the slack basis: at T=8760 the clean-up after postsolve on the
+    original LP took 43 of a 54.5 s cold run with it (53 iterations) and
+    0.20 s with devex, and the seeded warm runs of two T=840 suites
+    0.63-0.84 s in all against 0.25 s. Every other option is HiGHS's
+    own, its feasibility tolerances (1e-7) included.
+
     A_ub is a CsrMatrix (or anything with the same indptr, indices, data
     and shape), loaded by rows: HiGHS row i is its row i. One array call
     loads the model, and HiGHS copies the arrays (indptr and indices as
     int32, HiGHS's HighsInt). A load that warns, as when HiGHS drops
     entries of |a| <= 1e-9, is not an error; a load error (an index out
     of range, a repeated entry, an array whose length does not match the
-    shape) is a SOLVER_FAILURE with the message "Model error". basis,
-    from an earlier result of a model of the same shape, is the starting
-    basis. Dual simplex is the default: deterministic, and its vertex
-    solutions resolve degenerate ties such as simultaneous import and
-    export. Every run prices dual simplex with devex
-    (simplex_dual_edge_weight_strategy 1)."""
+    shape) is a SOLVER_FAILURE with the message "Model error"."""
     core = _load_highs()
     m, n = A_ub.shape
     highs_options = core.HighsOptions()
     settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
-                "simplex_strategy": 1, "simplex_dual_edge_weight_strategy": 1, **options}
+                "presolve": "on" if basis is None else "off", "simplex_strategy": 0,
+                "simplex_dual_edge_weight_strategy": 1}
     for key, value in settings.items():
         setattr(highs_options, key, value)
     solver = core._Highs()

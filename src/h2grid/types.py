@@ -250,6 +250,9 @@ class ScenarioSpec:
                 raise ValueError("off-grid scenario cannot split zones")
             if self.ei_mef_cap is not None:
                 raise ValueError("off-grid scenario cannot carry an emission-intensity cap")
+        if self.mode is Mode.SELL_ONLY and isinstance(self.geo, Split):
+            raise ValueError("sell-only scenario cannot split zones: the plant's only "
+                             "supply would be imports, which sell-only bars")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Shared fixtures: synthetic week-long datasets and solved scenarios
 that several test modules reuse. Session-scoped because solves are the
 expensive part of the suite. Also the helpers several modules import:
-`constant_series`, `read_back`, `recording_backend`, `grid_only_scenario`."""
+`constant_series`, `read_back`, `recording_backend`, `recording_highs`,
+`grid_only_scenario`."""
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -90,25 +92,61 @@ def contrast_week():
     return synth_fixture("two-zone-contrast", horizon=WEEK, seed=0)
 
 
-def recording_backend(monkeypatch, replace=None, options=None, bases=None):
+def recording_backend(monkeypatch, replace=None, bases=None):
     """Patch lp.linprog to record (warm?, result) per call, and each
-    call's solver options in the list options and starting basis in the
-    list bases when they are given; replace(basis) may return a result
-    to use instead of the real run."""
+    call's starting basis in the list bases when it is given;
+    replace(basis) may return a result to use instead of the real run."""
     calls, inner = [], lp.linprog
 
     def backend(c, basis=None, **kwargs):
         res = replace(basis) if replace is not None else None
         res = res if res is not None else inner(c, basis=basis, **kwargs)
         calls.append((basis is not None, res))
-        if options is not None:
-            options.append(kwargs["options"])
         if bases is not None:
             bases.append(basis)
         return res
 
     monkeypatch.setattr(lp, "linprog", backend)
     return calls
+
+
+class HighsRun(NamedTuple):
+    """One HiGHS run: the options linprog gave it, the simplex variant of
+    each "Using EKK ... simplex solver" line of its log ("primal" or
+    "dual"; none when the run starts optimal), and its iterations."""
+
+    presolve: str
+    simplex_strategy: int
+    edge_weights: int  # simplex_dual_edge_weight_strategy
+    variants: tuple
+    iterations: int
+
+    @property
+    def options(self) -> tuple:
+        return self.presolve, self.simplex_strategy, self.edge_weights
+
+
+def recording_highs(monkeypatch, log_dir):
+    """Patch HiGHS's solver class to record one HighsRun per run, in run
+    order; each run logs to its own file in log_dir."""
+    core, runs = lp._load_highs(), []
+
+    class Recording(core._Highs):
+        def run(self):
+            got = self.getOptions()
+            options = (got.presolve, got.simplex_strategy,
+                       got.simplex_dual_edge_weight_strategy)
+            log = log_dir / f"highs_{len(runs)}.log"
+            self.setOptionValue("log_file", str(log))
+            self.setOptionValue("output_flag", True)
+            status = super().run()
+            variants = re.findall(r"Using EKK (primal|dual) simplex solver", log.read_text())
+            runs.append(HighsRun(*options, tuple(variants),
+                                 self.getInfo().simplex_iteration_count))
+            return status
+
+    monkeypatch.setattr(core, "_Highs", Recording)
+    return runs
 
 
 def grid_only_scenario(name="grid_only"):

@@ -198,8 +198,14 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
      "'mef_zero', 'hourly']"),
     ({"fixture": {"kind": "two-zone-contrast", "seed": 0}},
      ["sweep-geo", "--sell-zones", "Z2,Z1,Z2"], "repeated sell zones ['Z2']"),
+    ({"fixture": {"kind": "two-zone-contrast", "seed": 2},
+      "scenarios": [{"name": "sell_split", "mode": "sell_only", "sell_zone": "Z2"}]},
+     ["solve", "--scenario", "sell_split"],
+     "{config}: scenario 'sell_split': sell-only scenario cannot split zones: the "
+     "plant's only supply would be imports, which sell-only bars"),
 ], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
-        "wind-above-reference", "unknown-scenario", "repeated-sell-zone"])
+        "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
+        "sell-only-split"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
     """Each input is checked before the first output is written."""
     config = write_config(tmp_path, doc)

@@ -44,7 +44,8 @@ from h2grid.types import (
     Unit,
 )
 
-from conftest import constant_series, grid_only_scenario, read_back, recording_backend
+from conftest import (constant_series, grid_only_scenario, read_back, recording_backend,
+                      recording_highs)
 from test_cli import write_config
 
 CRF_6_25 = 0.07822671821227395
@@ -367,16 +368,20 @@ def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0,
     assert verify_conservation(report.dispatch, params.load_kg_per_h) == []
 
 
-def recorded_command(monkeypatch, argv):
+def recorded_command(monkeypatch, tmp_path, argv):
     """Run the CLI command argv. Returns, per optimize_plant call, the
     scenario, params, dataset, report and breakdown, with the index of
-    its first linprog call in calls; calls and options, as recorded by
-    recording_backend; and the number of linprog calls of each
-    LpModel.solve."""
-    solves, options, runs = [], [], []
+    its first linprog call in calls; calls, as recorded by
+    recording_backend, and the HiGHS run of each call, as recorded by
+    recording_highs with its logs in tmp_path; and the number of linprog
+    calls of each LpModel.solve."""
+    solves, runs = [], []
     solve_plant, solve_model = cli.optimize_plant, LpModel.solve
+    logs = tmp_path / "highs_logs"
+    logs.mkdir()
     with monkeypatch.context() as mp:
-        calls = recording_backend(mp, options=options)
+        calls = recording_backend(mp)
+        highs = recording_highs(mp, logs)
 
         def counted(model, warm=None):
             first = len(calls)
@@ -394,53 +399,69 @@ def recorded_command(monkeypatch, argv):
 
         mp.setattr(cli, "optimize_plant", recorded)
         code = cli.main(argv)
-    return code, solves, calls, options, runs
+    assert [r.nit for _, r in calls] == [r.iterations for r in highs]
+    return code, solves, calls, highs, runs
+
+
+def assert_run_options(calls, highs):
+    """Every cold run has presolve on and every warm run presolve off;
+    every run leaves the simplex variant to HiGHS (simplex_strategy 0)
+    and prices dual simplex with devex."""
+    assert [r.options for r in highs] == [("off" if warm else "on", 0, 1)
+                                          for warm, _ in calls]
 
 
 def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
-    """Each sweep-re point after the first starts dual simplex from the
-    final basis of the point before; its report is the cold solve's.
-    Every LpModel.solve ends on its first HiGHS run."""
+    """Each sweep-re point after the first starts from the final basis
+    of the point before, which its moved bounds leave primal infeasible,
+    so HiGHS runs dual simplex; its report is the cold solve's. Every
+    LpModel.solve ends on its first HiGHS run."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
-    code, points, calls, options, runs = recorded_command(
-        monkeypatch, ["sweep-re", "--config", str(config), "--points", "5"])
+    code, points, calls, highs, runs = recorded_command(
+        monkeypatch, tmp_path, ["sweep-re", "--config", str(config), "--points", "5"])
     assert code == 0
     assert runs and set(runs) == {1}
+    assert_run_options(calls, highs)
     assert [p[0].name for p in points] == ["offgrid"] + [f"re_00{i}" for i in range(5)]
     for k, (scenario, params, dataset, first, report, breakdown) in enumerate(points):
         # the offgrid baseline and the first point are cold
         assert calls[first][0] is (k >= 2)
         if k >= 2:
-            assert options[first]["simplex_strategy"] == 1
+            assert highs[first].variants == ("dual",)
         assert_matches_cold(scenario, params, dataset, report, breakdown)
 
 
 def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
-    """sell_only starts primal simplex from offgrid's final basis, at the
-    storage price offgrid converged on; monthly, yearly and flexible
-    start dual simplex from daily's final basis, mef_zero from
-    flexible's. Each report is the cold solve's of the same capped
-    scenario at the same first price. offgrid and daily solve cold, and
-    the members are solved and reported in SUITE_ORDER. Every
-    LpModel.solve ends on its first HiGHS run."""
+    """sell_only starts from offgrid's final basis, at the storage price
+    offgrid converged on, and HiGHS runs primal simplex from it;
+    monthly, yearly and flexible start from daily's final basis,
+    mef_zero from flexible's, and HiGHS runs dual simplex from each.
+    Each report is the cold solve's of the same capped scenario at the
+    same first price. offgrid and daily solve cold, and their storage
+    re-solves start optimal. The members are solved and reported in
+    SUITE_ORDER. Every LpModel.solve ends on its first HiGHS run."""
     config = write_config(tmp_path, {"horizon": 168,
                                      "fixture": {"kind": "random-walk", "seed": 2}})
-    code, members, calls, options, runs = recorded_command(
-        monkeypatch, ["suite", "--config", str(config)])
+    code, members, calls, highs, runs = recorded_command(
+        monkeypatch, tmp_path, ["suite", "--config", str(config)])
     assert code == 0
     assert runs and set(runs) == {1}
+    assert_run_options(calls, highs)
     assert [m[0].name for m in members] == cli.SUITE_ORDER
     assert all(m[4].is_optimal for m in members)
     out = capsys.readouterr()
     assert [line.split(":")[0] for line in out.out.splitlines()] == cli.SUITE_ORDER
     offgrid = members[0][4]
-    for scenario, params, dataset, first, report, breakdown in members:
+    ends = [m[3] for m in members[1:]] + [len(calls)]
+    for (scenario, params, dataset, first, report, breakdown), end in zip(members, ends):
         seeded = scenario.name not in ("offgrid", "daily")
         assert calls[first][0] is seeded, scenario.name
         if seeded:
-            primal = scenario.name == "sell_only"
-            assert options[first] == (lp._WARM_OPTIONS if primal else lp._WARM_DUAL_OPTIONS)
+            variant = "primal" if scenario.name == "sell_only" else "dual"
+            assert highs[first].variants == (variant,), scenario.name
+        else:
+            assert end - first >= 2 and all(r.iterations == 0 for r in highs[first + 1:end])
         assert (scenario.capex_cap_usd is None) is (scenario.name == "offgrid")
         price = None
         if scenario.name == "sell_only":
@@ -459,7 +480,8 @@ def test_suite_relaxations_are_monotone(tmp_path, monkeypatch, horizon, seed):
     flexible, within 1e-9 relative."""
     config = write_config(tmp_path, {"horizon": horizon,
                                      "fixture": {"kind": "random-walk", "seed": seed}})
-    code, members, *_ = recorded_command(monkeypatch, ["suite", "--config", str(config)])
+    code, members, *_ = recorded_command(monkeypatch, tmp_path,
+                                         ["suite", "--config", str(config)])
     assert [(m[0].name, m[4].status) for m in members] == [
         (name, lp.LpStatus.OPTIMAL) for name in cli.SUITE_ORDER]
     assert code == 0

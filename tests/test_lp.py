@@ -29,7 +29,7 @@ from h2grid.lp import (
 )
 from h2grid.plant import add_hourly_rows
 from h2grid.types import Fixed, PlantParameters
-from conftest import read_back, recording_backend
+from conftest import read_back, recording_backend, recording_highs
 from test_cli import write_config
 from test_golden_lp import CASES as GOLDEN_CASES
 
@@ -311,6 +311,12 @@ def golden_variant(name: str, storage_kg: float = 5000.0, **capacities):
                                 storage_unit_cost(storage_kg, tech), tech)
 
 
+def scale_cost(model: LpModel, vid, factor: float) -> None:
+    """Scale the objective coefficient of variable vid by factor."""
+    cols, coefs, constant = model._obj
+    model.set_objective(cols, np.where(cols == vid, factor * coefs, coefs), constant)
+
+
 def public_linprog_input(model: LpModel):
     """model, read back, in scipy.optimize.linprog's layout: GE rows
     negated into A_ub, EQ rows in A_eq. Returns c, the other linprog
@@ -331,6 +337,11 @@ def public_linprog_input(model: LpModel):
     c = np.zeros(n)
     c[list(view.objective)] = list(view.objective.values())
     return c, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=view.bounds), view.constant
+
+
+# the presolve, simplex_strategy and simplex_dual_edge_weight_strategy
+# options of every cold and every warm HiGHS run
+COLD, WARM = ("on", 0, 1), ("off", 0, 1)
 
 
 # scipy.optimize.linprog's status codes as verdicts
@@ -355,21 +366,19 @@ class TestBackend:
         assert got.objective_value == pytest.approx(ref.fun + constant, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
-    @pytest.mark.parametrize("options", ["_STOCK_OPTIONS"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_cold_run_matches_public_linprog(self, name, options):
-        """A cold backend run on the model's own rows, under the cold
-        run's option set, reaches the verdict scipy's public linprog
-        reaches with presolve; where both are optimal the objectives agree
-        within 1e-9 and our point passes check_feasibility."""
+    def test_cold_run_matches_public_linprog(self, name):
+        """A cold backend run (one without a basis) on the model's own
+        rows reaches the verdict scipy's public linprog reaches with
+        presolve; where both are optimal the objectives agree within 1e-9
+        and our point passes check_feasibility."""
         model = golden_model(name)
         lb, ub, sense, rhs, A = model._arrays()
         c, public, _ = public_linprog_input(model)
-        opts = getattr(lp, options)
         got = lp.linprog(c, A, np.where(sense == Sense.LE, -math.inf, rhs),
-                         np.where(sense == Sense.GE, math.inf, rhs), (lb, ub), options=opts)
+                         np.where(sense == Sense.GE, math.inf, rhs), (lb, ub))
         ref = scipy.optimize.linprog(c, **public, method="highs-ds",
-                                     options={"presolve": opts["presolve"] == "on"})
+                                     options={"presolve": True})
         assert got.status is _PUBLIC_STATUS[ref.status]
         if got.status is not LpStatus.OPTIMAL:
             assert got.x is None
@@ -499,24 +508,26 @@ class TestBackend:
         assert [(w, r.status) for w, r in calls] == [(False, LpStatus.OPTIMAL)]
         assert got.values.tobytes() == model.solve().values.tobytes()
 
-    def test_basis_of_other_rows_starts_warm_by_name(self, monkeypatch):
+    def test_basis_of_other_rows_starts_warm_by_name(self, monkeypatch, tmp_path):
         """The two-bus model lacks the co-located model's balance rows and
-        adds its own: the rows both have keep the seed's status, and the
-        run ends at the cold optimum's cost."""
+        adds its own: the rows both have keep the seed's status, HiGHS
+        runs dual simplex from that basis, and the run ends at the cold
+        optimum's cost."""
         other = golden_model("offgrid_night").solve()
         model = golden_model("split_yearly")
         cold = model.solve()
-        options = []
-        calls = recording_backend(monkeypatch, options=options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=other)
         assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-        assert options[0] == lp._WARM_DUAL_OPTIONS
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("dual",))]
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
-    def test_added_row_starts_warm_and_basic(self, monkeypatch):
+    def test_added_row_starts_warm_and_basic(self, monkeypatch, tmp_path):
         """A model with the seed's rows plus one, matched by name, starts
-        from the seed's basis, and the added row starts basic."""
+        from the seed's basis, and the added row starts basic. The seed's
+        point breaks that row, so HiGHS runs dual simplex."""
         seed = golden_model("split_yearly").solve()
         model, pvars = golden_variant("split_yearly")
         # half the seed's PV: the seed's point breaks the new row
@@ -524,11 +535,12 @@ class TestBackend:
                        [pvars.c_pv], [1.0])
         assert model.check_feasibility(seed.values)
         cold = model.solve()
-        options, bases = [], []
-        calls = recording_backend(monkeypatch, options=options, bases=bases)
+        bases = []
+        calls = recording_backend(monkeypatch, bases=bases)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
-        assert options[0] == lp._WARM_DUAL_OPTIONS
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("dual",))]
         # the new row is the model's last row, and HiGHS's
         rows = bases[0].row_status
         assert rows[-1] == lp._load_highs().HighsBasisStatus.kBasic
@@ -537,31 +549,22 @@ class TestBackend:
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
-    def test_every_run_prices_dual_simplex_with_devex(self, monkeypatch):
+    def test_every_run_prices_dual_simplex_with_devex(self, monkeypatch, tmp_path):
         """One pricing rule: the cold run, a warm primal run and a warm
         dual run each reach HiGHS with simplex_dual_edge_weight_strategy
-        1 (devex), and the option sets differ only in presolve and
-        simplex variant."""
-        core, runs = lp._load_highs(), []
-
-        class Recording(core._Highs):
-            def run(self):
-                got = self.getOptions()
-                runs.append((got.presolve, got.simplex_strategy,
-                             got.simplex_dual_edge_weight_strategy))
-                return super().run()
-
-        monkeypatch.setattr(core, "_Highs", Recording)
+        1 (devex) and simplex_strategy 0, which leaves the variant to
+        HiGHS; only presolve differs, on for the cold run alone."""
+        runs = recording_highs(monkeypatch, tmp_path)
         seed = golden_model("split_yearly").solve()                 # cold
         model, pvars = golden_variant("split_yearly")
+        scale_cost(model, pvars.c_pv, 2.0)
         assert model.solve(warm=seed).is_optimal                     # warm primal
         # the seed's point breaks this row, so the warm run is dual
         model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv), [0],
                        [pvars.c_pv], [1.0])
         assert model.solve(warm=seed).is_optimal                     # warm dual
-        assert runs == [("on", 1, 1), ("off", 4, 1), ("off", 1, 1)]
-        assert set().union(lp._STOCK_OPTIONS, lp._WARM_OPTIONS, lp._WARM_DUAL_OPTIONS) == {
-            "presolve", "simplex_strategy"}
+        assert [r.options for r in runs] == [COLD, WARM, WARM]
+        assert [r.variants[:1] for r in runs] == [("dual",), ("primal",), ("dual",)]
 
     def test_seed_of_a_model_without_rows_starts_every_row_basic(self, monkeypatch):
         m = LpModel()
@@ -576,11 +579,13 @@ class TestBackend:
         assert bases[0].row_status == [lp._load_highs().HighsBasisStatus.kBasic]
         assert got.values.tolist() == [1.0]
 
-    def test_seed_with_a_binding_row_this_model_lacks_starts_warm(self, monkeypatch):
+    def test_seed_with_a_binding_row_this_model_lacks_starts_warm(self, monkeypatch,
+                                                                  tmp_path):
         """The seed's model has one more row, binding at its optimum, so
         its basis has one basic variable too many here: the kept rows
-        keep their status, HiGHS completes the basis, and the run ends at
-        the cold optimum's cost."""
+        keep their status, HiGHS completes the basis, runs primal simplex
+        from it (the seed's point meets every row here), and the run ends
+        at the cold optimum's cost."""
         model, pvars = golden_variant("split_yearly")
         free = model.solve()
         model.add_rows(["pv_half"], Sense.LE, 0.5 * free.value(pvars.c_pv), [0],
@@ -588,11 +593,13 @@ class TestBackend:
         seed = model.solve()
         plain = golden_model("split_yearly")
         assert seed.is_optimal and plain.check_feasibility(seed.values) == []
-        options, bases = [], []
-        calls = recording_backend(monkeypatch, options=options, bases=bases)
+        bases = []
+        calls = recording_backend(monkeypatch, bases=bases)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = plain.solve(warm=seed)
         assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-        assert options[0] == lp._WARM_DUAL_OPTIONS and bases[0].alien
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("primal",))]
+        assert bases[0].alien
         # the dropped row is the seed model's last row, and HiGHS's
         rows = seed.basis.row_status
         assert rows[-1] != lp._load_highs().HighsBasisStatus.kBasic
@@ -653,46 +660,53 @@ class TestBackend:
         assert [rows[i] for i in shared] == [seed_rows[names[i]] for i in shared]
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
-    def test_cost_change_starts_primal(self, monkeypatch):
+    def test_cost_change_starts_primal(self, monkeypatch, tmp_path):
+        """Only costs moved (PV capacity costs twice as much), so the
+        seed's basis is primal feasible and HiGHS runs primal simplex from
+        it to the cold optimum."""
         seed = golden_model("offgrid_night").solve()
-        model, _ = golden_variant("offgrid_night", storage_kg=20000.0)
+        model, pvars = golden_variant("offgrid_night")
+        scale_cost(model, pvars.c_pv, 2.0)
         cold = model.solve()
-        options = []
-        calls = recording_backend(monkeypatch, options=options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True]
-        assert options[0]["simplex_strategy"] == 4 and options[0]["presolve"] == "off"
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("primal",))]
+        assert runs[0].iterations > 0
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
-    def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch):
+    def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
         model, _ = golden_variant("offgrid_night",
                                   electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
         assert model.check_feasibility(seed.values)
         cold = model.solve()
-        options = []
-        calls = recording_backend(monkeypatch, options=options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         golden_model("split_yearly").solve(warm=seed)  # other rows: a seed by name
         assert [w for w, _ in calls] == [True, True]
-        assert options[0]["simplex_strategy"] == 1 and options[0]["presolve"] == "off"
-        # the same-rows dual start gets the very options a seed by name gets
-        assert options[0] is options[1] is lp._WARM_DUAL_OPTIONS
+        # the same-rows start gets the very options a seed by name gets
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("dual",))] * 2
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert model.check_feasibility(got.values) == []
 
+    # options: the warm run's options and the variants its log names
     @pytest.mark.parametrize("rows, options", [
-        (["cover", "gap", "x_cap"], lp._WARM_OPTIONS),   # seed's rows, one appended
-        (["x_cap", "cover", "gap"], lp._WARM_OPTIONS),   # seed's rows, not a prefix
-        (["cover", "x_cap"], lp._WARM_DUAL_OPTIONS),     # seed's gap row dropped
-        (["cover", "gap", "x_low"], lp._WARM_DUAL_OPTIONS),  # seed's point breaks x_low
+        (["cover", "gap", "x_cap"], (WARM, ("primal",))),   # seed's rows, one appended
+        (["x_cap", "cover", "gap"], (WARM, ("primal",))),   # seed's rows, not a prefix
+        (["cover", "x_cap"], (WARM, ("primal",))),          # seed's gap row dropped
+        (["cover", "gap", "x_low"], (WARM, ("dual",))),     # seed's point breaks x_low
     ])
-    def test_appended_rows_the_seed_meets_start_primal(self, monkeypatch, rows, options):
-        """A model that keeps every row of the seed's model, where the
-        seed's point is feasible, starts primal simplex from the seed's
-        basis, and that first run ends optimal; a dropped row, or an
-        appended row the point breaks, starts dual."""
+    def test_appended_rows_the_seed_meets_start_primal(self, monkeypatch, tmp_path, rows,
+                                                       options):
+        """HiGHS runs primal simplex from the seed's basis, matched by
+        name, where that basis is primal feasible here: every row the seed
+        meets appended, or the seed's slack gap row dropped. An appended
+        row the seed's point breaks starts dual. That first run ends
+        optimal."""
         # (sense, rhs, coefficients on x and y) per row name
         table = {"cover": (Sense.GE, 2.0, [1.0, 1.0]), "gap": (Sense.LE, 3.0, [1.0, -1.0]),
                  "x_cap": (Sense.LE, 5.0, [1.0, 0.0]), "x_low": (Sense.LE, 1.0, [1.0, 0.0])}
@@ -710,74 +724,74 @@ class TestBackend:
         assert seed.values.tolist() == pytest.approx([2.0, 0.0])
         model = tiny(rows, [2.0, 1.0])
         cold = model.solve()
-        got_options = []
-        calls = recording_backend(monkeypatch, options=got_options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-        assert got_options == [options]
+        assert [(r.options, r.variants) for r in runs] == [options]
         assert got.values.tolist() == pytest.approx(cold.values.tolist())
         assert got.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
 
-    def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch):
+    def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
         model, _ = golden_variant("offgrid_night",
                                   electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
         cold = model.solve()
-        options = []
         calls = recording_backend(monkeypatch, lambda basis: (
             SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced limit")
-            if basis is not None else None),
-            options=options)
+            if basis is not None else None))
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True, False]
-        assert options[0]["simplex_strategy"] == 1
+        # the forced warm result makes no HiGHS run
+        assert [r.options for r in runs] == [COLD]
         assert (got.status, got.message) == (cold.status, cold.message)
         assert got.values.tobytes() == cold.values.tobytes()
 
-    def test_model_the_seed_makes_infeasible_gets_the_cold_verdict(self, monkeypatch):
+    def test_model_the_seed_makes_infeasible_gets_the_cold_verdict(self, monkeypatch,
+                                                                   tmp_path):
         seed = golden_model("offgrid_night").solve()
         model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
         cold = model.solve()
         assert cold.status is LpStatus.INFEASIBLE
-        options = []
-        calls = recording_backend(monkeypatch, options=options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
         assert [w for w, _ in calls] == [True, False]
-        assert options[0]["simplex_strategy"] == 1
+        assert [r.options for r in runs] == [WARM, COLD]
+        assert runs[0].variants == ("dual",)
         assert (got.status, got.message) == (cold.status, cold.message)
 
-    def test_infeasible_verdict_stands_after_one_run(self, monkeypatch):
+    def test_infeasible_verdict_stands_after_one_run(self, monkeypatch, tmp_path):
         model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
-        options = []
-        recording_backend(monkeypatch, options=options)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve()
         assert got.status is LpStatus.INFEASIBLE and got.values is None
-        assert options == [lp._STOCK_OPTIONS]
+        assert [r.options for r in runs] == [COLD]
 
-    def test_unbounded_verdict_stands_after_one_run(self, monkeypatch):
+    def test_unbounded_verdict_stands_after_one_run(self, monkeypatch, tmp_path):
         m = LpModel()
         x, y = m.add_variables(["x", "y"])
         m.add_rows(["floor"], Sense.GE, 1.0, [0, 0], [x, y], [1.0, -1.0])
         m.set_objective([x, y], [-1.0, 0.5])
-        options = []
-        recording_backend(monkeypatch, options=options)
+        runs = recording_highs(monkeypatch, tmp_path)
         assert m.solve().status is LpStatus.UNBOUNDED
-        assert options == [lp._STOCK_OPTIONS]
+        assert [r.options for r in runs] == [COLD]
 
     def test_failed_runs_try_every_cold_attempt(self, monkeypatch):
         """The cold attempt order is one run with presolve: when it ends
         without a verdict, the result is a SOLVER_FAILURE carrying HiGHS's
         status string."""
         model = golden_model("offgrid_night")
-        options = []
-        recording_backend(monkeypatch, lambda basis: SolverResult(
-            LpStatus.SOLVER_FAILURE, None, 0, "forced failure"), options=options)
+        calls = recording_backend(monkeypatch, lambda basis: SolverResult(
+            LpStatus.SOLVER_FAILURE, None, 0, "forced failure"))
         got = model.solve()
         assert (got.status, got.message) == (LpStatus.SOLVER_FAILURE, "forced failure")
-        assert options == [lp._STOCK_OPTIONS]
+        assert [w for w, _ in calls] == [False]
 
-    def test_seed_of_other_rows_failing_the_gate_is_a_solver_failure(self, monkeypatch):
+    def test_seed_of_other_rows_failing_the_gate_is_a_solver_failure(self, monkeypatch,
+                                                                      tmp_path):
         """A seed by row name makes the one dual warm run; its point
         failing check_feasibility is a SOLVER_FAILURE naming the
         violation, with no cold run after it."""
@@ -790,11 +804,12 @@ class TestBackend:
             return ["forced violation"]
 
         monkeypatch.setattr(LpModel, "check_feasibility", gate)
-        options = []
-        calls = recording_backend(monkeypatch, options=options)
+        calls = recording_backend(monkeypatch)
+        runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=other)
         assert [(w, r.status) for w, r in calls] == [(True, LpStatus.OPTIMAL)]
-        assert options == [lp._WARM_DUAL_OPTIONS] and len(checked) == 1
+        assert [(r.options, r.variants) for r in runs] == [(WARM, ("dual",))]
+        assert len(checked) == 1
         assert (got.status, got.values) == (LpStatus.SOLVER_FAILURE, None)
         assert got.message == "solver returned an infeasible point: forced violation"
 

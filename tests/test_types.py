@@ -160,6 +160,10 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="split"):
             ScenarioSpec("s", Mode.OFF_GRID, Split("A", "B"))
 
+    def test_sell_only_forbids_split(self):
+        with pytest.raises(ValueError, match="sell-only scenario cannot split zones"):
+            ScenarioSpec("s", Mode.SELL_ONLY, Split("A", "B"))
+
     def test_offgrid_forbids_emission_cap(self):
         with pytest.raises(ValueError, match="cap"):
             ScenarioSpec("s", Mode.OFF_GRID, CoLocated("Z"), ei_mef_cap=0.0)
