@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from compare_runs import compare
-from h2grid.cli import main as h2grid
+from h2grid.cli import EXIT_INPUT, main as h2grid
 
 HORIZON = 8760
 SEED = 2
@@ -79,14 +79,19 @@ def mismatches(reference: dict, got: dict) -> list[str]:
 
 
 def run_year(out: Path) -> dict:
-    """Run every command at T=8760 into out, and summarize it."""
+    """Run every command at T=8760 into out, and summarize it. A command
+    that exits 1 (an input error, or a scipy without the HiGHS binding)
+    writes no reports, so it stops the run; one that exits 2 to 4 writes
+    reports whose statuses are compared."""
     for directory, kind, argv in COMMANDS:
         config = out / f"{kind}.json"
         config.write_text(json.dumps({"horizon": HORIZON,
                                       "fixture": {"kind": kind, "seed": SEED}}) + "\n")
         print(f"h2grid {' '.join(argv)} ({kind}, seed {SEED}, T={HORIZON})", flush=True)
         start = time.perf_counter()
-        h2grid([*argv, "--config", str(config), "--out", str(out / directory)])
+        code = h2grid([*argv, "--config", str(config), "--out", str(out / directory)])
+        if code == EXIT_INPUT:
+            raise SystemExit(f"h2grid {' '.join(argv)} exited with {code}")
         print(f"h2grid {argv[0]}: {time.perf_counter() - start:.2f} s", flush=True)
     return summarize(out)
 

@@ -4,6 +4,11 @@ serialization. All files are UTF-8, decimal point '.', no thousands
 separators; parse errors carry the file path and 1-based line number.
 Every CSV table is written by write_csv, and every profile is read by
 _read_rows.
+
+Each outside value is checked once, by the reader or rule that owns it:
+_read names a file it cannot open or decode, _object checks every JSON
+object's keys, _number every config number, and dataset_from_config the
+reference output against the reference capacities.
 """
 
 from __future__ import annotations
@@ -56,34 +61,43 @@ DEFAULT_FX_USD_PER_AUD = 0.7
 
 # ---------------------------------------------------------------- CSV in
 
+def _read(path, parse):
+    """parse(fh) of a UTF-8 text file, or a ValueError that names the
+    file when it cannot be opened, decoded or split into CSV fields."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot open ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # a cell past the csv module's field size limit
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_json(path):
+    """The JSON document in a UTF-8 file (see _read)."""
+    try:
+        return _read(path, json.load)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+
+
 def _read_rows(path, header: list[str], horizon: int) -> list[tuple[int, list[str]]]:
     """Rows of a strict CSV: exact header, fixed column count, and
     horizon data rows whose hour column reads 0..horizon-1 in order.
     Returns (1-based line number, cells) pairs for the data rows."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot open ({exc.strerror})") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file, expected header "
-                             f"{','.join(header)}") from None
-        if got != header:
-            raise ValueError(f"{path}:1: header {','.join(got)!r} does not match "
-                             f"expected {','.join(header)!r}")
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"columns, got {len(cells)}")
-            rows.append((lineno, cells))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    lines = _read(path, lambda fh: list(csv.reader(fh)))
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected header {','.join(header)}")
+    if lines[0] != header:
+        raise ValueError(f"{path}:1: header {','.join(lines[0])!r} does not match "
+                         f"expected {','.join(header)!r}")
+    rows = [(lineno, cells) for lineno, cells in enumerate(lines[1:], start=2) if cells]
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                             f"columns, got {len(cells)}")
     if len(rows) != horizon:
         raise ValueError(f"{path}: {len(rows)} data rows, expected horizon {horizon}")
     for i, (lineno, cells) in enumerate(rows):
@@ -126,18 +140,11 @@ def load_grid_profile(path, fx_usd_per_aud: float, horizon: int) -> GridProfile:
                        Unit.KGCO2E_PER_KWH)
 
     meta_path = Path(path).with_suffix(".meta.json")
-    if not meta_path.exists():
-        raise ValueError(f"{path}: missing metadata sidecar {meta_path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{meta_path}:{exc.lineno}: invalid JSON "
-                             f"({exc.msg})") from None
-    if set(meta) != _META_KEYS:
-        raise ValueError(f"{meta_path}: keys {sorted(meta)} do not match "
-                         f"required {sorted(_META_KEYS)}")
-    factors = {key: _number(meta[key], str(meta_path), key)
+    meta = _object(_read_json(meta_path), _META_KEYS, meta_path, "sidecar")
+    if len(meta) < len(_META_KEYS):
+        raise ValueError(f"{meta_path}: missing keys {sorted(_META_KEYS - set(meta))} "
+                         f"in sidecar")
+    factors = {key: _number(meta[key], meta_path, key)
                for key in ("ef_location", "arpp", "rmf")}
     try:
         return GridProfile(zone_id=str(meta["zone_id"]), spot_price=price,
@@ -146,25 +153,13 @@ def load_grid_profile(path, fx_usd_per_aud: float, horizon: int) -> GridProfile:
         raise ValueError(f"{meta_path}: {exc}") from None
 
 
-def load_re_profile(path, horizon: int, c_ref_wind_kw: float,
-                    c_ref_pv_kw: float) -> tuple[HourlySeries, HourlySeries]:
-    """Read the reference renewable output pair; values must stay within
-    the reference capacities the scaling is defined against."""
+def load_re_profile(path, horizon: int) -> tuple[HourlySeries, HourlySeries]:
+    """Read the reference renewable output pair; dataset_from_config
+    holds it within the plant's reference capacities."""
     rows = _read_rows(path, RE_HEADER, horizon)
-    wind, pv = [], []
-    for lineno, cells in rows:
-        w = _parse_cell(cells[1], path, lineno, "wind_ref_kw")
-        p = _parse_cell(cells[2], path, lineno, "pv_ref_kw")
-        if not 0.0 <= w <= c_ref_wind_kw:
-            raise ValueError(f"{path}:{lineno}: wind_ref_kw {w} outside "
-                             f"[0, {c_ref_wind_kw}] (reference capacity)")
-        if not 0.0 <= p <= c_ref_pv_kw:
-            raise ValueError(f"{path}:{lineno}: pv_ref_kw {p} outside "
-                             f"[0, {c_ref_pv_kw}] (reference capacity)")
-        wind.append(w)
-        pv.append(p)
-    return (HourlySeries(np.array(wind), Unit.KW),
-            HourlySeries(np.array(pv), Unit.KW))
+    wind = np.array([_parse_cell(c[1], path, ln, "wind_ref_kw") for ln, c in rows])
+    pv = np.array([_parse_cell(c[2], path, ln, "pv_ref_kw") for ln, c in rows])
+    return HourlySeries(wind, Unit.KW), HourlySeries(pv, Unit.KW)
 
 
 # --------------------------------------------------------------- CSV out
@@ -312,6 +307,7 @@ _SCENARIO_KEYS = {"name", "mode", "tc_interval", "ei_mef_cap", "capex_cap_usd",
                   "sell_zone", "buy_zone", "capacities"}
 _CAP_FIELDS = {f.name for f in fields(CapacitySpec)}
 _CAP_SUBKEYS = {"fixed", "lower", "upper"}
+_PLANT_KEYS = {f.name for f in fields(PlantParameters)}
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
@@ -333,33 +329,40 @@ class RunConfig:
     scenarios: list[ScenarioSpec] = field(default_factory=list)
 
 
-def _number(value, where: str, key: str) -> float:
-    """value as a finite float, or a ValueError that names where and key.
-    A boolean is not a number here, and NaN or infinity is not finite."""
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, where, key: str) -> float:
+    """value as a float, if it is a finite JSON number; else a ValueError
+    that names where and key. A string is not a number here, even one
+    that reads as a number."""
     try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        number = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an int past the float range
         number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
     return number
 
 
-def _parse_caps(doc, where: str) -> CapacitySpec:
+def _object(doc, keys: set[str], where, what: str, kind: str = "an object") -> dict:
+    """doc, if it is a JSON object with no key outside keys; else a
+    ValueError that names where, what and any unknown keys."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where}: capacities must be an object")
-    unknown = set(doc) - _CAP_FIELDS
+        raise ValueError(f"{where}: {what} must be {kind}")
+    unknown = set(doc) - keys
     if unknown:
-        raise ValueError(f"{where}: unknown capacity fields {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)} in {what}")
+    return doc
+
+
+def _parse_caps(doc, where: str) -> CapacitySpec:
     kwargs = {}
-    for name, val in doc.items():
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            val = {"fixed": val}
-        if not isinstance(val, dict):
-            raise ValueError(f"{where}: {name} must be a number or an object")
-        extra = set(val) - _CAP_SUBKEYS
-        if extra:
-            raise ValueError(f"{where}: unknown keys {sorted(extra)} in {name}")
+    for name, val in _object(doc, _CAP_FIELDS, where, "capacities").items():
+        val = _object({"fixed": val} if _is_number(val) else val, _CAP_SUBKEYS, where,
+                      name, "a number or an object")
         if "fixed" in val and len(val) > 1:
             raise ValueError(f"{where}: {name} mixes 'fixed' with bounds")
         bound = {key: math.inf if key == "upper" and v is None
@@ -374,11 +377,7 @@ def _parse_caps(doc, where: str) -> CapacitySpec:
 
 def _parse_scenario(doc, default_zone: str, default_caps: CapacitySpec,
                     where: str) -> ScenarioSpec:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: scenario entries must be objects")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"{where}: unknown scenario keys {sorted(unknown)}")
+    _object(doc, _SCENARIO_KEYS, where, "scenario")
     if "name" not in doc or "mode" not in doc:
         raise ValueError(f"{where}: scenario needs 'name' and 'mode'")
     name = doc["name"]
@@ -419,20 +418,10 @@ def _parse_scenario(doc, default_zone: str, default_caps: CapacitySpec,
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration. Unknown keys are
-    rejected; referenced files must exist."""
+    rejected; the files it names are read, and their absence reported,
+    by dataset_from_config."""
     base = Path(path).parent
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot open ({exc.strerror})") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+    doc = _object(_read_json(path), _TOP_KEYS, path, "config")
     for key, kind, what in (("out_dir", str, "a path"), ("re_profile_file", str, "a path"),
                             ("zone_files", dict, "an object"), ("scenarios", list, "a list")):
         if key in doc and not isinstance(doc[key], kind):
@@ -448,9 +437,7 @@ def load_config(path) -> RunConfig:
     fixture = doc.get("fixture")
     fixture_kind, fixture_seed = None, 0
     if fixture is not None:
-        if not isinstance(fixture, dict) or set(fixture) - _FIXTURE_KEYS:
-            raise ValueError(f"{path}: fixture accepts keys "
-                             f"{sorted(_FIXTURE_KEYS)} only")
+        _object(fixture, _FIXTURE_KEYS, path, "fixture")
         fixture_kind = str(fixture.get("kind", ""))
         if fixture_kind not in FIXTURE_KINDS:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
@@ -461,7 +448,6 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}: fixture.seed must be a non-negative integer, "
                              f"got {fixture_seed!r}")
 
-    # structural checks first, then file existence
     zone_file_doc = doc.get("zone_files") or {}
     re_file = doc.get("re_profile_file")
     if fixture_kind is None and not zone_file_doc:
@@ -471,36 +457,15 @@ def load_config(path) -> RunConfig:
                          f"exclusive")
     if zone_file_doc and re_file is None:
         raise ValueError(f"{path}: zone_files requires re_profile_file")
-
-    zone_files = {}
     for zone_id, rel in zone_file_doc.items():
         if not isinstance(rel, str):
             raise ValueError(f"{path}: zone_files.{zone_id} must be a path, got {rel!r}")
-        full = str(base / rel)
-        if not os.path.exists(full):
-            raise ValueError(f"{path}: zone file {full} does not exist")
-        meta = Path(full).with_suffix(".meta.json")
-        if not meta.exists():
-            raise ValueError(f"{path}: metadata sidecar {meta} does not exist")
-        zone_files[str(zone_id)] = full
-    if re_file is not None:
-        re_file = str(base / re_file)
-        if not os.path.exists(re_file):
-            raise ValueError(f"{path}: re_profile_file {re_file} does not exist")
 
-    plant_doc = doc.get("plant", {})
-    if not isinstance(plant_doc, dict):
-        raise ValueError(f"{path}: plant must be an object")
-    unknown = set(plant_doc) - set(PlantParameters().__dict__)
-    if unknown:
-        raise ValueError(f"{path}: unknown plant parameters {sorted(unknown)}")
-    for key, value in plant_doc.items():
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
-            raise ValueError(f"{path}: plant parameter {key} must be a finite number, "
-                             f"got {value!r}")
+    plant_doc = _object(doc.get("plant", {}), _PLANT_KEYS, path, "plant")
+    plant = {key: _number(value, path, f"plant parameter {key}")
+             for key, value in plant_doc.items()}
     try:
-        params = PlantParameters(**plant_doc)
+        params = PlantParameters(**plant)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid plant parameters: {exc}") from None
 
@@ -515,23 +480,21 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         horizon=horizon, fx_usd_per_aud=fx,
         out_dir=str(base / doc.get("out_dir", "out")), zone=zone,
-        zone_files=zone_files, re_profile_file=re_file,
+        zone_files={zone_id: str(base / rel) for zone_id, rel in zone_file_doc.items()},
+        re_profile_file=None if re_file is None else str(base / re_file),
         fixture_kind=fixture_kind, fixture_seed=fixture_seed,
         params=params, capacities=caps, scenarios=scenarios)
 
 
 def dataset_from_config(config: RunConfig) -> Dataset:
     """The configuration's dataset, checked against the configuration:
-    reference output within the plant's reference capacities (a CSV
-    profile is checked line by line as it is read) and every zone it
-    names present."""
+    reference output within the plant's reference capacities and every
+    zone it names present. A missing or unreadable file is reported by
+    the reader that opens it."""
     if config.fixture_kind is not None:
         dataset = synth_fixture(config.fixture_kind, config.horizon,
                                 config.fixture_seed)
-        for name, series, cap in (("ref_wind", dataset.ref_wind, config.params.c_ref_wind_kw),
-                                  ("ref_pv", dataset.ref_pv, config.params.c_ref_pv_kw)):
-            if np.any(series.values < 0) or np.any(series.values > cap):
-                raise ValueError(f"{name} outside [0, {cap}] kW")
+        source = f"{config.fixture_kind} fixture"
     else:
         zones = {}
         for zone_id, file_path in config.zone_files.items():
@@ -542,10 +505,16 @@ def dataset_from_config(config: RunConfig) -> Dataset:
                                  f"{profile.zone_id!r} does not match config "
                                  f"key {zone_id!r}")
             zones[zone_id] = profile
-        ref_wind, ref_pv = load_re_profile(
-            config.re_profile_file, config.horizon,
-            config.params.c_ref_wind_kw, config.params.c_ref_pv_kw)
+        ref_wind, ref_pv = load_re_profile(config.re_profile_file, config.horizon)
         dataset = Dataset(zones=zones, ref_wind=ref_wind, ref_pv=ref_pv)
+        source = config.re_profile_file
+    for column, series, cap in zip(RE_HEADER[1:], (dataset.ref_wind, dataset.ref_pv),
+                                   (config.params.c_ref_wind_kw, config.params.c_ref_pv_kw)):
+        outside = np.flatnonzero((series.values < 0) | (series.values > cap))
+        if outside.size:
+            hour = int(outside[0])
+            raise ValueError(f"{source}: {column} {float(series.values[hour])!r} at hour "
+                             f"{hour} outside [0, {cap}] kW (reference capacity)")
     if config.zone not in dataset.zones:
         raise ValueError(f"configured zone {config.zone!r} not in dataset "
                          f"zones {sorted(dataset.zones)}")

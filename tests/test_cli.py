@@ -87,14 +87,20 @@ def test_cli_overrides_apply(tmp_path):
     assert (out2 / "flexible.lp").read_text().endswith("End\n")
 
 
-def write_file_config(tmp_path):
-    """Config that reads zone and renewable CSVs, so the currency
-    conversion actually touches the prices."""
+def write_profiles(tmp_path):
+    """The 48-hour flat fixture as z1.csv, its sidecar z1.meta.json and
+    re.csv."""
     from h2grid.ingest import (synth_fixture, write_grid_profile_csv,
                                write_re_profile_csv)
     ds = synth_fixture("flat", horizon=48, seed=0)
     write_grid_profile_csv(ds.zone("Z1"), tmp_path / "z1.csv")
     write_re_profile_csv(ds.ref_wind, ds.ref_pv, tmp_path / "re.csv")
+
+
+def write_file_config(tmp_path):
+    """Config that reads zone and renewable CSVs, so the currency
+    conversion actually touches the prices."""
+    write_profiles(tmp_path)
     path = tmp_path / "files.json"
     path.write_text(json.dumps({
         "horizon": 48, "zone_files": {"Z1": "z1.csv"},
@@ -178,6 +184,10 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     assert err.startswith(f"error: {config}: ") and key in err
 
 
+# a config that reads the profiles write_profiles writes
+FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re.csv"}
+
+
 @pytest.mark.parametrize("doc, argv, err", [
     ({"plant": {"load_kg_per_h": 0}}, ["suite"],
      "{config}: invalid plant parameters: load_kg_per_h must be positive"),
@@ -191,7 +201,8 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     ({"scenarios": [{"name": "far", "mode": "grid", "sell_zone": "Z9"}]}, ["suite"],
      "scenario 'far': sell_zone 'Z9' not in dataset zones ['Z1']"),
     ({"plant": {"c_ref_wind_kw": 100000}}, ["solve", "--scenario", "flexible"],
-     "ref_wind outside [0, 100000] kW"),
+     "flat fixture: wind_ref_kw 128000.0 at hour 0 outside [0, 100000.0] kW "
+     "(reference capacity)"),
     ({}, ["solve", "--scenario", "mystery"],
      "unknown scenario 'mystery'; config defines none by that name and built-ins "
      "are ['offgrid', 'sell_only', 'daily', 'monthly', 'yearly', 'flexible', "
@@ -203,15 +214,31 @@ def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
      ["solve", "--scenario", "sell_split"],
      "{config}: scenario 'sell_split': sell-only scenario cannot split zones: the "
      "plant's only supply would be imports, which sell-only bars"),
+    (dict(FILES, zone_files={"Z1": "nope.csv"}), ["suite"],
+     "{dir}/nope.csv: cannot open (No such file or directory)"),
+    (dict(FILES, zone_files={"Z1": "bare.csv"}), ["suite"],
+     "{dir}/bare.meta.json: cannot open (No such file or directory)"),
+    (dict(FILES, re_profile_file="nope.csv"), ["suite"],
+     "{dir}/nope.csv: cannot open (No such file or directory)"),
+    (dict(FILES, plant={"c_ref_wind_kw": 100000}), ["solve", "--scenario", "flexible"],
+     "{dir}/re.csv: wind_ref_kw 128000.0 at hour 0 outside [0, 100000.0] kW "
+     "(reference capacity)"),
 ], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
         "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
-        "sell-only-split"])
+        "sell-only-split", "missing-zone-csv", "missing-sidecar", "missing-re-csv",
+        "csv-wind-above-reference"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
-    """Each input is checked before the first output is written."""
+    """Each input is checked before the first output is written. A config
+    that reads files finds the flat fixture's profiles beside it, and
+    bare.csv, a zone CSV without its sidecar."""
+    if "zone_files" in doc:
+        write_profiles(tmp_path)
+        (tmp_path / "bare.csv").write_bytes((tmp_path / "z1.csv").read_bytes())
     config = write_config(tmp_path, doc)
+    inputs = sorted(tmp_path.rglob("*"))
     assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
-    assert capsys.readouterr().err == f"error: {err.format(config=config)}\n"
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
+    assert capsys.readouterr().err == f"error: {err.format(config=config, dir=tmp_path)}\n"
+    assert sorted(tmp_path.rglob("*")) == inputs
 
 
 def test_scenario_name_cannot_write_outside_out(tmp_path, capsys):

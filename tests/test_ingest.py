@@ -107,7 +107,7 @@ def test_re_profile_round_trip(tmp_path):
     ds = synth_fixture("diurnal", horizon=48, seed=5)
     path = tmp_path / "re.csv"
     write_re_profile_csv(ds.ref_wind, ds.ref_pv, path)
-    wind, pv = load_re_profile(path, 48, *REF_CAPS)
+    wind, pv = load_re_profile(path, 48)
     assert np.array_equal(wind.values, ds.ref_wind.values)
     assert np.array_equal(pv.values, ds.ref_pv.values)
 
@@ -190,7 +190,7 @@ def test_hours_must_be_contiguous(tmp_path):
 def test_empty_data_rejected(tmp_path):
     path, lines = grid_csv_lines(tmp_path)
     path.write_text(lines[0] + "\n")
-    with pytest.raises(ValueError, match="no data"):
+    with pytest.raises(ValueError, match="0 data rows, expected horizon 4"):
         load_grid_profile(path, FX, 4)
 
 
@@ -202,9 +202,11 @@ def test_horizon_enforced_when_given(tmp_path):
 
 def test_missing_sidecar_rejected(tmp_path):
     path, _ = grid_csv_lines(tmp_path)
-    path.with_suffix(".meta.json").unlink()
-    with pytest.raises(ValueError, match="meta"):
+    meta = path.with_suffix(".meta.json")
+    meta.unlink()
+    with pytest.raises(ValueError) as err:
         load_grid_profile(path, FX, 4)
+    assert str(err.value) == f"{meta}: cannot open (No such file or directory)"
 
 
 def test_sidecar_keys_validated(tmp_path):
@@ -215,6 +217,42 @@ def test_sidecar_keys_validated(tmp_path):
     meta.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="extra"):
         load_grid_profile(path, FX, 4)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "sidecar must be an object"),
+    (["zone_id"], "sidecar must be an object"),
+    ({"zone_id": "Z1", "arpp": 0.2}, "missing keys ['ef_location', 'rmf'] in sidecar"),
+])
+def test_sidecar_must_be_an_object_with_every_key(tmp_path, doc, message):
+    path, _ = grid_csv_lines(tmp_path)
+    meta = path.with_suffix(".meta.json")
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_grid_profile(path, FX, 4)
+    assert str(err.value) == f"{meta}: {message}"
+
+
+@pytest.mark.parametrize("name", ["z1.csv", "z1.meta.json", "re.csv", "files.json"])
+def test_undecodable_file_is_named(tmp_path, capsys, name):
+    """A file that is not UTF-8 text (here one that ends in a 0xff byte)
+    is named by the reader that opens it, and the CLI exits 1."""
+    config = write_file_config(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    out = tmp_path / "run"
+    assert main(["suite", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_oversized_csv_cell_is_named(tmp_path):
+    path, lines = grid_csv_lines(tmp_path)
+    lines[1] += "9" * 200_000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_grid_profile(path, FX, 4)
+    assert str(err.value) == f"{path}: field larger than field limit (131072)"
 
 
 @pytest.mark.parametrize("value, message", [
@@ -289,16 +327,22 @@ def test_spot_price_overflow_is_an_input_error(tmp_path, capsys):
 
 
 def test_re_profile_range_checked(tmp_path):
-    ds = synth_fixture("flat", horizon=4, seed=0)
+    """A reference output outside [0, reference capacity] is named by its
+    file, column, value and hour (the hour column gives the line)."""
+    config = write_file_config(tmp_path)
     path = tmp_path / "re.csv"
-    write_re_profile_csv(ds.ref_wind, ds.ref_pv, path)
-    lines = path.read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[1] = "999999999.0"
-    lines[1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="reference capacity"):
-        load_re_profile(path, 4, *REF_CAPS)
+    written = path.read_text().splitlines()
+    for column, hour, value in [(1, 2, "999999999.0"), (2, 0, "-0.5"), (2, 47, "1000.5")]:
+        lines = list(written)
+        parts = lines[1 + hour].split(",")
+        parts[column] = value
+        lines[1 + hour] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        name = ("wind_ref_kw", "pv_ref_kw")[column - 1]
+        with pytest.raises(ValueError) as err:
+            dataset_from_config(load_config(config))
+        assert str(err.value) == (f"{path}: {name} {float(value)!r} at hour {hour} outside "
+                                  f"[0, {REF_CAPS[column - 1]}] kW (reference capacity)")
 
 
 # -- run configuration ----------------------------------------------------
@@ -353,10 +397,14 @@ def test_config_file_paths_resolved_and_checked(tmp_path):
     config = load_config(path)
     dataset = dataset_from_config(config)
     assert dataset.horizon == 24
-    missing = write_config(tmp_path, {"zone_files": {"Z1": "nope.csv"},
-                                      "re_profile_file": "re.csv"})
-    with pytest.raises(ValueError, match="nope.csv"):
-        load_config(missing)
+    # a missing file is reported by the reader that opens it
+    missing = load_config(write_config(tmp_path, {"horizon": 24,
+                                                  "zone_files": {"Z1": "nope.csv"},
+                                                  "re_profile_file": "re.csv"}))
+    assert missing.zone_files == {"Z1": str(tmp_path / "nope.csv")}
+    with pytest.raises(ValueError) as err:
+        dataset_from_config(missing)
+    assert str(err.value) == f"{tmp_path / 'nope.csv'}: cannot open (No such file or directory)"
 
 
 def test_config_bad_numbers_rejected(tmp_path):
@@ -383,6 +431,20 @@ def test_config_bad_numbers_rejected(tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{key} must be "
                                              "a finite number"):
             load_config(path)
+    # a config number is a JSON number, not a string that reads as one
+    for doc, key, value in [({"fx_usd_per_aud": "0.7"}, "fx_usd_per_aud", "0.7"),
+                            ({"scenarios": [dict(scenario, capex_cap_usd="1e9")]},
+                             "scenario 'capped': capex_cap_usd", "1e9"),
+                            ({"scenarios": [dict(scenario, ei_mef_cap=" 5 ")]},
+                             "scenario 'capped': ei_mef_cap", " 5 "),
+                            ({"capacities": {"wind_kw": {"upper": "1_000_000"}}},
+                             "wind_kw.upper", "1_000_000"),
+                            ({"plant": {"eta_el": "0.7"}}, "plant parameter eta_el",
+                             "0.7")]:
+        path = write_config(tmp_path, {"fixture": {"kind": "random-walk"}, **doc})
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {key} must be a finite number, got {value!r}"
 
 
 def test_config_capacity_forms(tmp_path):

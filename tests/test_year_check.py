@@ -3,6 +3,7 @@ written by scripts/run_study.py (the year-scale runs themselves are too
 slow for the tests)."""
 
 import copy
+import importlib
 import sys
 from pathlib import Path
 
@@ -76,3 +77,23 @@ def test_check_flags_each_move_past_the_gate(study, move, expected):
     assert len(problems) == len(expected), problems
     for line, start in zip(problems, expected):
         assert line.startswith(start)
+
+
+@pytest.mark.parametrize("code", [1, 2])
+def test_a_command_that_exits_1_stops_the_record(tmp_path, monkeypatch, capsys, code):
+    """A command that exits 1 writes no reports, so --record stops rather
+    than record what is left; one that exits 2 to 4 writes reports, so
+    the run goes on."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    year_check = importlib.import_module("year_check")
+    calls = []
+    monkeypatch.setattr(year_check, "h2grid", lambda argv: calls.append(argv) or code)
+    record = tmp_path / "reference.json"
+    monkeypatch.setattr(sys, "argv", ["year_check.py", "--record", str(record)])
+    if code == 1:
+        with pytest.raises(SystemExit, match="^h2grid suite exited with 1$"):
+            year_check.main()
+        assert len(calls) == 1 and not record.exists()
+    else:
+        assert year_check.main() == 0
+        assert len(calls) == len(year_check.COMMANDS) and record.read_text() == "{}\n"
