@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .certification import certify, re_capacity_factor
 from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     RunConfig,
-    breakdown_to_dict,
     dataset_from_config,
     dump_json,
     emissions_to_dict,
@@ -66,7 +65,7 @@ _BUILTINS = {
 }
 SUITE_ORDER = [name for name in _BUILTINS if name != "hourly"]
 # what a suite_report.json row copies from each member's report, under
-# the report's own keys (ingest.breakdown_to_dict, emissions_to_dict)
+# the report's own keys (the CostBreakdown fields, ingest.emissions_to_dict)
 _SUITE_COSTS = ("capex_annualized_usd", "om_usd", "grid_electricity_usd")
 _SUITE_INTENSITIES = ("ei_market_kgco2e_per_kgh2", "ei_recs_kgco2e_per_kgh2",
                       "ei_mef_kgco2e_per_kgh2")
@@ -192,7 +191,7 @@ def cmd_suite(run: _Command) -> None:
             # kept as a seed: its point and its HighsBasis, matched to a
             # later member's rows by name
             seeds[name] = report.solution
-        cost = None if breakdown is None else breakdown_to_dict(breakdown)
+        cost = None if breakdown is None else asdict(breakdown)
         ei = None if emissions is None else emissions_to_dict(emissions)
         rows.append({
             "scenario": name,

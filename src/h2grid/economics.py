@@ -7,11 +7,12 @@ un-annualised PlantParameters.capacity_costs.
 The storage unit cost depends on the storage capacity being chosen (two
 log-linear cost curves, one per technology), which an LP cannot express
 directly. optimize_plant therefore iterates: solve at a trial unit cost,
-re-price storage at the resulting capacity, repeat until the price and
-technology stop moving. Each re-solve starts from the optimal basis of
-the solve before it, and the first solve can start from the final
-solution of a similar scenario (the previous point of a sweep, or an
-earlier member of the suite).
+re-price storage at the resulting capacity with the technology whose
+curve is the cheaper there, repeat until the price and technology stop
+moving. Each re-solve starts from the optimal basis of the solve before
+it, and the first solve can start from the final solution of a similar
+scenario (the previous point of a sweep, or an earlier member of the
+suite).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lp import LpModel, LpSolution, LpStatus
-from .plant import Dispatch, PlantVars, build_plant, extract_dispatch
+from .plant import Dispatch, PlantVars, build_plant, extract_dispatch, verify_conservation
 from .policy import (
     apply_capex_cap,
     apply_emission_cap,
@@ -58,17 +59,14 @@ def crf(i: float, n: int) -> float:
 
 def storage_unit_cost(capacity_kg: float, tech: StorageTech) -> float:
     """Capacity-dependent storage capital cost [USD/kg], one log-space
-    curve per technology (100 bar pipeline vs 150 bar lined rock cavern)."""
+    curve per technology (100 bar pipeline vs 150 bar lined rock cavern).
+    The pipeline is the cheaper below 21,742.145 kg, where the curves
+    cross, and the cavern above it. They cross again at 5.7e8 kg, about
+    26,000 times that and far beyond any plant."""
     x = math.log10(capacity_kg / 1000.0)
     if tech is StorageTech.PIPELINE:
         return 10.0 ** (-0.0285 * x + 2.7853)
     return 10.0 ** (0.217956 * x * x - 1.575209 * x + 4.463930)
-
-
-def select_storage_tech(capacity_kg: float, threshold_kg: float) -> StorageTech:
-    """Pipeline below the threshold capacity, cavern at or above it (the
-    two cost curves cross there, so the boundary assignment is a tie)."""
-    return StorageTech.PIPELINE if capacity_kg < threshold_kg else StorageTech.LRC
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,8 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     solve, re-price at the solved capacity, and repeat until the unit
     cost moves less than 1% with a stable technology choice (at most 20
     solves). Returns the report plus a cost breakdown when optimal; the
-    report's solution is the last solve's.
+    report's solution is the last solve's. An optimum whose dispatch fails
+    verify_conservation is a solver failure that names the first problem.
 
     start, the solution of another scenario whose model has the same
     variables and the same rows (such as report.solution of the previous
@@ -215,12 +214,12 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
         solution = model.solve(warm=solution)
         if not solution.is_optimal:
             break
-        c_store_val = solution.value(pvars.c_store)
-        if c_store_val < STORAGE_NEGLIGIBLE_KG:
+        c_store_kg = solution.value(pvars.c_store_kg)
+        if c_store_kg < STORAGE_NEGLIGIBLE_KG:
             converged = True
             break
-        new_tech = select_storage_tech(c_store_val, params.storage_tech_threshold_kg)
-        new_u = storage_unit_cost(c_store_val, new_tech)
+        new_tech = min(StorageTech, key=lambda tech: storage_unit_cost(c_store_kg, tech))
+        new_u = storage_unit_cost(c_store_kg, new_tech)
         if new_tech is tech and abs(new_u - u_store) <= STORAGE_CONVERGENCE_REL * u_store:
             converged = True
             break
@@ -229,9 +228,15 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     if export_lp_path is not None:
         # the model whose solve decided the report
         model.write_lp(export_lp_path)
+    status, message = solution.status, solution.message
     dispatch = breakdown = None
     if solution.is_optimal:
         dispatch = extract_dispatch(solution, pvars)
+        problems = verify_conservation(dispatch, params.load_kg_per_h)
+        if problems:  # flows that break the plant's physics are no result
+            status, message = LpStatus.SOLVER_FAILURE, f"dispatch fails its audit: {problems[0]}"
+            dispatch = None
+    if dispatch is not None:
         terms = cost_terms(scenario, params, dataset, u_store)
         grid_cost = float(dispatch.import_kw @ terms.import_price
                           - dispatch.export_kw @ terms.export_price)
@@ -244,11 +249,11 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             capex_annualized_usd=capex, om_usd=om, grid_electricity_usd=grid_cost,
             annual_h2_kg=annual_h2, lcoh_usd_per_kg=total / annual_h2)
     report = SolutionReport(
-        scenario_name=scenario.name, status=solution.status,
-        message="" if solution.is_optimal else f"iteration {iterations}: {solution.message}",
+        scenario_name=scenario.name, status=status,
+        message="" if dispatch is not None else f"iteration {iterations}: {message}",
         converged=converged, iterations=iterations, storage_tech=tech,
         storage_unit_cost_usd_per_kg=u_store,
-        objective_usd=solution.objective_value if solution.is_optimal else math.nan,
+        objective_usd=solution.objective_value if dispatch is not None else math.nan,
         annual_h2_kg=annual_h2, dispatch=dispatch, solution=solution)
     return report, breakdown
 

@@ -7,8 +7,9 @@ _read_rows.
 
 Each outside value is checked once, by the reader or rule that owns it:
 _read names a file it cannot open or decode, _object checks every JSON
-object's keys, _number every config number, and dataset_from_config the
-reference output against the reference capacities.
+object's keys, _number every config number, _string every zone name and
+the fixture kind, and dataset_from_config the reference output against
+the reference capacities.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def load_grid_profile(path, fx_usd_per_aud: float, horizon: int) -> GridProfile:
                          f"in sidecar")
     factors = {key: _number(meta[key], meta_path, key)
                for key in ("ef_location", "arpp", "rmf")}
+    zone_id = _string(meta["zone_id"], meta_path, "zone_id")
     try:
-        return GridProfile(zone_id=str(meta["zone_id"]), spot_price=price,
-                           mef=mef, aef=aef, **factors)
+        return GridProfile(zone_id=zone_id, spot_price=price, mef=mef, aef=aef, **factors)
     except ValueError as exc:  # a factor out of range, named by its key
         raise ValueError(f"{meta_path}: {exc}") from None
 
@@ -347,6 +348,13 @@ def _number(value, where, key: str) -> float:
     return number
 
 
+def _string(value, where, key: str) -> str:
+    """value, if it is a JSON string; else a ValueError naming where and key."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _object(doc, keys: set[str], where, what: str, kind: str = "an object") -> dict:
     """doc, if it is a JSON object with no key outside keys; else a
     ValueError that names where, what and any unknown keys."""
@@ -398,8 +406,8 @@ def _parse_scenario(doc, default_zone: str, default_caps: CapacitySpec,
             raise ValueError(f"{where}: unknown tc_interval "
                              f"{doc['tc_interval']!r}") from None
     if "sell_zone" in doc:
-        geo = Split(sell_zone=str(doc["sell_zone"]),
-                    buy_zone=str(doc.get("buy_zone", default_zone)))
+        geo = Split(*(_string(doc.get(key, default_zone), f"{where}: scenario {name!r}", key)
+                      for key in ("sell_zone", "buy_zone")))
     elif "buy_zone" in doc:
         raise ValueError(f"{where}: buy_zone without sell_zone")
     else:
@@ -438,7 +446,7 @@ def load_config(path) -> RunConfig:
     fixture_kind, fixture_seed = None, 0
     if fixture is not None:
         _object(fixture, _FIXTURE_KEYS, path, "fixture")
-        fixture_kind = str(fixture.get("kind", ""))
+        fixture_kind = _string(fixture.get("kind", ""), path, "fixture.kind")
         if fixture_kind not in FIXTURE_KINDS:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
                              f"{FIXTURE_KINDS}")
@@ -470,7 +478,7 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: invalid plant parameters: {exc}") from None
 
     caps = _parse_caps(doc.get("capacities", {}), str(path))
-    zone = str(doc.get("zone", "Z1"))
+    zone = _string(doc.get("zone", "Z1"), path, "zone")
     scenarios = [_parse_scenario(s, zone, caps, str(path))
                  for s in doc.get("scenarios", [])]
     names = [s.name for s in scenarios]
@@ -567,16 +575,6 @@ def emissions_to_dict(e: EmissionsReport) -> dict:
     }
 
 
-def breakdown_to_dict(b: CostBreakdown) -> dict:
-    return {
-        "capex_annualized_usd": dict(sorted(b.capex_annualized_usd.items())),
-        "om_usd": dict(sorted(b.om_usd.items())),
-        "grid_electricity_usd": b.grid_electricity_usd,
-        "annual_h2_kg": b.annual_h2_kg,
-        "lcoh_usd_per_kg": b.lcoh_usd_per_kg,
-    }
-
-
 def write_report(report: SolutionReport, breakdown: CostBreakdown | None,
                  emissions: EmissionsReport | None, path,
                  scenario: ScenarioSpec, inputs: dict) -> None:
@@ -597,7 +595,7 @@ def write_report(report: SolutionReport, breakdown: CostBreakdown | None,
         "annual_h2_kg": _num(report.annual_h2_kg),
         "capacities": report.capacities or None,
         "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
-        "cost_breakdown": None if breakdown is None else breakdown_to_dict(breakdown),
+        "cost_breakdown": None if breakdown is None else asdict(breakdown),
         "emissions": None if emissions is None else emissions_to_dict(emissions),
         "scenario": _scenario_json(scenario),
         "inputs": inputs,

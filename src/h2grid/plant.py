@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,37 +20,42 @@ from .lp import LpModel, LpSolution, Sense
 from .types import CapacitySpec, HourlySeries, Mode, PlantParameters
 
 
+# the capacity fields of PlantVars and Dispatch, in types.CAPACITIES order
+CAPACITY_FIELDS = ("c_el_kw", "c_wind_kw", "c_pv_kw", "c_store_kg")
+
+
 @dataclass
 class PlantVars:
-    """Variable handles (and generation coefficients) for one built model."""
+    """Variable handles (and generation coefficients) for one built model.
+    A handle has the name of the Dispatch field its solved values fill."""
 
     horizon: int
     # per-hour variable ids, arrays of length horizon
-    e_el: np.ndarray
-    e_comp1: np.ndarray
-    e_comp2: np.ndarray
+    e_el_kw: np.ndarray
+    e_comp1_kw: np.ndarray
+    e_comp2_kw: np.ndarray
     import_kw: np.ndarray
     export_kw: np.ndarray
     curtail_kw: np.ndarray
-    h_el: np.ndarray
-    h_comp1: np.ndarray
-    h_comp2: np.ndarray
-    h_from_store: np.ndarray
-    soc: np.ndarray
+    h_el_kg: np.ndarray
+    h_comp1_kg: np.ndarray
+    h_comp2_kg: np.ndarray
+    h_from_store_kg: np.ndarray
+    soc_kg: np.ndarray
     # capacity / state variable ids
-    c_wind: int
-    c_pv: int
-    c_el: int
-    c_store: int
-    soc0: int
-    # per-kW-installed generation coefficients: gen_wind(t) = a_wind[t] * c_wind
+    c_wind_kw: int
+    c_pv_kw: int
+    c_el_kw: int
+    c_store_kg: int
+    soc0_kg: int
+    # per-kW-installed generation coefficients: gen_wind_kw[t] = a_wind[t] * c_wind_kw
     a_wind: np.ndarray
     a_pv: np.ndarray
 
     @property
     def capacities(self) -> list[int]:
         """The capacity variable ids, in the order of types.CAPACITIES."""
-        return [self.c_el, self.c_wind, self.c_pv, self.c_store]
+        return [getattr(self, name) for name in CAPACITY_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class Dispatch:
     @property
     def built(self) -> np.ndarray:
         """The solved capacities, in the order of types.CAPACITIES."""
-        return np.array([self.c_el_kw, self.c_wind_kw, self.c_pv_kw, self.c_store_kg])
+        return np.array([getattr(self, name) for name in CAPACITY_FIELDS])
 
 
 @functools.cache
@@ -137,34 +142,34 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     def var_block(name: str, upper=math.inf) -> np.ndarray:
         return model.add_variables([name + suffix for suffix in hour_suffixes(T)], 0.0, upper)
 
-    e_el = var_block("e_el")
-    e_comp1 = var_block("e_comp1")
-    e_comp2 = var_block("e_comp2")
+    e_el_kw = var_block("e_el")
+    e_comp1_kw = var_block("e_comp1")
+    e_comp2_kw = var_block("e_comp2")
     import_ub = 0.0 if mode is not Mode.GRID else math.inf
     export_ub = 0.0 if mode is Mode.OFF_GRID else math.inf
     import_kw = var_block("import", upper=import_ub)
     export_kw = var_block("export", upper=export_ub)
     curtail_kw = var_block("curtail")
-    h_el = var_block("h_el")
-    h_comp1 = var_block("h_comp1")
-    h_comp2 = var_block("h_comp2")
-    h_from_store = var_block("h_store_out")
-    soc = var_block("soc")
+    h_el_kg = var_block("h_el")
+    h_comp1_kg = var_block("h_comp1")
+    h_comp2_kg = var_block("h_comp2")
+    h_from_store_kg = var_block("h_store_out")
+    soc_kg = var_block("soc")
 
     bounds = [caps.wind_kw.as_bounds(), caps.pv_kw.as_bounds(),
               caps.electrolyser_kw.as_bounds(), caps.storage_kg.as_bounds(), (0.0, math.inf)]
-    c_wind, c_pv, c_el, c_store, soc0 = model.add_variables(
+    c_wind_kw, c_pv_kw, c_el_kw, c_store_kg, soc0_kg = model.add_variables(
         ["c_wind", "c_pv", "c_el", "c_store", "soc0"], *zip(*bounds)).tolist()
 
     a_wind = ref_wind.values / params.c_ref_wind_kw
     a_pv = ref_pv.values / params.c_ref_pv_kw
     h_per_e = params.eta_el / params.hhv    # kg H2 per kWh into the electrolyser
-    gen = [(c_wind, -a_wind), (c_pv, -a_pv)]
-    soc_prev = np.concatenate(([soc0], soc[:-1]))
+    gen = [(c_wind_kw, -a_wind), (c_pv_kw, -a_pv)]
+    soc_prev = np.concatenate(([soc0_kg], soc_kg[:-1]))
 
     # electricity bus: consumption + export + curtailment = generation + import
     bus = [] if two_bus else [
-        ("balance", Sense.EQ, 0.0, [(e_el, 1.0), (e_comp1, 1.0), (e_comp2, 1.0),
+        ("balance", Sense.EQ, 0.0, [(e_el_kw, 1.0), (e_comp1_kw, 1.0), (e_comp2_kw, 1.0),
                                     (export_kw, 1.0), (curtail_kw, 1.0),
                                     (import_kw, -1.0), *gen])]
     add_hourly_rows(model, T, [
@@ -173,32 +178,31 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         # (without this, negative prices would let the model import-and-dump)
         ("curtail_cap", Sense.LE, 0.0, [(curtail_kw, 1.0), *gen]),
         # conversion chain
-        ("electrolysis", Sense.EQ, 0.0, [(h_el, 1.0), (e_el, -h_per_e)]),
-        ("h_split", Sense.EQ, 0.0, [(h_el, 1.0), (h_comp1, -1.0), (h_comp2, -1.0)]),
-        ("load", Sense.EQ, params.load_kg_per_h, [(h_comp1, 1.0), (h_from_store, 1.0)]),
-        ("comp1", Sense.EQ, 0.0, [(e_comp1, 1.0), (h_comp1, -params.mu_comp1)]),
-        ("comp2", Sense.EQ, 0.0, [(e_comp2, 1.0), (h_comp2, -mu_comp2)]),
+        ("electrolysis", Sense.EQ, 0.0, [(h_el_kg, 1.0), (e_el_kw, -h_per_e)]),
+        ("h_split", Sense.EQ, 0.0, [(h_el_kg, 1.0), (h_comp1_kg, -1.0), (h_comp2_kg, -1.0)]),
+        ("load", Sense.EQ, params.load_kg_per_h, [(h_comp1_kg, 1.0), (h_from_store_kg, 1.0)]),
+        ("comp1", Sense.EQ, 0.0, [(e_comp1_kw, 1.0), (h_comp1_kg, -params.mu_comp1)]),
+        ("comp2", Sense.EQ, 0.0, [(e_comp2_kw, 1.0), (h_comp2_kg, -mu_comp2)]),
         # storage level recursion
-        ("soc_step", Sense.EQ, 0.0, [(soc, 1.0), (soc_prev, -1.0), (h_comp2, -1.0),
-                                     (h_from_store, 1.0)]),
+        ("soc_step", Sense.EQ, 0.0, [(soc_kg, 1.0), (soc_prev, -1.0), (h_comp2_kg, -1.0),
+                                     (h_from_store_kg, 1.0)]),
         # capacity limits
-        ("el_cap", Sense.LE, 0.0, [(e_el, 1.0), (c_el, -1.0)]),
-        ("soc_cap", Sense.LE, 0.0, [(soc, 1.0), (c_store, -1.0)]),
+        ("el_cap", Sense.LE, 0.0, [(e_el_kw, 1.0), (c_el_kw, -1.0)]),
+        ("soc_cap", Sense.LE, 0.0, [(soc_kg, 1.0), (c_store_kg, -1.0)]),
     ])
     # the starting level fits in storage, and storage returns to it, so
     # net charge over the horizon is zero
-    model.add_rows(["soc0_cap", "soc_cyclic"], [Sense.LE, Sense.EQ], 0.0,
-                   [0, 0, 1, 1], [soc0, c_store, soc[T - 1], soc0], [1.0, -1.0, 1.0, -1.0])
+    model.add_rows(["soc0_cap", "soc_cyclic"], [Sense.LE, Sense.EQ], 0.0, [0, 0, 1, 1],
+                   [soc0_kg, c_store_kg, soc_kg[T - 1], soc0_kg], [1.0, -1.0, 1.0, -1.0])
 
-    pvars = PlantVars(
-        horizon=T, e_el=e_el, e_comp1=e_comp1, e_comp2=e_comp2,
+    return model, PlantVars(
+        horizon=T, e_el_kw=e_el_kw, e_comp1_kw=e_comp1_kw, e_comp2_kw=e_comp2_kw,
         import_kw=import_kw, export_kw=export_kw, curtail_kw=curtail_kw,
-        h_el=h_el, h_comp1=h_comp1, h_comp2=h_comp2,
-        h_from_store=h_from_store, soc=soc,
-        c_wind=c_wind, c_pv=c_pv, c_el=c_el, c_store=c_store, soc0=soc0,
-        a_wind=a_wind, a_pv=a_pv,
+        h_el_kg=h_el_kg, h_comp1_kg=h_comp1_kg, h_comp2_kg=h_comp2_kg,
+        h_from_store_kg=h_from_store_kg, soc_kg=soc_kg,
+        c_wind_kw=c_wind_kw, c_pv_kw=c_pv_kw, c_el_kw=c_el_kw, c_store_kg=c_store_kg,
+        soc0_kg=soc0_kg, a_wind=a_wind, a_pv=a_pv,
     )
-    return model, pvars
 
 
 def _clean(values):
@@ -211,28 +215,15 @@ def _clean(values):
 
 
 def extract_dispatch(solution: LpSolution, pvars: PlantVars) -> Dispatch:
-    cw = float(_clean(solution.value(pvars.c_wind)))
-    cpv = float(_clean(solution.value(pvars.c_pv)))
-    return Dispatch(
-        gen_wind_kw=pvars.a_wind * cw,
-        gen_pv_kw=pvars.a_pv * cpv,
-        e_el_kw=_clean(solution.series(pvars.e_el)),
-        e_comp1_kw=_clean(solution.series(pvars.e_comp1)),
-        e_comp2_kw=_clean(solution.series(pvars.e_comp2)),
-        import_kw=_clean(solution.series(pvars.import_kw)),
-        export_kw=_clean(solution.series(pvars.export_kw)),
-        curtail_kw=_clean(solution.series(pvars.curtail_kw)),
-        h_el_kg=_clean(solution.series(pvars.h_el)),
-        h_comp1_kg=_clean(solution.series(pvars.h_comp1)),
-        h_comp2_kg=_clean(solution.series(pvars.h_comp2)),
-        h_from_store_kg=_clean(solution.series(pvars.h_from_store)),
-        soc_kg=_clean(solution.series(pvars.soc)),
-        c_wind_kw=cw,
-        c_pv_kw=cpv,
-        c_el_kw=float(_clean(solution.value(pvars.c_el))),
-        c_store_kg=float(_clean(solution.value(pvars.c_store))),
-        soc0_kg=float(_clean(solution.value(pvars.soc0))),
-    )
+    """Each Dispatch field from the PlantVars handle of its name, but the
+    generation, which follows from the solved capacities."""
+    solved = {}
+    for name in (f.name for f in fields(Dispatch)):
+        if name not in ("gen_wind_kw", "gen_pv_kw"):
+            value = _clean(solution.series(getattr(pvars, name)))
+            solved[name] = float(value) if value.ndim == 0 else value
+    return Dispatch(gen_wind_kw=pvars.a_wind * solved["c_wind_kw"],
+                    gen_pv_kw=pvars.a_pv * solved["c_pv_kw"], **solved)
 
 
 # relative tolerance of verify_conservation (absolute for cyclic closure)

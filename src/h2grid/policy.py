@@ -79,8 +79,8 @@ def wire_two_grid(model: LpModel, pvars: PlantVars) -> None:
     """
     add_hourly_rows(model, pvars.horizon, [
         ("farm_balance", Sense.EQ, 0.0, [(pvars.export_kw, 1.0), (pvars.curtail_kw, 1.0),
-                                         (pvars.c_wind, -pvars.a_wind),
-                                         (pvars.c_pv, -pvars.a_pv)]),
-        ("plant_balance", Sense.EQ, 0.0, [(pvars.e_el, 1.0), (pvars.e_comp1, 1.0),
-                                          (pvars.e_comp2, 1.0), (pvars.import_kw, -1.0)]),
+                                         (pvars.c_wind_kw, -pvars.a_wind),
+                                         (pvars.c_pv_kw, -pvars.a_pv)]),
+        ("plant_balance", Sense.EQ, 0.0, [(pvars.e_el_kw, 1.0), (pvars.e_comp1_kw, 1.0),
+                                          (pvars.e_comp2_kw, 1.0), (pvars.import_kw, -1.0)]),
     ])

@@ -125,7 +125,6 @@ class PlantParameters:
     lifetime_years: int = 25
     c_ref_wind_kw: float = 320_000.0
     c_ref_pv_kw: float = 1_000.0
-    storage_tech_threshold_kg: float = 21_742.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -143,10 +142,17 @@ class PlantParameters:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         # the LCOH divides by the delivered mass, so the load cannot be zero
-        for name in ("load_kg_per_h", "interest", "c_ref_wind_kw", "c_ref_pv_kw",
-                     "storage_tech_threshold_kg"):
+        for name in ("load_kg_per_h", "interest", "c_ref_wind_kw", "c_ref_pv_kw"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # the capital recovery factor, interest * growth / (growth - 1), must be finite
+        try:
+            growth = (1.0 + self.interest) ** self.lifetime_years
+        except OverflowError:
+            growth = math.inf
+        if not (growth > 1.0 and math.isfinite(self.interest * growth)):
+            raise ValueError(f"interest {self.interest} over lifetime_years "
+                             f"{self.lifetime_years} gives no finite capital recovery factor")
 
     def capacity_costs(self, u_store: float) -> tuple[np.ndarray, np.ndarray]:
         """The cost table: capital cost per unit and fixed O&M per

@@ -106,7 +106,8 @@ def test_criterion_2_location_intensity(flat_solution):
 
 
 def test_criterion_3_storage_crossover():
-    """The two storage cost curves meet at the technology threshold."""
+    """The two storage cost curves meet near 21,742 kg, where the cheaper
+    technology flips from pipeline to cavern."""
     pipe = storage_unit_cost(STORAGE_CROSSOVER_KG, StorageTech.PIPELINE)
     lrc = storage_unit_cost(STORAGE_CROSSOVER_KG, StorageTech.LRC)
     rel = abs(pipe - lrc) / pipe

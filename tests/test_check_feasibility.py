@@ -107,8 +107,8 @@ def test_load_row_scaled_by_its_rhs(capped, factor, flagged):
     model, pvars, x = capped
     t = 5
     point = x.copy()
-    point[pvars.h_comp1[t]] = 90.0
-    point[pvars.h_from_store[t]] = 90.0 - factor * FEASIBILITY_TOL * 180.0
+    point[pvars.h_comp1_kg[t]] = 90.0
+    point[pvars.h_from_store_kg[t]] = 90.0 - factor * FEASIBILITY_TOL * 180.0
     got = model.check_feasibility(point)
     assert got == reference_violations(model, point)
     cid = row_id(model, f"load_{t}")
@@ -126,7 +126,7 @@ def test_capex_row_scaled_by_its_rhs(capped, factor, flagged):
     target = CAPEX_CAP * (1.0 + factor * FEASIBILITY_TOL)
     point = x.copy()
     lhs = math.fsum(c * float(x[v]) for v, c in coeffs.items())
-    point[pvars.c_store] += (target - lhs) / coeffs[pvars.c_store]
+    point[pvars.c_store_kg] += (target - lhs) / coeffs[pvars.c_store_kg]
     assert max(abs(c * point[v]) for v, c in coeffs.items()) < 0.9 * CAPEX_CAP
     got = model.check_feasibility(point)
     assert got == reference_violations(model, point)

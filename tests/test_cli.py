@@ -168,15 +168,21 @@ def test_seed_flag_needs_a_fixture(tmp_path, capsys):
      "zone_files.Z1"),
     ({"plant": {"interest": 0}}, "interest"),
     ({"plant": {"interest": -0.01}}, "interest"),
-    ({"plant": {"storage_tech_threshold_kg": 0}}, "storage_tech_threshold_kg"),
     ({"plant": {"c_ref_wind_kw": 0}}, "c_ref_wind_kw"),
     ({"plant": {"c_ref_pv_kw": 0}}, "c_ref_pv_kw"),
+    ({"zone": 5}, "zone must be a string, got 5"),
+    ({"fixture": {"kind": 5}}, "fixture.kind must be a string, got 5"),
+    ({"scenarios": [{"name": "a", "mode": "grid", "sell_zone": ["Z2"]}]},
+     "sell_zone must be a string, got ['Z2']"),
+    ({"scenarios": [{"name": "a", "mode": "grid", "sell_zone": "Z1", "buy_zone": None}]},
+     "buy_zone must be a string, got None"),
 ], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "fixture-seed-float",
         "fixture-seed-bool", "fixture-seed-digits", "fixture-seed-negative",
         "capacity-value",
         "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
-        "zone-file", "interest-zero", "interest-negative", "storage-threshold-zero",
-        "wind-reference-zero", "pv-reference-zero"])
+        "zone-file", "interest-zero", "interest-negative",
+        "wind-reference-zero", "pv-reference-zero", "zone-not-string",
+        "fixture-kind-not-string", "sell-zone-not-string", "buy-zone-not-string"])
 def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     config = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
@@ -223,10 +229,20 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
     (dict(FILES, plant={"c_ref_wind_kw": 100000}), ["solve", "--scenario", "flexible"],
      "{dir}/re.csv: wind_ref_kw 128000.0 at hour 0 outside [0, 100000.0] kW "
      "(reference capacity)"),
+    ({"plant": {"interest": 1e300}}, ["suite"],
+     "{config}: invalid plant parameters: interest 1e+300 over lifetime_years 25 "
+     "gives no finite capital recovery factor"),
+    ({"plant": {"lifetime_years": 1e6}}, ["suite"],
+     "{config}: invalid plant parameters: interest 0.06 over lifetime_years 1000000.0 "
+     "gives no finite capital recovery factor"),
+    ({"plant": {"interest": 1e-17}}, ["suite"],
+     "{config}: invalid plant parameters: interest 1e-17 over lifetime_years 25 "
+     "gives no finite capital recovery factor"),
 ], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
         "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
         "sell-only-split", "missing-zone-csv", "missing-sidecar", "missing-re-csv",
-        "csv-wind-above-reference"])
+        "csv-wind-above-reference", "interest-overflows", "lifetime-overflows",
+        "interest-below-resolution"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
     """Each input is checked before the first output is written. A config
     that reads files finds the flat fixture's profiles beside it, and

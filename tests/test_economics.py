@@ -4,6 +4,7 @@ Hand-derived expected values are frozen as literals; the tests must not
 recompute them with the code under test.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2grid import cli, lp
+from h2grid import cli, economics, lp
 from h2grid.certification import certify
 from h2grid.economics import (
     CostBreakdown,
@@ -23,12 +24,12 @@ from h2grid.economics import (
     cost_terms,
     crf,
     optimize_plant,
-    select_storage_tech,
     storage_unit_cost,
     zone_pair,
 )
-from h2grid.lp import LpModel
-from h2grid.plant import verify_conservation
+from h2grid.ingest import synth_fixture
+from h2grid.lp import LpModel, LpStatus
+from h2grid.plant import extract_dispatch, verify_conservation
 from h2grid.types import (
     CAPACITIES,
     CapacitySpec,
@@ -91,11 +92,33 @@ def test_storage_curves_cross_at_threshold():
         100_000.0, StorageTech.PIPELINE)
 
 
-def test_select_storage_tech_boundary_goes_to_cavern():
-    assert select_storage_tech(21741.9, 21742.0) is StorageTech.PIPELINE
-    assert select_storage_tech(21742.0, 21742.0) is StorageTech.LRC
-    assert select_storage_tech(500_000.0, 21742.0) is StorageTech.LRC
-    assert select_storage_tech(10.0, 21742.0) is StorageTech.PIPELINE
+FLAT_DAY = synth_fixture("flat", horizon=24, seed=0)
+
+
+def storage_choice(capacity_kg, params):
+    """The technology the sizing loop settles on for a grid plant whose
+    storage is pinned at capacity_kg."""
+    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0), storage_kg=Fixed(capacity_kg))
+    report, _ = optimize_plant(ScenarioSpec("pinned", Mode.GRID, CoLocated("Z1"), caps),
+                               params, FLAT_DAY)
+    assert report.is_optimal and report.converged
+    return report.storage_tech
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent=st.floats(0.0, 7.0))
+def test_storage_tech_is_the_cheaper_curve(exponent, params):
+    capacity_kg = 10.0 ** exponent   # 1 kg to 1e7 kg
+    tech = storage_choice(capacity_kg, params)
+    [other] = [t for t in StorageTech if t is not tech]
+    assert storage_unit_cost(capacity_kg, tech) <= storage_unit_cost(capacity_kg, other)
+
+
+@pytest.mark.parametrize("capacity_kg, tech", [(21_742.0, StorageTech.PIPELINE),
+                                               (21_742.3, StorageTech.LRC)])
+def test_storage_tech_either_side_of_the_crossing(capacity_kg, tech, params):
+    """The curves cross at 21,742.145 kg."""
+    assert storage_choice(capacity_kg, params) is tech
 
 
 # -- the cost function -------------------------------------------------------
@@ -261,6 +284,24 @@ def test_failure_report_has_no_breakdown(flat_week, params):
     assert breakdown is None
     assert report.dispatch is None
     assert "iteration 1" in report.message
+
+
+def test_dispatch_that_fails_its_audit_is_a_solver_failure(tmp_path, monkeypatch):
+    """An optimal solve whose dispatch breaks a balance is reported as a
+    solver failure (exit 4) that names the first problem."""
+    def shifted(solution, pvars):
+        d = extract_dispatch(solution, pvars)
+        return replace(d, import_kw=d.import_kw + np.eye(1, d.horizon, 3)[0])
+
+    monkeypatch.setattr(economics, "extract_dispatch", shifted)
+    config = write_config(tmp_path)
+    assert cli.main(["solve", "--config", str(config), "--scenario", "flexible"]) == 4
+    doc = json.loads((tmp_path / "out" / "flexible_report.json").read_text())
+    assert doc["status"] == LpStatus.SOLVER_FAILURE.value
+    assert doc["message"].startswith("iteration ")
+    assert "electricity balance off by -1.000e+00 kW at hour 3" in doc["message"]
+    assert doc["cost_breakdown"] is None and doc["capacities"] is None
+    assert not (tmp_path / "out" / "flexible_dispatch.csv").exists()
 
 
 def test_export_lp_writes_file(tmp_path, flat_week, params):

@@ -274,6 +274,17 @@ def test_sidecar_values_name_the_sidecar_and_key(tmp_path, capsys, value, messag
     assert capsys.readouterr().err == f"error: {meta}: {message}\n"
 
 
+def test_sidecar_zone_id_must_be_a_string(tmp_path):
+    write_file_config(tmp_path)
+    meta = tmp_path / "z1.meta.json"
+    doc = json.loads(meta.read_text())
+    doc["zone_id"] = 1
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_grid_profile(tmp_path / "z1.csv", FX, 48)
+    assert str(err.value) == f"{meta}: zone_id must be a string, got 1"
+
+
 def load_one_price(tmp_path, aud_per_mwh, fx):
     """The USD/kWh price a one-hour zone CSV holding aud_per_mwh loads as."""
     path = tmp_path / "z1.csv"

@@ -531,8 +531,8 @@ class TestBackend:
         seed = golden_model("split_yearly").solve()
         model, pvars = golden_variant("split_yearly")
         # half the seed's PV: the seed's point breaks the new row
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv), [0],
-                       [pvars.c_pv], [1.0])
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv_kw), [0],
+                       [pvars.c_pv_kw], [1.0])
         assert model.check_feasibility(seed.values)
         cold = model.solve()
         bases = []
@@ -557,11 +557,11 @@ class TestBackend:
         runs = recording_highs(monkeypatch, tmp_path)
         seed = golden_model("split_yearly").solve()                 # cold
         model, pvars = golden_variant("split_yearly")
-        scale_cost(model, pvars.c_pv, 2.0)
+        scale_cost(model, pvars.c_pv_kw, 2.0)
         assert model.solve(warm=seed).is_optimal                     # warm primal
         # the seed's point breaks this row, so the warm run is dual
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv), [0],
-                       [pvars.c_pv], [1.0])
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv_kw), [0],
+                       [pvars.c_pv_kw], [1.0])
         assert model.solve(warm=seed).is_optimal                     # warm dual
         assert [r.options for r in runs] == [COLD, WARM, WARM]
         assert [r.variants[:1] for r in runs] == [("dual",), ("primal",), ("dual",)]
@@ -588,8 +588,8 @@ class TestBackend:
         at the cold optimum's cost."""
         model, pvars = golden_variant("split_yearly")
         free = model.solve()
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * free.value(pvars.c_pv), [0],
-                       [pvars.c_pv], [1.0])
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * free.value(pvars.c_pv_kw), [0],
+                       [pvars.c_pv_kw], [1.0])
         seed = model.solve()
         plain = golden_model("split_yearly")
         assert seed.is_optimal and plain.check_feasibility(seed.values) == []
@@ -615,7 +615,7 @@ class TestBackend:
         model reaches from the basis as it is."""
         def variant(row):
             model, pvars = golden_variant("split_yearly")
-            model.add_rows([row], Sense.LE, 1e9, [0], [pvars.c_pv], [1.0])
+            model.add_rows([row], Sense.LE, 1e9, [0], [pvars.c_pv_kw], [1.0])
             return model
 
         seed = variant("pv_cap").solve()
@@ -666,7 +666,7 @@ class TestBackend:
         it to the cold optimum."""
         seed = golden_model("offgrid_night").solve()
         model, pvars = golden_variant("offgrid_night")
-        scale_cost(model, pvars.c_pv, 2.0)
+        scale_cost(model, pvars.c_pv_kw, 2.0)
         cold = model.solve()
         calls = recording_backend(monkeypatch)
         runs = recording_highs(monkeypatch, tmp_path)
@@ -680,7 +680,7 @@ class TestBackend:
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
         model, _ = golden_variant("offgrid_night",
-                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
+                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el_kw)))
         assert model.check_feasibility(seed.values)
         cold = model.solve()
         calls = recording_backend(monkeypatch)
@@ -736,7 +736,7 @@ class TestBackend:
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
         model, _ = golden_variant("offgrid_night",
-                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el)))
+                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el_kw)))
         cold = model.solve()
         calls = recording_backend(monkeypatch, lambda basis: (
             SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced limit")

@@ -1,13 +1,13 @@
 """Plant model construction and solved-dispatch physics."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
-from h2grid.plant import build_plant, extract_dispatch, verify_conservation
+from h2grid.plant import Dispatch, PlantVars, build_plant, extract_dispatch, verify_conservation
 from h2grid.types import (
     CapacitySpec,
     CoLocated,
@@ -67,7 +67,7 @@ def test_comp2_coefficient_follows_storage_tech():
         model, pvars = build_plant(params, rw, rp, CapacitySpec(), Mode.GRID,
                                    mu_comp2=mu_comp2)
         [row] = [r for r in read_back(model).rows.values() if r.name == "comp2_0"]
-        assert row.coeffs[pvars.h_comp2[0]] == pytest.approx(coef)
+        assert row.coeffs[pvars.h_comp2_kg[0]] == pytest.approx(coef)
 
 
 def test_grid_only_direct_path(flat_grid_only):
@@ -171,6 +171,14 @@ def test_fixed_capacity_bounds_are_respected(flat_week, params):
     assert report.dispatch.c_store_kg == pytest.approx(0.0, abs=1e-9)
 
 
+def test_every_dispatch_field_is_a_handle_or_generation():
+    """extract_dispatch fills each Dispatch field from the PlantVars handle
+    of its name, so a field without a handle would go unfilled; only the
+    generation follows from the solved capacities."""
+    handles = {f.name for f in fields(PlantVars)} - {"horizon", "a_wind", "a_pv"}
+    assert {f.name for f in fields(Dispatch)} == handles | {"gen_wind_kw", "gen_pv_kw"}
+
+
 def test_extract_dispatch_snaps_noise_of_either_sign(flat_week, params):
     """Values within 1e-7 of zero, of either sign, come out as exact
     zeros; 1e-6 is a quantity and is kept."""
@@ -179,9 +187,9 @@ def test_extract_dispatch_snaps_noise_of_either_sign(flat_week, params):
     solution = model.solve()
     assert solution.is_optimal
     values = solution.values.copy()
-    values[pvars.soc[:3]] = [1e-9, -1e-9, 1e-6]
+    values[pvars.soc_kg[:3]] = [1e-9, -1e-9, 1e-6]
     values[pvars.export_kw[0]] = 1e-9
-    values[[pvars.c_store, pvars.soc0]] = [1e-9, -1e-9]
+    values[[pvars.c_store_kg, pvars.soc0_kg]] = [1e-9, -1e-9]
     d = extract_dispatch(replace(solution, values=values), pvars)
     assert d.soc_kg[:3].tolist() == [0.0, 0.0, 1e-6]
     assert d.export_kw[0] == 0.0 and d.c_store_kg == 0.0 and d.soc0_kg == 0.0

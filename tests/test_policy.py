@@ -179,10 +179,10 @@ def test_capex_cap_expression_coefficients(params):
     row = read_back(model).rows[cid]
     assert row.name == "capex_cap"
     assert row.rhs == 2e7
-    assert row.coeffs[pvars.c_el] == pytest.approx(1343.3)
-    assert row.coeffs[pvars.c_wind] == pytest.approx(2126.6)
-    assert row.coeffs[pvars.c_pv] == pytest.approx(1068.2)
-    assert row.coeffs[pvars.c_store] == pytest.approx(500.0)
+    assert row.coeffs[pvars.c_el_kw] == pytest.approx(1343.3)
+    assert row.coeffs[pvars.c_wind_kw] == pytest.approx(2126.6)
+    assert row.coeffs[pvars.c_pv_kw] == pytest.approx(1068.2)
+    assert row.coeffs[pvars.c_store_kg] == pytest.approx(500.0)
 
 
 # -- two-market rewiring -------------------------------------------------
