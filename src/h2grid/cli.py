@@ -13,7 +13,6 @@ same config, seed, and backend are byte-identical).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -31,7 +30,8 @@ from .ingest import (
     write_report,
 )
 from .lp import LpStatus
-from .types import CapacitySpec, CoLocated, Dataset, Fixed, Free, Mode, ScenarioSpec, Split, TcInterval
+from .types import (CapacityBound, CapacitySpec, CoLocated, Dataset, Mode, ScenarioSpec,
+                    Split, TcInterval)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -107,7 +107,7 @@ class _Command:
             "fx_usd_per_aud": config.fx_usd_per_aud,
             "zone": config.zone,
             "fixture_kind": config.fixture_kind,
-            "fixture_seed": (config.fixture_seed if config.fixture_kind else None),
+            "fixture_seed": config.fixture_seed,
             "zone_files": sorted(Path(p).name for p in config.zone_files.values()),
         }
         self.code = EXIT_OK
@@ -226,12 +226,9 @@ def cmd_sweep_re(run: _Command, n_points: int) -> None:
     r_max = 1.5 * re_total / c_el if c_el > 0 else 0.0
 
     def scenario(i: int, r: float) -> ScenarioSpec:
-        caps = CapacitySpec(
-            wind_kw=Fixed(r * c_el * wind_share),
-            pv_kw=Fixed(r * c_el * (1.0 - wind_share)),
-            electrolyser_kw=Fixed(c_el),
-            storage_kg=Free(),
-        )
+        wind, pv = r * c_el * wind_share, r * c_el * (1.0 - wind_share)
+        caps = CapacitySpec(wind_kw=CapacityBound(wind, wind), pv_kw=CapacityBound(pv, pv),
+                            electrolyser_kw=CapacityBound(c_el, c_el))
         return ScenarioSpec(f"re_{i:03d}", Mode.GRID, CoLocated(config.zone),
                             capacities=caps)
 
@@ -261,8 +258,8 @@ def cmd_sweep_geo(run: _Command, sell_zones: list[str]) -> None:
     baseline annotated with the cost of covering every purchased MWh with
     a bought certificate."""
     config = run.config
-    baseline_caps = replace(config.capacities, wind_kw=Fixed(0.0),
-                            pv_kw=Fixed(0.0))
+    baseline_caps = replace(config.capacities, wind_kw=CapacityBound(0.0, 0.0),
+                            pv_kw=CapacityBound(0.0, 0.0))
     baseline = ScenarioSpec("grid_only", Mode.GRID, CoLocated(config.zone),
                             capacities=baseline_caps)
     base_report, base_breakdown, _ = run.solve(baseline)
@@ -296,15 +293,21 @@ def cmd_sweep_geo(run: _Command, sell_zones: list[str]) -> None:
               {"buy_zone": config.zone, "grid_only_baseline": baseline_block})
 
 
+# each flag that replaces a config value: the RunConfig field it sets, its
+# type and its help; RunConfig checks the new value by the config key's rule
+_OVERRIDES = {
+    "--out": ("out_dir", str, "output directory (replaces out_dir)"),
+    "--horizon": ("horizon", int, "hours (replaces horizon)"),
+    "--seed": ("fixture_seed", int, "fixture seed (replaces fixture.seed)"),
+    "--fx": ("fx_usd_per_aud", float, "USD per AUD (replaces fx_usd_per_aud)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run configuration JSON")
-    common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--horizon", type=int, help="hours (overrides config)")
-    common.add_argument("--seed", type=int,
-                        help="fixture seed (overrides config)")
-    common.add_argument("--fx", type=float,
-                        help="USD per AUD (overrides config)")
+    for flag, (key, kind, text) in _OVERRIDES.items():
+        common.add_argument(flag, dest=key, type=kind, metavar=flag[2:].upper(), help=text)
     common.add_argument("--export-lp", action="store_true",
                         help="write each scenario's LP in text form")
 
@@ -331,23 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.horizon is not None:
-            if args.horizon < 1:
-                raise ValueError("--horizon must be >= 1")
-            config.horizon = args.horizon
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ValueError("--seed must be >= 0")
-            if config.fixture_kind is None:
-                raise ValueError("--seed needs a config with a fixture")
-            config.fixture_seed = args.seed
-        if args.fx is not None:
-            if not 0 < args.fx < math.inf:
-                raise ValueError("--fx must be positive and finite")
-            config.fx_usd_per_aud = args.fx
-        if args.out is not None:
-            config.out_dir = args.out
+        overrides = {key: getattr(args, key) for key, _, _ in _OVERRIDES.values()
+                     if getattr(args, key) is not None}
+        config = replace(load_config(args.config), **overrides)
 
         if args.command == "sweep-re" and args.points < 2:
             raise ValueError("sweep-re needs --points >= 2")

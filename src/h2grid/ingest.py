@@ -7,9 +7,11 @@ _read_rows.
 
 Each outside value is checked once, by the reader or rule that owns it:
 _read names a file it cannot open or decode, _object checks every JSON
-object's keys, _number every config number, _string every zone name and
-the fixture kind, and dataset_from_config the reference output against
-the reference capacities.
+object's keys, _number every config number, _integer the horizon and the
+fixture seed, _string every zone name and the fixture kind, RunConfig
+the ranges of the values a command-line flag may replace, and
+dataset_from_config the reference output against the reference
+capacities.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .certification import EmissionsReport
 from .economics import CostBreakdown, SolutionReport
 from .plant import Dispatch
 from .types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
     Dataset,
-    Fixed,
-    Free,
     GridProfile,
     HourlySeries,
     Mode,
@@ -312,10 +313,12 @@ _PLANT_KEYS = {f.name for f in fields(PlantParameters)}
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; paths are resolved against the config
-    file's directory."""
+    file's directory. It checks the rules of the values a command-line
+    flag may replace, so a replaced value passes the same rule, and an
+    error names the config key."""
 
     horizon: int
     fx_usd_per_aud: float
@@ -324,10 +327,22 @@ class RunConfig:
     zone_files: dict[str, str]
     re_profile_file: str | None
     fixture_kind: str | None
-    fixture_seed: int
+    fixture_seed: int | None     # None without a fixture
     params: PlantParameters
     capacities: CapacitySpec
     scenarios: list[ScenarioSpec] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not 0 < self.fx_usd_per_aud < math.inf:
+            raise ValueError(f"fx_usd_per_aud must be positive and finite, "
+                             f"got {self.fx_usd_per_aud}")
+        if self.fixture_seed is not None:
+            if self.fixture_kind is None:
+                raise ValueError("fixture.seed needs a config with a fixture")
+            if self.fixture_seed < 0:
+                raise ValueError(f"fixture.seed must be >= 0, got {self.fixture_seed}")
 
 
 def _is_number(value) -> bool:
@@ -346,6 +361,14 @@ def _number(value, where, key: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
     return number
+
+
+def _integer(value, where, key: str) -> int:
+    """value, if it is a JSON integer (not a bool); else a ValueError
+    naming where and key."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _string(value, where, key: str) -> str:
@@ -376,8 +399,8 @@ def _parse_caps(doc, where: str) -> CapacitySpec:
         bound = {key: math.inf if key == "upper" and v is None
                  else _number(v, where, f"{name}.{key}") for key, v in val.items()}
         try:
-            kwargs[name] = (Fixed(bound["fixed"]) if "fixed" in bound else
-                            Free(bound.get("lower", 0.0), bound.get("upper", math.inf)))
+            kwargs[name] = (CapacityBound(bound["fixed"], bound["fixed"]) if "fixed" in bound
+                            else CapacityBound(**bound))
         except ValueError as exc:
             raise ValueError(f"{where}: {name}: {exc}") from None
     return CapacitySpec(**kwargs)
@@ -435,26 +458,18 @@ def load_config(path) -> RunConfig:
         if key in doc and not isinstance(doc[key], kind):
             raise ValueError(f"{path}: {key} must be {what}, got {doc[key]!r}")
 
-    horizon = doc.get("horizon", 8760)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError(f"{path}: horizon must be a positive integer")
+    horizon = _integer(doc.get("horizon", 8760), path, "horizon")
     fx = _number(doc.get("fx_usd_per_aud", DEFAULT_FX_USD_PER_AUD), path, "fx_usd_per_aud")
-    if fx <= 0:
-        raise ValueError(f"{path}: fx_usd_per_aud must be positive")
 
     fixture = doc.get("fixture")
-    fixture_kind, fixture_seed = None, 0
+    fixture_kind = fixture_seed = None
     if fixture is not None:
         _object(fixture, _FIXTURE_KEYS, path, "fixture")
         fixture_kind = _string(fixture.get("kind", ""), path, "fixture.kind")
         if fixture_kind not in FIXTURE_KINDS:
             raise ValueError(f"{path}: fixture kind {fixture_kind!r} not in "
                              f"{FIXTURE_KINDS}")
-        fixture_seed = fixture.get("seed", 0)
-        if (not isinstance(fixture_seed, int) or isinstance(fixture_seed, bool)
-                or fixture_seed < 0):
-            raise ValueError(f"{path}: fixture.seed must be a non-negative integer, "
-                             f"got {fixture_seed!r}")
+        fixture_seed = _integer(fixture.get("seed", 0), path, "fixture.seed")
 
     zone_file_doc = doc.get("zone_files") or {}
     re_file = doc.get("re_profile_file")
@@ -485,13 +500,16 @@ def load_config(path) -> RunConfig:
     if len(names) != len(set(names)):
         raise ValueError(f"{path}: duplicate scenario names")
 
-    return RunConfig(
-        horizon=horizon, fx_usd_per_aud=fx,
-        out_dir=str(base / doc.get("out_dir", "out")), zone=zone,
-        zone_files={zone_id: str(base / rel) for zone_id, rel in zone_file_doc.items()},
-        re_profile_file=None if re_file is None else str(base / re_file),
-        fixture_kind=fixture_kind, fixture_seed=fixture_seed,
-        params=params, capacities=caps, scenarios=scenarios)
+    try:
+        return RunConfig(
+            horizon=horizon, fx_usd_per_aud=fx,
+            out_dir=str(base / doc.get("out_dir", "out")), zone=zone,
+            zone_files={zone_id: str(base / rel) for zone_id, rel in zone_file_doc.items()},
+            re_profile_file=None if re_file is None else str(base / re_file),
+            fixture_kind=fixture_kind, fixture_seed=fixture_seed,
+            params=params, capacities=caps, scenarios=scenarios)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dataset_from_config(config: RunConfig) -> Dataset:
@@ -536,11 +554,10 @@ def dataset_from_config(config: RunConfig) -> Dataset:
 
 # --------------------------------------------------------------- reports
 
-def _bound_json(bound) -> dict:
-    lo, hi = bound.as_bounds()
-    if lo == hi:
-        return {"fixed": lo}
-    return {"lower": lo, "upper": None if math.isinf(hi) else hi}
+def _bound_json(bound: CapacityBound) -> dict:
+    if bound.lower == bound.upper:
+        return {"fixed": bound.lower}
+    return {"lower": bound.lower, "upper": None if math.isinf(bound.upper) else bound.upper}
 
 
 def _scenario_json(s: ScenarioSpec) -> dict:

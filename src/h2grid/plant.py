@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .lp import LpModel, LpSolution, Sense
-from .types import CapacitySpec, HourlySeries, Mode, PlantParameters
+from .types import CapacityBound, CapacitySpec, HourlySeries, Mode, PlantParameters
 
 
 # the capacity fields of PlantVars and Dispatch, in types.CAPACITIES order
@@ -156,10 +156,10 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
     h_from_store_kg = var_block("h_store_out")
     soc_kg = var_block("soc")
 
-    bounds = [caps.wind_kw.as_bounds(), caps.pv_kw.as_bounds(),
-              caps.electrolyser_kw.as_bounds(), caps.storage_kg.as_bounds(), (0.0, math.inf)]
+    bounds = (caps.wind_kw, caps.pv_kw, caps.electrolyser_kw, caps.storage_kg, CapacityBound())
     c_wind_kw, c_pv_kw, c_el_kw, c_store_kg, soc0_kg = model.add_variables(
-        ["c_wind", "c_pv", "c_el", "c_store", "soc0"], *zip(*bounds)).tolist()
+        ["c_wind", "c_pv", "c_el", "c_store", "soc0"], [b.lower for b in bounds],
+        [b.upper for b in bounds]).tolist()
 
     a_wind = ref_wind.values / params.c_ref_wind_kw
     a_pv = ref_pv.values / params.c_ref_pv_kw

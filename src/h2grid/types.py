@@ -5,24 +5,21 @@ factors, kW for power, kg for hydrogen mass, one timestep = 1 hour.
 All ingestion converts at the boundary; nothing downstream rescales.
 
 Each input is checked once, where it enters: a HourlySeries, GridProfile,
-PlantParameters, ScenarioSpec or Dataset checks itself when it is built,
-and ingest checks what these types cannot see (file formats, config keys,
-reference-profile range, the zones a configuration names). The model
-layer (plant, policy, economics) and certification trust the types
-they are given.
+PlantParameters, CapacityBound, ScenarioSpec or Dataset checks itself
+when it is built, and ingest checks what these types cannot see (file
+formats, config keys, reference-profile range, the zones a configuration
+names) and, in RunConfig, the run's horizon, exchange rate and fixture
+seed. The model layer (plant, policy, economics) and certification trust
+the types they are given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-
-# Default component bound: study-scale RE and electrolyser capacities sit
-# in the 10-50 MW project range; 0 is allowed so fixings stay expressible.
-DEFAULT_CAPACITY_UPPER_KW = 50_000.0
 
 
 class Unit(Enum):
@@ -73,30 +70,27 @@ class GridProfile:
     rmf: float                 # kgCO2e/kWh, residual mix factor
 
     def __post_init__(self):
-        errors = validate_profile(self, len(self.spot_price))
+        # every series is hourly over the spot price's horizon; Dataset
+        # holds each zone's horizon to the reference output's
+        horizon = len(self.spot_price)
+        errors = []
+        for name, series, unit in (
+            ("spot_price", self.spot_price, Unit.USD_PER_KWH),
+            ("mef", self.mef, Unit.KGCO2E_PER_KWH),
+            ("aef", self.aef, Unit.KGCO2E_PER_KWH),
+        ):
+            if len(series) != horizon:
+                errors.append(f"{name} has length {len(series)}, expected {horizon}")
+            if series.unit is not unit:
+                errors.append(f"{name} tagged {series.unit.value}, expected {unit.value}")
+        if not 0.0 <= self.arpp <= 1.0:
+            errors.append(f"arpp {self.arpp} outside [0, 1]")
+        if self.ef_location < 0:
+            errors.append(f"ef_location {self.ef_location} negative")
+        if self.rmf < 0:
+            errors.append(f"rmf {self.rmf} negative")
         if errors:
             raise ValueError(f"invalid profile {self.zone_id!r}: " + "; ".join(errors))
-
-
-def validate_profile(profile: GridProfile, horizon: int) -> list[str]:
-    """Return every invariant violation (empty list means ok)."""
-    errors = []
-    for name, series, unit in (
-        ("spot_price", profile.spot_price, Unit.USD_PER_KWH),
-        ("mef", profile.mef, Unit.KGCO2E_PER_KWH),
-        ("aef", profile.aef, Unit.KGCO2E_PER_KWH),
-    ):
-        if len(series) != horizon:
-            errors.append(f"{name} has length {len(series)}, expected {horizon}")
-        if series.unit is not unit:
-            errors.append(f"{name} tagged {series.unit.value}, expected {unit.value}")
-    if not 0.0 <= profile.arpp <= 1.0:
-        errors.append(f"arpp {profile.arpp} outside [0, 1]")
-    if profile.ef_location < 0:
-        errors.append(f"ef_location {profile.ef_location} negative")
-    if profile.rmf < 0:
-        errors.append(f"rmf {profile.rmf} negative")
-    return errors
 
 
 # the priced capacities, in the order of PlantParameters.capacity_costs
@@ -134,8 +128,9 @@ class PlantParameters:
             raise ValueError(f"eta_el {self.eta_el} outside (0, 1]")
         if self.hhv <= 0:
             raise ValueError("hhv must be positive")
-        if self.lifetime_years < 1:
-            raise ValueError("lifetime_years must be >= 1")
+        if self.lifetime_years < 1 or self.lifetime_years % 1:
+            raise ValueError(f"lifetime_years must be a whole number >= 1, "
+                             f"got {self.lifetime_years}")
         for name in ("mu_comp1", "mu_comp2_pipeline", "mu_comp2_lrc",
                      "capex_el", "capex_wind", "capex_pv", "fom_el", "fom_wind",
                      "fom_pv", "vom_el", "ts_fee"):
@@ -164,47 +159,29 @@ class PlantParameters:
 
 
 @dataclass(frozen=True)
-class Free:
-    """Capacity optimized within [lower, upper]."""
+class CapacityBound:
+    """Capacity optimized within [lower, upper]; pinned when lower == upper."""
 
     lower: float = 0.0
     upper: float = math.inf
 
     def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper:
-            raise ValueError(f"bad capacity bounds [{self.lower}, {self.upper}]")
-
-    def as_bounds(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
+        if not (math.isfinite(self.lower) and 0.0 <= self.lower <= self.upper):
+            raise ValueError(f"capacity bounds [{self.lower}, {self.upper}] need a "
+                             f"finite lower with 0 <= lower <= upper")
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """Capacity pinned to a value."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"fixed capacity must be finite and >= 0, got {self.value}")
-
-    def as_bounds(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
-
-CapacityBound = Free | Fixed
-
-
-def _default_re_bound() -> Free:
-    return Free(0.0, DEFAULT_CAPACITY_UPPER_KW)
+# Default component bound: study-scale RE and electrolyser capacities sit
+# in the 10-50 MW project range; 0 is allowed so fixings stay expressible.
+_PROJECT_RANGE_KW = CapacityBound(0.0, 50_000.0)
 
 
 @dataclass(frozen=True)
 class CapacitySpec:
-    wind_kw: CapacityBound = field(default_factory=_default_re_bound)
-    pv_kw: CapacityBound = field(default_factory=_default_re_bound)
-    electrolyser_kw: CapacityBound = field(default_factory=_default_re_bound)
-    storage_kg: CapacityBound = field(default_factory=Free)
+    wind_kw: CapacityBound = _PROJECT_RANGE_KW
+    pv_kw: CapacityBound = _PROJECT_RANGE_KW
+    electrolyser_kw: CapacityBound = _PROJECT_RANGE_KW
+    storage_kg: CapacityBound = CapacityBound()
 
 
 class Mode(Enum):
@@ -243,7 +220,7 @@ class ScenarioSpec:
     name: str
     mode: Mode
     geo: Geo
-    capacities: CapacitySpec = field(default_factory=CapacitySpec)
+    capacities: CapacitySpec = CapacitySpec()
     tc_interval: TcInterval | None = None
     ei_mef_cap: float | None = None      # kgCO2e/kgH2
     capex_cap_usd: float | None = None

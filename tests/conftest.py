@@ -15,9 +15,9 @@ from h2grid import lp
 from h2grid.economics import optimize_plant
 from h2grid.ingest import synth_fixture
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
-    Fixed,
     HourlySeries,
     Mode,
     PlantParameters,
@@ -152,8 +152,8 @@ def recording_highs(monkeypatch, log_dir):
 def grid_only_scenario(name="grid_only"):
     """Flexible grid trade with renewables and storage pinned to zero:
     the one-knob scenario whose optimum is a closed-form expression."""
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                        storage_kg=Fixed(0.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                        storage_kg=CapacityBound(0.0, 0.0))
     return ScenarioSpec(name, Mode.GRID, CoLocated("Z1"), caps)
 
 

@@ -26,10 +26,10 @@ from h2grid.economics import (
 from h2grid.ingest import synth_fixture
 from h2grid.plant import Dispatch, verify_conservation
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
     Dataset,
-    Fixed,
     GridProfile,
     Mode,
     PlantParameters,
@@ -61,8 +61,8 @@ def report_line(num, name, ok, detail=""):
 
 
 def grid_only(name="grid_only"):
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                        storage_kg=Fixed(0.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                        storage_kg=CapacityBound(0.0, 0.0))
     return ScenarioSpec(name, Mode.GRID, CoLocated("Z1"), caps)
 
 
@@ -219,9 +219,9 @@ def dp_fixture(params):
     dataset = Dataset(zones={"Z1": zone},
                       ref_wind=constant_series(0.0, Unit.KW, horizon),
                       ref_pv=constant_series(0.0, Unit.KW, horizon))
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                        electrolyser_kw=Fixed(240.0 * 39.4 / 0.7),
-                        storage_kg=Fixed(720.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                        electrolyser_kw=CapacityBound(240.0 * 39.4 / 0.7, 240.0 * 39.4 / 0.7),
+                        storage_kg=CapacityBound(720.0, 720.0))
     scenario = ScenarioSpec("dp", Mode.GRID, CoLocated("Z1"), caps)
     return dataset, scenario, price
 

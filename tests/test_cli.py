@@ -123,6 +123,29 @@ def test_fx_override_scales_file_prices(tmp_path):
     assert cheap["lcoh_usd_per_kg"] < ref["lcoh_usd_per_kg"]
 
 
+def test_overrides_equal_their_config_keys(tmp_path, capsys):
+    """A flag replaces its config key: a suite run with overrides exits,
+    prints and writes (reports, CSVs and LP texts) exactly as a run whose
+    config states the same values, for a fixture and for profile CSVs."""
+    def run(config, *flags):
+        out = tmp_path / f"{config.stem}{''.join(flags)}"
+        code = main(["suite", "--config", str(config), "--export-lp", "--out", str(out),
+                     *flags])
+        return code, capsys.readouterr(), {p.relative_to(out): p.read_bytes()
+                                           for p in sorted(out.rglob("*"))}
+
+    walk = {"kind": "random-walk", "seed": 0}
+    flagged = write_config(tmp_path, {"horizon": 168, "fixture": walk}, "walk168.json")
+    stated = write_config(tmp_path, {"horizon": 24, "fx_usd_per_aud": 0.5,
+                                     "fixture": dict(walk, seed=7)}, "walk24.json")
+    assert run(flagged, "--horizon", "24", "--seed", "7", "--fx", "0.5") == run(stated)
+
+    files = write_file_config(tmp_path)
+    stated = tmp_path / "files_fx.json"
+    stated.write_text(json.dumps(dict(json.loads(files.read_text()), fx_usd_per_aud=0.35)))
+    assert run(files, "--fx", "0.35") == run(stated)
+
+
 def test_bad_override_values(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["solve", "--config", str(config), "--scenario", "flexible",
@@ -135,7 +158,7 @@ def test_negative_seed_flag_is_named(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["solve", "--config", str(config), "--scenario", "flexible",
                  "--seed", "-3"]) == 1
-    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: fixture.seed must be >= 0, got -3\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
 
@@ -144,7 +167,7 @@ def test_seed_flag_needs_a_fixture(tmp_path, capsys):
     config = write_file_config(tmp_path)
     inputs = sorted(tmp_path.rglob("*"))
     assert main(["suite", "--config", str(config), "--seed", "3"]) == 1
-    assert capsys.readouterr().err == "error: --seed needs a config with a fixture\n"
+    assert capsys.readouterr().err == "error: fixture.seed needs a config with a fixture\n"
     assert sorted(tmp_path.rglob("*")) == inputs
 
 
@@ -176,13 +199,15 @@ def test_seed_flag_needs_a_fixture(tmp_path, capsys):
      "sell_zone must be a string, got ['Z2']"),
     ({"scenarios": [{"name": "a", "mode": "grid", "sell_zone": "Z1", "buy_zone": None}]},
      "buy_zone must be a string, got None"),
+    ({"plant": {"lifetime_years": 25.5}}, "lifetime_years"),
 ], ids=["plant-value", "fx", "capacity-bound", "fixture-seed", "fixture-seed-float",
         "fixture-seed-bool", "fixture-seed-digits", "fixture-seed-negative",
         "capacity-value",
         "scenario-cap", "scenarios", "out-dir", "plant-nan", "zone-files",
         "zone-file", "interest-zero", "interest-negative",
         "wind-reference-zero", "pv-reference-zero", "zone-not-string",
-        "fixture-kind-not-string", "sell-zone-not-string", "buy-zone-not-string"])
+        "fixture-kind-not-string", "sell-zone-not-string", "buy-zone-not-string",
+        "lifetime-fraction"])
 def test_config_error_names_file_and_key(tmp_path, capsys, doc, key):
     config = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(config), "--scenario", "flexible"]) == 1
@@ -198,9 +223,13 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
     ({"plant": {"load_kg_per_h": 0}}, ["suite"],
      "{config}: invalid plant parameters: load_kg_per_h must be positive"),
     ({}, ["solve", "--scenario", "flexible", "--fx", "nan"],
-     "--fx must be positive and finite"),
+     "fx_usd_per_aud must be positive and finite, got nan"),
     ({}, ["solve", "--scenario", "flexible", "--fx", "inf"],
-     "--fx must be positive and finite"),
+     "fx_usd_per_aud must be positive and finite, got inf"),
+    ({}, ["solve", "--scenario", "flexible", "--horizon", "0"],
+     "horizon must be >= 1, got 0"),
+    ({"horizon": 0}, ["solve", "--scenario", "flexible"],
+     "{config}: horizon must be >= 1, got 0"),
     ({"scenarios": [{"name": "far", "mode": "grid", "sell_zone": "Z9"}]},
      ["solve", "--scenario", "far"],
      "scenario 'far': sell_zone 'Z9' not in dataset zones ['Z1']"),
@@ -238,11 +267,15 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
     ({"plant": {"interest": 1e-17}}, ["suite"],
      "{config}: invalid plant parameters: interest 1e-17 over lifetime_years 25 "
      "gives no finite capital recovery factor"),
-], ids=["zero-load", "fx-nan", "fx-inf", "unknown-zone", "unknown-zone-suite",
+    ({"plant": {"lifetime_years": 25.5}}, ["solve", "--scenario", "flexible"],
+     "{config}: invalid plant parameters: lifetime_years must be a whole number >= 1, "
+     "got 25.5"),
+], ids=["zero-load", "fx-nan", "fx-inf", "horizon-flag-zero", "horizon-zero",
+        "unknown-zone", "unknown-zone-suite",
         "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
         "sell-only-split", "missing-zone-csv", "missing-sidecar", "missing-re-csv",
         "csv-wind-above-reference", "interest-overflows", "lifetime-overflows",
-        "interest-below-resolution"])
+        "interest-below-resolution", "lifetime-fraction"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
     """Each input is checked before the first output is written. A config
     that reads files finds the flat fixture's profiles beside it, and

@@ -32,10 +32,10 @@ from h2grid.lp import LpModel, LpStatus
 from h2grid.plant import extract_dispatch, verify_conservation
 from h2grid.types import (
     CAPACITIES,
+    CapacityBound,
     CapacitySpec,
     CoLocated,
     Dataset,
-    Fixed,
     GridProfile,
     HourlySeries,
     Mode,
@@ -98,7 +98,8 @@ FLAT_DAY = synth_fixture("flat", horizon=24, seed=0)
 def storage_choice(capacity_kg, params):
     """The technology the sizing loop settles on for a grid plant whose
     storage is pinned at capacity_kg."""
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0), storage_kg=Fixed(capacity_kg))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                        storage_kg=CapacityBound(capacity_kg, capacity_kg))
     report, _ = optimize_plant(ScenarioSpec("pinned", Mode.GRID, CoLocated("Z1"), caps),
                                params, FLAT_DAY)
     assert report.is_optimal and report.converged
@@ -278,7 +279,7 @@ def test_zone_pair_colocated_and_split(contrast_week):
 
 def test_failure_report_has_no_breakdown(flat_week, params):
     sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"),
-                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0)))
+                      CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0)))
     report, breakdown = optimize_plant(sc, params, flat_week)
     assert not report.is_optimal
     assert breakdown is None
@@ -340,7 +341,7 @@ def test_export_lp_written_once_from_deciding_model(tmp_path, monkeypatch,
 
 def test_export_lp_written_on_failed_solve(tmp_path, flat_week, params):
     sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"),
-                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0)))
+                      CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0)))
     path = tmp_path / "island.lp"
     report, _ = optimize_plant(sc, params, flat_week, export_lp_path=path)
     assert not report.is_optimal

@@ -28,10 +28,9 @@ from h2grid.ingest import (
 from h2grid.economics import optimize_plant
 from h2grid.plant import Dispatch
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
-    Fixed,
-    Free,
     Mode,
     PlantParameters,
     ScenarioSpec,
@@ -466,9 +465,9 @@ def test_config_capacity_forms(tmp_path):
                        "electrolyser_kw": {"lower": 100.0, "upper": 9000.0},
                        "storage_kg": {"lower": 0.0, "upper": None}}})
     caps = load_config(path).capacities
-    assert caps.wind_kw == Fixed(1500.0)
-    assert caps.pv_kw == Fixed(0.0)
-    assert caps.electrolyser_kw == Free(100.0, 9000.0)
+    assert caps.wind_kw == CapacityBound(1500.0, 1500.0)
+    assert caps.pv_kw == CapacityBound(0.0, 0.0)
+    assert caps.electrolyser_kw == CapacityBound(100.0, 9000.0)
     assert caps.storage_kg.upper == float("inf")
 
 

@@ -28,7 +28,7 @@ from h2grid.lp import (
     SolverResult,
 )
 from h2grid.plant import add_hourly_rows
-from h2grid.types import Fixed, PlantParameters
+from h2grid.types import CapacityBound, PlantParameters
 from conftest import read_back, recording_backend, recording_highs
 from test_cli import write_config
 from test_golden_lp import CASES as GOLDEN_CASES
@@ -679,8 +679,8 @@ class TestBackend:
     def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
-        model, _ = golden_variant("offgrid_night",
-                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el_kw)))
+        c_el = 1.1 * seed.value(pvars.c_el_kw)
+        model, _ = golden_variant("offgrid_night", electrolyser_kw=CapacityBound(c_el, c_el))
         assert model.check_feasibility(seed.values)
         cold = model.solve()
         calls = recording_backend(monkeypatch)
@@ -735,8 +735,8 @@ class TestBackend:
     def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
-        model, _ = golden_variant("offgrid_night",
-                                  electrolyser_kw=Fixed(1.1 * seed.value(pvars.c_el_kw)))
+        c_el = 1.1 * seed.value(pvars.c_el_kw)
+        model, _ = golden_variant("offgrid_night", electrolyser_kw=CapacityBound(c_el, c_el))
         cold = model.solve()
         calls = recording_backend(monkeypatch, lambda basis: (
             SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced limit")
@@ -752,7 +752,8 @@ class TestBackend:
     def test_model_the_seed_makes_infeasible_gets_the_cold_verdict(self, monkeypatch,
                                                                    tmp_path):
         seed = golden_model("offgrid_night").solve()
-        model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
+        model, _ = golden_variant("offgrid_night", wind_kw=CapacityBound(0.0, 0.0),
+                                  pv_kw=CapacityBound(0.0, 0.0))
         cold = model.solve()
         assert cold.status is LpStatus.INFEASIBLE
         calls = recording_backend(monkeypatch)
@@ -764,7 +765,8 @@ class TestBackend:
         assert (got.status, got.message) == (cold.status, cold.message)
 
     def test_infeasible_verdict_stands_after_one_run(self, monkeypatch, tmp_path):
-        model, _ = golden_variant("offgrid_night", wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
+        model, _ = golden_variant("offgrid_night", wind_kw=CapacityBound(0.0, 0.0),
+                                  pv_kw=CapacityBound(0.0, 0.0))
         runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve()
         assert got.status is LpStatus.INFEASIBLE and got.values is None

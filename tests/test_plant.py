@@ -9,9 +9,9 @@ import pytest
 from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
 from h2grid.plant import Dispatch, PlantVars, build_plant, extract_dispatch, verify_conservation
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
-    Fixed,
     HourlySeries,
     Mode,
     PlantParameters,
@@ -90,7 +90,7 @@ def test_electrolyser_conversion_ratio(flat_grid_only):
 
 
 def test_offgrid_without_renewables_is_infeasible(flat_week, params):
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0))
     sc = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), caps)
     report, breakdown = optimize_plant(sc, params, flat_week)
     assert not report.is_optimal
@@ -161,8 +161,8 @@ def test_extract_dispatch_snaps_solver_noise(flat_week, params):
 
 
 def test_fixed_capacity_bounds_are_respected(flat_week, params):
-    caps = CapacitySpec(wind_kw=Fixed(3000.0), pv_kw=Fixed(500.0),
-                        storage_kg=Fixed(0.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(3000.0, 3000.0), pv_kw=CapacityBound(500.0, 500.0),
+                        storage_kg=CapacityBound(0.0, 0.0))
     sc = ScenarioSpec("pinned", Mode.GRID, CoLocated("Z1"), caps)
     report, _ = optimize_plant(sc, params, flat_week)
     assert report.is_optimal

@@ -13,9 +13,9 @@ from h2grid.policy import (
     wire_two_grid,
 )
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
-    Fixed,
     Mode,
     PlantParameters,
     ScenarioSpec,
@@ -109,8 +109,8 @@ def test_tighter_interval_never_cheaper(diurnal_week, params):
 
 def test_emission_cap_zero_without_renewables_is_infeasible(flat_week, params):
     sc = ScenarioSpec("capped", Mode.GRID, CoLocated("Z1"),
-                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                                   storage_kg=Fixed(0.0)),
+                      CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                                   storage_kg=CapacityBound(0.0, 0.0)),
                       ei_mef_cap=0.0)
     report, _ = optimize_plant(sc, params, flat_week)
     assert report.status.value == "infeasible"
@@ -119,8 +119,8 @@ def test_emission_cap_zero_without_renewables_is_infeasible(flat_week, params):
 def test_loose_emission_cap_changes_nothing(flat_week, params, flat_grid_only):
     base_report, _ = flat_grid_only
     sc = ScenarioSpec("capped", Mode.GRID, CoLocated("Z1"),
-                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                                   storage_kg=Fixed(0.0)),
+                      CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                                   storage_kg=CapacityBound(0.0, 0.0)),
                       ei_mef_cap=1e6)
     report, _ = optimize_plant(sc, params, flat_week)
     assert report.is_optimal
@@ -140,8 +140,8 @@ def test_capex_cap_below_minimum_build_is_infeasible(flat_week, params):
 def test_loose_capex_cap_changes_nothing(flat_week, params, flat_grid_only):
     base_report, _ = flat_grid_only
     sc = ScenarioSpec("loose", Mode.GRID, CoLocated("Z1"),
-                      CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                                   storage_kg=Fixed(0.0)),
+                      CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                                   storage_kg=CapacityBound(0.0, 0.0)),
                       capex_cap_usd=1e9)
     report, _ = optimize_plant(sc, params, flat_week)
     assert report.is_optimal
@@ -221,8 +221,8 @@ def test_split_dispatch_keeps_markets_separate(contrast_week, params):
 
 def test_split_without_renewables_cannot_satisfy_yearly_tc(contrast_week,
                                                            params):
-    caps = CapacitySpec(wind_kw=Fixed(0.0), pv_kw=Fixed(0.0),
-                        storage_kg=Fixed(0.0))
+    caps = CapacitySpec(wind_kw=CapacityBound(0.0, 0.0), pv_kw=CapacityBound(0.0, 0.0),
+                        storage_kg=CapacityBound(0.0, 0.0))
     sc = ScenarioSpec("split", Mode.GRID, Split(sell_zone="Z2", buy_zone="Z1"),
                       caps, tc_interval=TcInterval.YEARLY)
     report, _ = optimize_plant(sc, params, contrast_week)

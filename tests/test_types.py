@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from h2grid.ingest import _bound_json, _parse_caps
 from h2grid.types import (
+    CapacityBound,
     CapacitySpec,
     CoLocated,
     Dataset,
-    Fixed,
-    Free,
     GridProfile,
     HourlySeries,
     Mode,
@@ -20,7 +22,6 @@ from h2grid.types import (
     Split,
     TcInterval,
     Unit,
-    validate_profile,
 )
 
 from conftest import constant_series
@@ -74,13 +75,15 @@ def make_profile(horizon=24, arpp=0.1872, rmf=0.81, ef=0.71, price=0.05, mef=0.5
 class TestGridProfile:
     def test_well_formed(self):
         p = make_profile(horizon=24)
-        assert validate_profile(p, 24) == []
+        assert len(p.spot_price) == len(p.mef) == len(p.aef) == 24
 
     def test_length_mismatch_reported(self):
         p = make_profile(horizon=24)
-        errors = validate_profile(p, 8760)
-        assert len(errors) == 3
-        assert "expected 8760" in errors[0]
+        for name in ("mef", "aef"):
+            series = {name: constant_series(0.5, Unit.KGCO2E_PER_KWH, 12)}
+            with pytest.raises(ValueError, match=f"^invalid profile 'Z': {name} has length "
+                                                 "12, expected 24$"):
+                dataclasses.replace(p, **series)
 
     def test_arpp_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="arpp"):
@@ -130,25 +133,40 @@ class TestPlantParameters:
 
 class TestCapacityBounds:
     def test_free_default_unbounded(self):
-        assert Free().as_bounds() == (0.0, math.inf)
+        assert CapacityBound() == CapacityBound(0.0, math.inf)
 
     def test_free_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            Free(5.0, 1.0)
+            CapacityBound(5.0, 1.0)
         with pytest.raises(ValueError):
-            Free(-1.0, 1.0)
+            CapacityBound(-1.0, 1.0)
 
     def test_fixed(self):
-        assert Fixed(7.0).as_bounds() == (7.0, 7.0)
+        assert _bound_json(CapacityBound(7.0, 7.0)) == {"fixed": 7.0}
         with pytest.raises(ValueError):
-            Fixed(-2.0)
-        with pytest.raises(ValueError):
-            Fixed(math.inf)
+            CapacityBound(-2.0, -2.0)
+        # a capacity pinned at infinity is no capacity
+        with pytest.raises(ValueError, match=r"^capacity bounds \[inf, inf\] need a finite "
+                                             "lower with 0 <= lower <= upper$"):
+            CapacityBound(math.inf, math.inf)
 
     def test_spec_defaults(self):
         spec = CapacitySpec()
-        assert spec.wind_kw.as_bounds() == (0.0, 50_000.0)
-        assert spec.storage_kg.as_bounds() == (0.0, math.inf)
+        assert spec.wind_kw == CapacityBound(0.0, 50_000.0)
+        assert spec.storage_kg == CapacityBound(0.0, math.inf)
+
+    @given(st.floats(), st.floats())
+    def test_one_rule(self, lo, hi):
+        """A bound is accepted exactly when lower is finite and 0 <= lower
+        <= upper, and an accepted bound reads back from its report JSON
+        as itself."""
+        try:
+            bound = CapacityBound(lo, hi)
+        except ValueError:
+            assert not (math.isfinite(lo) and 0.0 <= lo <= hi)
+            return
+        assert math.isfinite(lo) and 0.0 <= lo <= hi
+        assert _parse_caps({"wind_kw": _bound_json(bound)}, "config").wind_kw == bound
 
 
 class TestScenarioSpec:
