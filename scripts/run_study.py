@@ -10,7 +10,6 @@ Usage: python3 scripts/run_study.py [--kind KIND] [--seed N] [--out DIR]
 
 import argparse
 import json
-import tempfile
 from pathlib import Path
 
 from h2grid.cli import main as h2grid

@@ -20,6 +20,7 @@ from pathlib import Path
 from .certification import certify, re_capacity_factor
 from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
+    SCHEMA_VERSION,
     RunConfig,
     dataset_from_config,
     dump_json,
@@ -158,7 +159,7 @@ class _Command:
                 "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
                 "emissions": None if emissions is None else emissions_to_dict(emissions)})
         write_csv(self.out_dir / f"{name}.csv", header, rows)
-        dump_json({"schema_version": 1, **summary, "inputs": self.inputs,
+        dump_json({"schema_version": SCHEMA_VERSION, **summary, "inputs": self.inputs,
                    "points": entries}, self.out_dir / f"{name}.json")
 
 
@@ -187,7 +188,7 @@ def cmd_suite(run: _Command) -> None:
         if name == "offgrid" and report.is_optimal:
             cap = capex_cap_usd(report, config.params)
             cap_price = report.storage_tech, report.storage_unit_cost_usd_per_kg
-        if name in seed_of.values() and report.solution is not None:
+        if name in seed_of.values():
             # kept as a seed: its point and its HighsBasis, matched to a
             # later member's rows by name
             seeds[name] = report.solution
@@ -198,12 +199,12 @@ def cmd_suite(run: _Command) -> None:
             "status": report.status.value,
             "converged": report.converged,
             "lcoh_usd_per_kg": None if cost is None else cost["lcoh_usd_per_kg"],
-            "capacities": report.capacities or None,
+            "capacities": report.capacities,
             "cost_breakdown": None if cost is None else {k: cost[k] for k in _SUITE_COSTS},
             **{k: None if ei is None else ei[k] for k in _SUITE_INTENSITIES},
         })
     dump_json({
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "capex_cap_usd": cap,
         "inputs": run.inputs,
         "scenarios": rows,

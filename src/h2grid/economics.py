@@ -32,7 +32,7 @@ from .policy import (
     apply_temporal_correlation,
     wire_two_grid,
 )
-from .types import CAPACITIES, Dataset, GridProfile, PlantParameters, ScenarioSpec, Split
+from .types import CAPACITIES, Dataset, GridProfile, PlantParameters, ScenarioSpec, Split, crf
 
 STORAGE_SEED_CAPACITY_KG = 1000.0
 STORAGE_CONVERGENCE_REL = 0.01
@@ -48,13 +48,6 @@ class StorageTech(Enum):
     def mu_comp2(self, params: PlantParameters) -> float:
         return (params.mu_comp2_pipeline if self is StorageTech.PIPELINE
                 else params.mu_comp2_lrc)
-
-
-def crf(i: float, n: int) -> float:
-    """Capital recovery factor: the annual payment per unit of capital
-    for an n-year annuity at interest rate i."""
-    growth = (1.0 + i) ** n
-    return i * growth / (growth - 1.0)
 
 
 def storage_unit_cost(capacity_kg: float, tech: StorageTech) -> float:
@@ -86,27 +79,27 @@ class SolutionReport:
 
     scenario_name: str
     status: LpStatus
-    message: str = ""
-    converged: bool = False
-    iterations: int = 0
-    storage_tech: StorageTech | None = None
-    storage_unit_cost_usd_per_kg: float = math.nan
-    objective_usd: float = math.nan
-    annual_h2_kg: float = math.nan
-    dispatch: Dispatch | None = None
+    message: str
+    converged: bool
+    iterations: int
+    storage_tech: StorageTech
+    storage_unit_cost_usd_per_kg: float
+    objective_usd: float | None
+    annual_h2_kg: float
+    dispatch: Dispatch | None
     # the solve that decided the report, which can start the next
     # optimize_plant; not written out and not compared
-    solution: LpSolution | None = field(default=None, repr=False, compare=False)
+    solution: LpSolution = field(repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
 
     @property
-    def capacities(self) -> dict[str, float]:
+    def capacities(self) -> dict[str, float] | None:
         d = self.dispatch
         if d is None:
-            return {}
+            return None
         return {"wind_kw": d.c_wind_kw, "pv_kw": d.c_pv_kw,
                 "electrolyser_kw": d.c_el_kw, "storage_kg": d.c_store_kg}
 
@@ -203,9 +196,7 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     tech, u_store = price
     annual_h2 = params.load_kg_per_h * dataset.horizon
 
-    solution, model, pvars = start, None, None
-    converged = False
-    iterations = 0
+    solution, converged = start, False
     for iterations in range(1, STORAGE_MAX_ITERATIONS + 1):
         model, pvars = build_scenario_model(scenario, params, dataset, u_store, tech)
         # only c_store's cost (and, after a technology flip, the comp2 and
@@ -214,7 +205,7 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
         solution = model.solve(warm=solution)
         if not solution.is_optimal:
             break
-        c_store_kg = solution.value(pvars.c_store_kg)
+        c_store_kg = solution.values[pvars.c_store_kg]
         if c_store_kg < STORAGE_NEGLIGIBLE_KG:
             converged = True
             break
@@ -253,7 +244,7 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
         message="" if dispatch is not None else f"iteration {iterations}: {message}",
         converged=converged, iterations=iterations, storage_tech=tech,
         storage_unit_cost_usd_per_kg=u_store,
-        objective_usd=solution.objective_value if dispatch is not None else math.nan,
+        objective_usd=solution.objective_value if dispatch is not None else None,
         annual_h2_kg=annual_h2, dispatch=dispatch, solution=solution)
     return report, breakdown
 

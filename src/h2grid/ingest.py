@@ -481,6 +481,10 @@ def load_config(path) -> RunConfig:
     if zone_file_doc and re_file is None:
         raise ValueError(f"{path}: zone_files requires re_profile_file")
     for zone_id, rel in zone_file_doc.items():
+        # a zone id names sweep-geo's output files; each sidecar matches its key
+        if not _SCENARIO_NAME.fullmatch(zone_id):
+            raise ValueError(f"{path}: zone_files key {zone_id!r} must be letters, "
+                             f"digits, '_' or '-'")
         if not isinstance(rel, str):
             raise ValueError(f"{path}: zone_files.{zone_id} must be a path, got {rel!r}")
 
@@ -605,22 +609,17 @@ def write_report(report: SolutionReport, breakdown: CostBreakdown | None,
         "message": report.message,
         "converged": report.converged,
         "iterations": report.iterations,
-        "storage_tech": (None if report.storage_tech is None
-                         else report.storage_tech.value),
-        "storage_unit_cost_usd_per_kg": _num(report.storage_unit_cost_usd_per_kg),
-        "objective_usd": _num(report.objective_usd),
-        "annual_h2_kg": _num(report.annual_h2_kg),
-        "capacities": report.capacities or None,
+        "storage_tech": report.storage_tech.value,
+        "storage_unit_cost_usd_per_kg": report.storage_unit_cost_usd_per_kg,
+        "objective_usd": report.objective_usd,
+        "annual_h2_kg": report.annual_h2_kg,
+        "capacities": report.capacities,
         "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
         "cost_breakdown": None if breakdown is None else asdict(breakdown),
         "emissions": None if emissions is None else emissions_to_dict(emissions),
         "scenario": _scenario_json(scenario),
         "inputs": inputs,
     }, path)
-
-
-def _num(x: float):
-    return None if (x is None or math.isnan(x)) else x
 
 
 def dump_json(obj, path) -> None:

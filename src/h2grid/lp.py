@@ -12,11 +12,12 @@ Every HiGHS run goes through `linprog`, the solver backend: scipy's
 bundled HiGHS binding, handed the model's own CSR matrix as a rowwise
 HiGHS matrix, so HiGHS row i is model row i, in one array call that
 HiGHS copies (see linprog). Each row is ranged by its sense: LE
-[-inf, b], GE [b, inf], EQ [b, b]. HiGHS's model status is the verdict
-(optimal, infeasible, unbounded, anything else a solver failure) and its
-status string the message. Every run keeps HiGHS's stock feasibility
-tolerances (1e-7), ten times tighter than the 1e-6 of
-`check_feasibility`, the one test every point must pass.
+[-inf, b], GE [b, inf], EQ [b, b]. A run returns an `LpSolution`, as
+`LpModel.solve` does: HiGHS's model status is the verdict (optimal,
+infeasible, unbounded, anything else a solver failure), its status
+string the message and its simplex iterations `nit`. Every run keeps
+HiGHS's stock feasibility tolerances (1e-7), ten times tighter than the
+1e-6 of `check_feasibility`, the one test every point must pass.
 
 `LpModel.solve` makes at most two runs. With `warm=`, the optimal
 solution of an earlier solve of a model with the same variables, it
@@ -53,13 +54,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-VarId = int
 
 FEASIBILITY_TOL = 1e-6
 
@@ -89,8 +88,9 @@ class LpStatus(Enum):
 class LpSolution:
     status: LpStatus
     objective_value: float
-    values: np.ndarray | None
+    values: np.ndarray | None   # None unless optimal
     message: str = ""
+    nit: int = 0                # simplex iterations of the run that decided it
     # the HighsBasis of the optimal run, HiGHS's own copy, which outlives
     # its solver; None when no solver run ended optimal (every result that
     # is not optimal)
@@ -102,14 +102,6 @@ class LpSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
-
-    def value(self, vid: VarId) -> float:
-        return float(self.series([vid])[0])
-
-    def series(self, vids) -> np.ndarray:
-        if self.values is None:
-            raise ValueError(f"no solution values (status {self.status.value})")
-        return self.values[np.asarray(vids, dtype=int)]
 
 
 class LpModel:
@@ -263,7 +255,8 @@ class LpModel:
         follows only when that run does not end optimal. A warm solution
         with another number of variables starts no run. The optimal
         point of whichever run ended optimal must pass check_feasibility,
-        else the result is a SOLVER_FAILURE naming the violated rows.
+        else the result is a SOLVER_FAILURE naming the violated rows. The
+        result carries the nit of the run that decided it.
 
         With the same rows (as between storage-pricing re-solves and
         sweep points) warm's basis is passed on as it is. With other rows
@@ -282,19 +275,18 @@ class LpModel:
         basis = self._start(warm, names)
         if basis is not None:
             res = linprog(c, **problem, basis=basis)
-        if res is None or res.status is not LpStatus.OPTIMAL:
+        if res is None or not res.is_optimal:
             res = linprog(c, **problem)
-        if res.status is not LpStatus.OPTIMAL:
-            return LpSolution(res.status, math.nan, None, res.message)
+        if not res.is_optimal:
+            return res
 
-        violations = self.check_feasibility(res.x)
+        violations = self.check_feasibility(res.values)
         if violations:
             return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None,
                               "solver returned an infeasible point: "
-                              + "; ".join(violations[:5]))
-        return LpSolution(LpStatus.OPTIMAL,
-                          math.fsum((coefs * res.x[cols]).tolist()) + constant, res.x,
-                          res.message, res.basis, names)
+                              + "; ".join(violations[:5]), res.nit)
+        return replace(res, model_rows=names, objective_value=math.fsum(
+            (coefs * res.values[cols]).tolist()) + constant)
 
     def _start(self, warm: LpSolution | None, names: tuple):
         """The basis warm starts this model, whose row names are names,
@@ -389,18 +381,6 @@ def _highs_basis(cols: list, rows: list):
     return basis
 
 
-class SolverResult(NamedTuple):
-    """What one solver run reports: its verdict, the point and HiGHS
-    basis of an optimal run (else None), the simplex iterations and
-    HiGHS's model status string."""
-
-    status: LpStatus
-    x: np.ndarray | None
-    nit: int
-    message: str
-    basis: object = None
-
-
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
@@ -443,8 +423,8 @@ def _load_highs():
 # The one place a solver runs. The benchmark harness times the HiGHS layer
 # by wrapping this module attribute by name; it reads c (the first
 # positional argument), the shape[0] and nnz of the A_ub keyword (the
-# whole ranged matrix) and the result's nit.
-def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> SolverResult:
+# whole ranged matrix) and the nit of the returned LpSolution.
+def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> LpSolution:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
     bounds (lower, upper), with HiGHS simplex. basis, from an earlier
     result of a model of the same shape, starts a warm run without
@@ -466,7 +446,9 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> SolverResult:
     int32, HiGHS's HighsInt). A load that warns, as when HiGHS drops
     entries of |a| <= 1e-9, is not an error; a load error (an index out
     of range, a repeated entry, an array whose length does not match the
-    shape) is a SOLVER_FAILURE with the message "Model error"."""
+    shape) is a SOLVER_FAILURE with the message "Model error". The
+    LpSolution has HiGHS's objective and, when optimal, its basis, but no
+    row names: LpModel.solve adds them and its own exactly summed objective."""
     core = _load_highs()
     m, n = A_ub.shape
     highs_options = core.HighsOptions()
@@ -503,9 +485,9 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> SolverResult:
     message = solver.modelStatusToString(status)
     verdict = _VERDICTS.get(status.name, LpStatus.SOLVER_FAILURE)
     if verdict is not LpStatus.OPTIMAL:
-        return SolverResult(verdict, None, nit, message)
-    return SolverResult(verdict, np.array(solver.getSolution().col_value), nit, message,
-                        solver.getBasis())
+        return LpSolution(verdict, math.nan, None, message, nit)
+    return LpSolution(verdict, solver.getInfo().objective_function_value,
+                      np.array(solver.getSolution().col_value), message, nit, solver.getBasis())
 
 
 # the HiGHS model statuses that are a verdict; any other is a failure

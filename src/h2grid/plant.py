@@ -220,7 +220,7 @@ def extract_dispatch(solution: LpSolution, pvars: PlantVars) -> Dispatch:
     solved = {}
     for name in (f.name for f in fields(Dispatch)):
         if name not in ("gen_wind_kw", "gen_pv_kw"):
-            value = _clean(solution.series(getattr(pvars, name)))
+            value = _clean(solution.values[getattr(pvars, name)])
             solved[name] = float(value) if value.ndim == 0 else value
     return Dispatch(gen_wind_kw=pvars.a_wind * solved["c_wind_kw"],
                     gen_pv_kw=pvars.a_pv * solved["c_pv_kw"], **solved)

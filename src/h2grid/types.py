@@ -93,6 +93,13 @@ class GridProfile:
             raise ValueError(f"invalid profile {self.zone_id!r}: " + "; ".join(errors))
 
 
+def crf(i: float, n: int) -> float:
+    """Capital recovery factor: the annual payment per unit of capital
+    for an n-year annuity at interest rate i."""
+    growth = (1.0 + i) ** n
+    return i * growth / (growth - 1.0)
+
+
 # the priced capacities, in the order of PlantParameters.capacity_costs
 CAPACITIES = ("electrolyser", "wind", "pv", "storage")
 
@@ -140,12 +147,11 @@ class PlantParameters:
         for name in ("load_kg_per_h", "interest", "c_ref_wind_kw", "c_ref_pv_kw"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # the capital recovery factor, interest * growth / (growth - 1), must be finite
         try:
-            growth = (1.0 + self.interest) ** self.lifetime_years
-        except OverflowError:
-            growth = math.inf
-        if not (growth > 1.0 and math.isfinite(self.interest * growth)):
+            finite = math.isfinite(crf(self.interest, self.lifetime_years))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
             raise ValueError(f"interest {self.interest} over lifetime_years "
                              f"{self.lifetime_years} gives no finite capital recovery factor")
 

@@ -14,14 +14,11 @@ from h2grid.certification import (
 from h2grid.economics import optimize_plant
 from h2grid.types import (
     CapacitySpec,
-    CoLocated,
     Mode,
     ScenarioSpec,
     Split,
     TcInterval,
 )
-
-from conftest import grid_only_scenario
 
 IMPORT_KW = 10280.82857142857
 H2_WEEK = 180.0 * 168

@@ -253,6 +253,8 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
      "{dir}/nope.csv: cannot open (No such file or directory)"),
     (dict(FILES, zone_files={"Z1": "bare.csv"}), ["suite"],
      "{dir}/bare.meta.json: cannot open (No such file or directory)"),
+    (dict(FILES, zone="Z/1", zone_files={"Z/1": "z1.csv"}), ["sweep-geo", "--sell-zones", "Z/1"],
+     "{config}: zone_files key 'Z/1' must be letters, digits, '_' or '-'"),
     (dict(FILES, re_profile_file="nope.csv"), ["suite"],
      "{dir}/nope.csv: cannot open (No such file or directory)"),
     (dict(FILES, plant={"c_ref_wind_kw": 100000}), ["solve", "--scenario", "flexible"],
@@ -273,7 +275,8 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
 ], ids=["zero-load", "fx-nan", "fx-inf", "horizon-flag-zero", "horizon-zero",
         "unknown-zone", "unknown-zone-suite",
         "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
-        "sell-only-split", "missing-zone-csv", "missing-sidecar", "missing-re-csv",
+        "sell-only-split", "missing-zone-csv", "missing-sidecar", "zone-id-path",
+        "missing-re-csv",
         "csv-wind-above-reference", "interest-overflows", "lifetime-overflows",
         "interest-below-resolution", "lifetime-fraction"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):

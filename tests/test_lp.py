@@ -20,13 +20,7 @@ from hypothesis import given, settings, strategies as st
 from h2grid import lp
 from h2grid.cli import main
 from h2grid.economics import build_scenario_model, storage_unit_cost
-from h2grid.lp import (
-    LpModel,
-    LpStatus,
-    LpSolution,
-    Sense,
-    SolverResult,
-)
+from h2grid.lp import LpModel, LpSolution, LpStatus, Sense
 from h2grid.plant import add_hourly_rows
 from h2grid.types import CapacityBound, PlantParameters
 from conftest import read_back, recording_backend, recording_highs
@@ -235,7 +229,7 @@ class TestSolve:
         m.set_objective([x], [1.0])
         sol = m.solve()
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.value(x) == pytest.approx(3.0, abs=1e-9)
+        assert sol.values[x] == pytest.approx(3.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible(self):
@@ -257,7 +251,7 @@ class TestSolve:
         [x] = m.add_variables(["x"], 5, 5)
         m.set_objective([x], [1.0])
         sol = m.solve()
-        assert sol.value(x) == pytest.approx(5.0)
+        assert sol.values[x] == pytest.approx(5.0)
 
     def test_equality_and_objective_constant(self):
         m = LpModel()
@@ -292,7 +286,7 @@ class TestSolve:
         x, y = m.add_variables(["x", "y"], [2, 3], [2, 3])
         m.set_objective([x], [1.0])
         sol = m.solve()
-        assert sol.series([y, x]).tolist() == pytest.approx([3.0, 2.0])
+        assert sol.values[[y, x]].tolist() == pytest.approx([3.0, 2.0])
 
 
 def golden_model(name: str) -> LpModel:
@@ -381,10 +375,10 @@ class TestBackend:
                                      options={"presolve": True})
         assert got.status is _PUBLIC_STATUS[ref.status]
         if got.status is not LpStatus.OPTIMAL:
-            assert got.x is None
+            assert got.values is None
             return
-        assert c @ got.x == pytest.approx(ref.fun, rel=1e-9)
-        assert model.check_feasibility(got.x) == []
+        assert c @ got.values == pytest.approx(ref.fun, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
 
     @pytest.mark.parametrize("indices", [[0, 2], [1, 1]],
                              ids=["column-out-of-range", "repeated-entry"])
@@ -394,7 +388,7 @@ class TestBackend:
         A = lp.CsrMatrix(np.array([0, 2]), np.array(indices), np.array([1.0, 1.0]), (1, 2))
         got = lp.linprog(np.ones(2), A, np.array([-math.inf]), np.array([4.0]),
                          (np.zeros(2), np.full(2, 10.0)))
-        assert got == SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "Model error")
+        assert got == LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "Model error", 0)
 
     @pytest.mark.parametrize("short", ["c", "b_lb", "b_ub", "bounds"])
     def test_array_shorter_than_the_shape_is_a_model_error(self, short):
@@ -406,7 +400,7 @@ class TestBackend:
                     bounds=(np.zeros(2), np.full(2, 10.0)))
         args[short] = (np.zeros(1), np.ones(1)) if short == "bounds" else args[short][:-1]
         got = lp.linprog(**args)
-        assert got == SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "Model error")
+        assert got == LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "Model error", 0)
 
     def test_model_without_rows_is_optimal(self):
         m = LpModel()
@@ -471,12 +465,28 @@ class TestBackend:
         model = golden_model("split_yearly")
         cold = model.solve()
         calls = recording_backend(monkeypatch, lambda basis: (
-            SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced failure")
+            LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "forced failure", 0)
             if basis is not None else None))
         got = model.solve(warm=cold)
         assert [w for w, _ in calls] == [True, False]
         assert got.values.tobytes() == cold.values.tobytes()
         assert got.message == cold.message
+
+    def test_solution_keeps_the_deciding_runs_iterations(self, monkeypatch, tmp_path):
+        """nit is the simplex iterations of the run that decided the
+        result: the cold run's, none for a warm re-solve from the model's
+        own optimum, and the cold run's after a warm run that did not end
+        optimal."""
+        model = golden_model("split_yearly")
+        runs = recording_highs(monkeypatch, tmp_path)
+        cold = model.solve()
+        assert [r.iterations for r in runs] == [cold.nit] and cold.nit > 0
+        assert model.solve(warm=cold).nit == 0
+        recording_backend(monkeypatch, lambda basis: (
+            LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "forced failure", 0)
+            if basis is not None else None))
+        got = model.solve(warm=cold)
+        assert got.nit == runs[-1].iterations == cold.nit
 
     def test_warm_point_failing_the_gate_is_a_solver_failure(self, monkeypatch):
         """An optimal warm run is the one run: when its point fails
@@ -531,7 +541,7 @@ class TestBackend:
         seed = golden_model("split_yearly").solve()
         model, pvars = golden_variant("split_yearly")
         # half the seed's PV: the seed's point breaks the new row
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv_kw), [0],
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.values[pvars.c_pv_kw], [0],
                        [pvars.c_pv_kw], [1.0])
         assert model.check_feasibility(seed.values)
         cold = model.solve()
@@ -560,7 +570,7 @@ class TestBackend:
         scale_cost(model, pvars.c_pv_kw, 2.0)
         assert model.solve(warm=seed).is_optimal                     # warm primal
         # the seed's point breaks this row, so the warm run is dual
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.value(pvars.c_pv_kw), [0],
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.values[pvars.c_pv_kw], [0],
                        [pvars.c_pv_kw], [1.0])
         assert model.solve(warm=seed).is_optimal                     # warm dual
         assert [r.options for r in runs] == [COLD, WARM, WARM]
@@ -588,7 +598,7 @@ class TestBackend:
         at the cold optimum's cost."""
         model, pvars = golden_variant("split_yearly")
         free = model.solve()
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * free.value(pvars.c_pv_kw), [0],
+        model.add_rows(["pv_half"], Sense.LE, 0.5 * free.values[pvars.c_pv_kw], [0],
                        [pvars.c_pv_kw], [1.0])
         seed = model.solve()
         plain = golden_model("split_yearly")
@@ -679,7 +689,7 @@ class TestBackend:
     def test_bounds_cutting_off_the_seed_start_dual(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
-        c_el = 1.1 * seed.value(pvars.c_el_kw)
+        c_el = 1.1 * seed.values[pvars.c_el_kw]
         model, _ = golden_variant("offgrid_night", electrolyser_kw=CapacityBound(c_el, c_el))
         assert model.check_feasibility(seed.values)
         cold = model.solve()
@@ -735,11 +745,11 @@ class TestBackend:
     def test_non_optimal_dual_run_falls_back_to_cold(self, monkeypatch, tmp_path):
         seed = golden_model("offgrid_night").solve()
         _, pvars = golden_variant("offgrid_night")
-        c_el = 1.1 * seed.value(pvars.c_el_kw)
+        c_el = 1.1 * seed.values[pvars.c_el_kw]
         model, _ = golden_variant("offgrid_night", electrolyser_kw=CapacityBound(c_el, c_el))
         cold = model.solve()
         calls = recording_backend(monkeypatch, lambda basis: (
-            SolverResult(LpStatus.SOLVER_FAILURE, None, 0, "forced limit")
+            LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "forced limit", 0)
             if basis is not None else None))
         runs = recording_highs(monkeypatch, tmp_path)
         got = model.solve(warm=seed)
@@ -786,8 +796,8 @@ class TestBackend:
         without a verdict, the result is a SOLVER_FAILURE carrying HiGHS's
         status string."""
         model = golden_model("offgrid_night")
-        calls = recording_backend(monkeypatch, lambda basis: SolverResult(
-            LpStatus.SOLVER_FAILURE, None, 0, "forced failure"))
+        calls = recording_backend(monkeypatch, lambda basis: LpSolution(
+            LpStatus.SOLVER_FAILURE, math.nan, None, "forced failure", 0))
         got = model.solve()
         assert (got.status, got.message) == (LpStatus.SOLVER_FAILURE, "forced failure")
         assert [w for w, _ in calls] == [False]

@@ -12,7 +12,6 @@ from h2grid.types import (
     CapacityBound,
     CapacitySpec,
     CoLocated,
-    HourlySeries,
     Mode,
     PlantParameters,
     ScenarioSpec,

@@ -1,11 +1,10 @@
 """Interval partitions, trade-matching constraints, caps, and the
 two-market rewiring."""
 
-import numpy as np
 import pytest
 
-from h2grid.economics import StorageTech, build_scenario_model, optimize_plant
-from h2grid.plant import build_plant, extract_dispatch, verify_conservation
+from h2grid.economics import optimize_plant
+from h2grid.plant import build_plant, verify_conservation
 from h2grid.policy import (
     apply_capex_cap,
     apply_temporal_correlation,
@@ -17,14 +16,13 @@ from h2grid.types import (
     CapacitySpec,
     CoLocated,
     Mode,
-    PlantParameters,
     ScenarioSpec,
     Split,
     TcInterval,
     Unit,
 )
 
-from conftest import constant_series, grid_only_scenario, read_back
+from conftest import constant_series, read_back
 
 
 # -- partitions ---------------------------------------------------------
