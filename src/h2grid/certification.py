@@ -41,16 +41,6 @@ def emissions_factor_tracked(import_kw, export_kw, ef_buy, ef_sell) -> float:
     return float(import_kw @ ef_buy - export_kw @ ef_sell)
 
 
-def re_capacity_factor(gen_wind: np.ndarray, gen_pv: np.ndarray, c_wind_kw: float,
-                       c_pv_kw: float) -> float | None:
-    """Combined renewable capacity factor: produced energy over the
-    horizon divided by installed capacity times hours; None when no
-    renewable capacity is installed."""
-    if c_wind_kw + c_pv_kw <= 0:
-        return None
-    return float((gen_wind.sum() + gen_pv.sum()) / ((c_wind_kw + c_pv_kw) * gen_wind.size))
-
-
 @dataclass(frozen=True)
 class EmissionsReport:
     """All four accounting results over the horizon, as totals and

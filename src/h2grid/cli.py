@@ -7,7 +7,9 @@ one context (_Command) solves, certifies, writes and prints every
 scenario of the command, and sets the exit code from the first scenario
 that is not optimal. Diagnostics go to stderr; results go to --out as
 JSON reports and CSV tables with stable key order (repeat runs with the
-same config, seed, and backend are byte-identical).
+same config, seed, and backend are byte-identical). Each column of a
+sweep table after the swept value and the status is the field of its
+name on the point's CostBreakdown, EmissionsReport or Dispatch.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .certification import certify, re_capacity_factor
+from .certification import certify
 from .economics import capex_cap_usd, optimize_plant, zone_pair
 from .ingest import (
     SCHEMA_VERSION,
@@ -137,11 +139,11 @@ class _Command:
             self.code = self.code or _STATUS_EXIT[report.status]
         return report, breakdown, emissions
 
-    def sweep(self, name: str, points: list, header: list[str], cells,
-              summary: dict) -> None:
+    def sweep(self, name: str, points: list, header: list[str], summary: dict) -> None:
         """Solve each (value, scenario) point and write <name>.csv, one row
-        per point (the value, the status, then cells(report, breakdown,
-        emissions) when optimal, else empty cells), and <name>.json (schema
+        per point (the value, the status, then each column's field by name on
+        the first of the point's CostBreakdown, EmissionsReport and Dispatch
+        that has it, all None unless optimal), and <name>.json (schema
         version, summary, inputs and one entry per point, keyed header[0]).
 
         The points' models have the same variables and rows, so each point
@@ -151,9 +153,10 @@ class _Command:
         for value, scenario in points:
             report, breakdown, emissions = self.solve(scenario, start)
             start = report.solution
-            rows.append([value, report.status.value] + (
-                cells(report, breakdown, emissions) if report.is_optimal
-                else [None] * (len(header) - 2)))
+            sources = (breakdown, emissions, report.dispatch)
+            rows.append([value, report.status.value] + [
+                next((getattr(s, column) for s in sources if hasattr(s, column)), None)
+                for column in header[2:]])
             entries.append({
                 header[0]: value, "status": report.status.value,
                 "lcoh_usd_per_kg": None if breakdown is None else breakdown.lcoh_usd_per_kg,
@@ -233,21 +236,12 @@ def cmd_sweep_re(run: _Command, n_points: int) -> None:
         return ScenarioSpec(f"re_{i:03d}", Mode.GRID, CoLocated(config.zone),
                             capacities=caps)
 
-    def cells(report, breakdown, emissions) -> list:
-        disp = report.dispatch
-        cf = re_capacity_factor(disp.gen_wind_kw, disp.gen_pv_kw,
-                                disp.c_wind_kw, disp.c_pv_kw)
-        return [breakdown.lcoh_usd_per_kg, emissions.ei_market,
-                emissions.ei_recs, emissions.ei_location, emissions.ei_mef,
-                emissions.ei_aef, emissions.d_market, emissions.d_location, cf,
-                disp.c_wind_kw, disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
-
     rs = [r_max * i / (n_points - 1) for i in range(n_points)]
     run.sweep("sweep_re", [(r, scenario(i, r)) for i, r in enumerate(rs)],
               ["re_factor", "status", "lcoh_usd_per_kg", "ei_market",
                "ei_recs", "ei_location", "ei_mef", "ei_aef", "d_market",
                "d_location", "re_capacity_factor", "c_wind_kw", "c_pv_kw",
-               "c_el_kw", "c_store_kg"], cells,
+               "c_el_kw", "c_store_kg"],
               {"baseline_capacities": base_report.capacities,
                "notes": "electrolyser and renewable split fixed at the "
                         "isolated optimum; storage re-optimized at every point"})
@@ -276,12 +270,6 @@ def cmd_sweep_geo(run: _Command, sell_zones: list[str]) -> None:
         baseline_block["lcoh_with_recs_usd_per_kg"] = [
             base_breakdown.lcoh_usd_per_kg + a for a in adders]
 
-    def cells(report, breakdown, emissions) -> list:
-        disp = report.dispatch
-        return [breakdown.lcoh_usd_per_kg, emissions.ei_market,
-                emissions.ei_recs, emissions.ei_mef, disp.c_wind_kw,
-                disp.c_pv_kw, disp.c_el_kw, disp.c_store_kg]
-
     points = [(zone, ScenarioSpec(f"geo_{zone}", Mode.GRID,
                                   Split(sell_zone=zone, buy_zone=config.zone),
                                   capacities=config.capacities,
@@ -290,7 +278,7 @@ def cmd_sweep_geo(run: _Command, sell_zones: list[str]) -> None:
     run.sweep("sweep_geo", points,
               ["sell_zone", "status", "lcoh_usd_per_kg", "ei_market",
                "ei_recs", "ei_mef", "c_wind_kw", "c_pv_kw", "c_el_kw",
-               "c_store_kg"], cells,
+               "c_store_kg"],
               {"buy_zone": config.zone, "grid_only_baseline": baseline_block})
 
 

@@ -9,7 +9,8 @@ Each outside value is checked once, by the reader or rule that owns it:
 _read names a file it cannot open or decode, _object checks every JSON
 object's keys, _number every config number, _integer the horizon and the
 fixture seed, _string every zone name and the fixture kind, RunConfig
-the ranges of the values a command-line flag may replace, and
+the ranges of the values a command-line flag may replace and that the
+horizon's hydrogen, its VOM and each emission budget are finite, and
 dataset_from_config the reference output against the reference
 capacities.
 """
@@ -317,8 +318,9 @@ _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-]+")
 class RunConfig:
     """Validated run configuration; paths are resolved against the config
     file's directory. It checks the rules of the values a command-line
-    flag may replace, so a replaced value passes the same rule, and an
-    error names the config key."""
+    flag may replace, so a replaced value passes the same rule, and that
+    the horizon's hydrogen, its VOM and each emission budget are finite.
+    An error names the config key."""
 
     horizon: int
     fx_usd_per_aud: float
@@ -343,6 +345,19 @@ class RunConfig:
                 raise ValueError("fixture.seed needs a config with a fixture")
             if self.fixture_seed < 0:
                 raise ValueError(f"fixture.seed must be >= 0, got {self.fixture_seed}")
+        # the horizon's hydrogen, then each number the model prices on it
+        try:
+            h2_kg = self.params.load_kg_per_h * self.horizon
+        except OverflowError:  # a horizon past the float range
+            h2_kg = math.inf
+        totals = [("plant.load_kg_per_h", self.params.load_kg_per_h, h2_kg, "hydrogen mass"),
+                  ("plant.vom_el", self.params.vom_el, self.params.vom_el * h2_kg, "O&M cost")]
+        totals += [(f"scenario {s.name!r}: ei_mef_cap", s.ei_mef_cap, s.ei_mef_cap * h2_kg,
+                    "emission budget") for s in self.scenarios if s.ei_mef_cap is not None]
+        for key, value, total, what in totals:
+            if not math.isfinite(total):
+                raise ValueError(f"{key} {value} over horizon {self.horizon} gives no "
+                                 f"finite {what}")
 
 
 def _is_number(value) -> bool:
@@ -475,9 +490,10 @@ def load_config(path) -> RunConfig:
     re_file = doc.get("re_profile_file")
     if fixture_kind is None and not zone_file_doc:
         raise ValueError(f"{path}: provide either 'fixture' or 'zone_files'")
-    if fixture_kind is not None and zone_file_doc:
-        raise ValueError(f"{path}: 'fixture' and 'zone_files' are mutually "
-                         f"exclusive")
+    # a fixture is the whole dataset, so a data file beside it would go unread
+    for key in ("zone_files", "re_profile_file"):
+        if fixture_kind is not None and key in doc:
+            raise ValueError(f"{path}: 'fixture' and {key!r} are mutually exclusive")
     if zone_file_doc and re_file is None:
         raise ValueError(f"{path}: zone_files requires re_profile_file")
     for zone_id, rel in zone_file_doc.items():

@@ -293,6 +293,8 @@ class LpModel:
         from (see solve), or None."""
         if warm is None or warm.basis is None or warm.values.size != self.num_variables:
             return None
+        # the same rows: matching by name would give this very basis, after
+        # reading every row status into a dict (about 0.1 s a start at T=8760)
         if warm.model_rows == names:
             return warm.basis
         # each access to a status list converts all of it, so read it once

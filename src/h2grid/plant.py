@@ -90,6 +90,16 @@ class Dispatch:
         """The solved capacities, in the order of types.CAPACITIES."""
         return np.array([getattr(self, name) for name in CAPACITY_FIELDS])
 
+    @property
+    def re_capacity_factor(self) -> float | None:
+        """Combined renewable capacity factor: produced energy over the
+        horizon divided by installed capacity times hours; None when no
+        renewable capacity is installed."""
+        if self.c_wind_kw + self.c_pv_kw <= 0:
+            return None
+        return float((self.gen_wind_kw.sum() + self.gen_pv_kw.sum())
+                     / ((self.c_wind_kw + self.c_pv_kw) * self.gen_wind_kw.size))
+
 
 @functools.cache
 def hour_suffixes(horizon: int) -> tuple[str, ...]:

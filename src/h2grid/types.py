@@ -9,8 +9,9 @@ PlantParameters, CapacityBound, ScenarioSpec or Dataset checks itself
 when it is built, and ingest checks what these types cannot see (file
 formats, config keys, reference-profile range, the zones a configuration
 names) and, in RunConfig, the run's horizon, exchange rate and fixture
-seed. The model layer (plant, policy, economics) and certification trust
-the types they are given.
+seed, and that the horizon's hydrogen, its VOM and each emission budget
+are finite. The model layer (plant, policy, economics) and
+certification trust the types they are given.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class Unit(Enum):
     KGCO2E_PER_KWH = "kgCO2e_per_kWh"
     KW = "kW"
     KG_PER_H = "kg_per_h"
-    DIMENSIONLESS = "dimensionless"
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,17 @@ class PlantParameters:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         try:
-            finite = math.isfinite(crf(self.interest, self.lifetime_years))
+            annuity = crf(self.interest, self.lifetime_years)
         except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
+            annuity = math.nan
+        if not math.isfinite(annuity):
             raise ValueError(f"interest {self.interest} over lifetime_years "
                              f"{self.lifetime_years} gives no finite capital recovery factor")
+        for tech in ("el", "wind", "pv"):  # each capacity's price in the objective
+            capex, fom = getattr(self, f"capex_{tech}"), getattr(self, f"fom_{tech}")
+            if not math.isfinite(annuity * capex + fom):
+                raise ValueError(f"capex_{tech} {capex} at interest {self.interest}, plus "
+                                 f"fom_{tech} {fom}, gives no finite annual cost per kW")
 
     def capacity_costs(self, u_store: float) -> tuple[np.ndarray, np.ndarray]:
         """The cost table: capital cost per unit and fixed O&M per

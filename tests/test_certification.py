@@ -1,6 +1,8 @@
 """Emissions accounting over the horizon: the four methods, floor and
 surplus logic, and difference metrics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from h2grid.certification import (
     difference_metrics,
     emissions_factor_tracked,
     emissions_market,
-    re_capacity_factor,
 )
 from h2grid.economics import optimize_plant
+from h2grid.plant import Dispatch
 from h2grid.types import (
     CapacitySpec,
     Mode,
@@ -91,10 +93,15 @@ def test_constant_average_factor_equals_location_method():
 
 
 def test_re_capacity_factor():
-    gw = np.full(10, 40.0)
-    gp = np.full(10, 10.0)
-    assert re_capacity_factor(gw, gp, 100.0, 100.0) == pytest.approx(0.25)
-    assert re_capacity_factor(gw, gp, 0.0, 0.0) is None
+    def dispatch(c_re_kw):
+        flows = {f.name: np.zeros(10) for f in fields(Dispatch)}
+        return Dispatch(**{**flows, "gen_wind_kw": np.full(10, 40.0),
+                           "gen_pv_kw": np.full(10, 10.0), "c_wind_kw": c_re_kw,
+                           "c_pv_kw": c_re_kw, "c_el_kw": 0.0, "c_store_kg": 0.0,
+                           "soc0_kg": 0.0})
+
+    assert dispatch(100.0).re_capacity_factor == pytest.approx(0.25)
+    assert dispatch(0.0).re_capacity_factor is None
 
 
 # -- difference metrics -----------------------------------------------------

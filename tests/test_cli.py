@@ -1,16 +1,21 @@
 """Command-line behavior: exit codes, file outputs, overrides, and
 byte-stable reruns."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from h2grid.certification import EmissionsReport
 from h2grid.cli import main
+from h2grid.economics import CostBreakdown
+from h2grid.plant import Dispatch
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -272,13 +277,33 @@ FILES = {"fixture": None, "zone_files": {"Z1": "z1.csv"}, "re_profile_file": "re
     ({"plant": {"lifetime_years": 25.5}}, ["solve", "--scenario", "flexible"],
      "{config}: invalid plant parameters: lifetime_years must be a whole number >= 1, "
      "got 25.5"),
+    ({"re_profile_file": "nope.csv"}, ["solve", "--scenario", "flexible"],
+     "{config}: 'fixture' and 're_profile_file' are mutually exclusive"),
+    ({"zone_files": {}}, ["suite"],
+     "{config}: 'fixture' and 'zone_files' are mutually exclusive"),
+    (dict(FILES, fixture={"kind": "flat"}), ["suite"],
+     "{config}: 'fixture' and 'zone_files' are mutually exclusive"),
+    ({"plant": {"capex_wind": 1e308, "interest": 2}}, ["suite"],
+     "{config}: invalid plant parameters: capex_wind 1e+308 at interest 2.0, plus fom_wind "
+     "17.5, gives no finite annual cost per kW"),
+    ({"plant": {"vom_el": 1e308}}, ["suite"],
+     "{config}: plant.vom_el 1e+308 over horizon 48 gives no finite O&M cost"),
+    ({"scenarios": [{"name": "capped", "mode": "grid", "ei_mef_cap": 1e308}]},
+     ["solve", "--scenario", "capped"],
+     "{config}: scenario 'capped': ei_mef_cap 1e+308 over horizon 48 gives no finite "
+     "emission budget"),
+    ({"plant": {"load_kg_per_h": 1e306}}, ["suite", "--horizon", "1000"],
+     "plant.load_kg_per_h 1e+306 over horizon 1000 gives no finite hydrogen mass"),
 ], ids=["zero-load", "fx-nan", "fx-inf", "horizon-flag-zero", "horizon-zero",
         "unknown-zone", "unknown-zone-suite",
         "wind-above-reference", "unknown-scenario", "repeated-sell-zone",
         "sell-only-split", "missing-zone-csv", "missing-sidecar", "zone-id-path",
         "missing-re-csv",
         "csv-wind-above-reference", "interest-overflows", "lifetime-overflows",
-        "interest-below-resolution", "lifetime-fraction"])
+        "interest-below-resolution", "lifetime-fraction",
+        "fixture-beside-re-file", "fixture-beside-empty-zone-files",
+        "fixture-beside-zone-files", "capex-overflows", "vom-overflows",
+        "emission-budget-overflows", "horizon-flag-hydrogen-overflows"])
 def test_input_error_writes_nothing(tmp_path, capsys, doc, argv, err):
     """Each input is checked before the first output is written. A config
     that reads files finds the flat fixture's profiles beside it, and
@@ -407,6 +432,32 @@ def test_sweep_geo_outputs(tmp_path):
     assert baseline["lcoh_usd_per_kg"] < low < high
     lines = (tmp_path / "out" / "sweep_geo.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("Z2,")
+
+
+def readable(cls) -> set[str]:
+    """The names of a dataclass's fields and properties."""
+    return ({f.name for f in fields(cls)}
+            | {name for name, value in vars(cls).items() if isinstance(value, property)})
+
+
+@pytest.mark.parametrize("argv", [["sweep-re", "--points", "3"],
+                                  ["sweep-geo", "--sell-zones", "Z2"]])
+def test_sweep_column_names_one_field_of_its_point(tmp_path, argv):
+    """A sweep row reads each column after the status by name from the
+    point's CostBreakdown, EmissionsReport or Dispatch, so each column must
+    name a field or property of exactly one of them: a renamed field would
+    empty its column, and a name on two (annual_h2_kg) could read either."""
+    config = write_config(tmp_path, {"horizon": 24,
+                                     "fixture": {"kind": "two-zone-contrast", "seed": 1}})
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 0
+    table = tmp_path / "out" / f"{argv[0].replace('-', '_')}.csv"
+    with open(table, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and all(row[1] == "optimal" for row in rows)
+    sources = [readable(cls) for cls in (CostBreakdown, EmissionsReport, Dispatch)]
+    assert sum("annual_h2_kg" in names for names in sources) == 2
+    assert {column: sum(column in names for names in sources)
+            for column in header[2:]} == dict.fromkeys(header[2:], 1)
 
 
 def test_sweep_geo_unknown_zone_is_input_error(tmp_path, capsys):
