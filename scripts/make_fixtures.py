@@ -23,6 +23,9 @@ def main() -> None:
     ap.add_argument("--horizon", type=int, default=168)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    for flag, value, low in (("--horizon", args.horizon, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            ap.error(f"{flag} must be >= {low}, got {value}")
 
     root = Path(args.out)
     for kind in FIXTURE_KINDS:

@@ -346,6 +346,13 @@ def main(argv=None) -> int:
                                  f"{sorted(dataset.zones)}")
 
         run = _Command(config, dataset, args.export_lp)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    # every input is checked, so from here on only writing an output and
+    # loading the HiGHS binding (at the first solve) fail for a cause
+    # outside the program; any other error is a fault and propagates
+    try:
         run.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             run.solve(scenario)
@@ -356,7 +363,7 @@ def main(argv=None) -> int:
         else:
             cmd_sweep_geo(run, zones)
         return run.code
-    except (ValueError, OSError, KeyError, ImportError) as exc:
+    except (OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -389,6 +389,30 @@ def test_suite_seeds_name_earlier_members(tmp_path, monkeypatch):
     assert table == seeds
 
 
+@pytest.mark.parametrize("error, code", [
+    (ValueError("a fault"), None), (KeyError("a fault"), None),
+    (OSError("disk full"), 1), (ImportError("no HiGHS binding"), 1),
+], ids=["value-error", "key-error", "os-error", "import-error"])
+def test_only_output_and_binding_errors_exit_1_once_out_exists(
+        tmp_path, capsys, monkeypatch, error, code):
+    """Every input is checked before --out is made, so an error raised in
+    a command is an input error only when it comes from writing an output
+    or loading the HiGHS binding; any other is a fault and propagates."""
+    from h2grid import cli
+
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "optimize_plant", fail)
+    argv = ["solve", "--config", str(write_config(tmp_path)), "--scenario", "flexible"]
+    if code is None:
+        with pytest.raises(type(error), match="a fault"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert (tmp_path / "out").is_dir()
+
+
 def test_suite_reruns_are_byte_identical(tmp_path):
     config = write_config(tmp_path)
     main(["suite", "--config", str(config), "--out", str(tmp_path / "a")])

@@ -1,10 +1,10 @@
-"""scripts/year_check.py's summary and comparison, on a T=168 study tree
-written by scripts/run_study.py (the year-scale runs themselves are too
-slow for the tests)."""
+"""scripts/run_study.py's --record and --check, the year check's tools,
+on a T=24 study (the year-scale runs themselves are too slow for the
+tests)."""
 
 import copy
 import importlib
-import sys
+import json
 from pathlib import Path
 
 import pytest
@@ -14,25 +14,50 @@ EI_MEF = "ei_mef_kgco2e_per_kgh2"
 
 
 @pytest.fixture(scope="module")
-def study(tmp_path_factory):
-    """year_check's module and its summary of a T=168 random-walk study."""
-    out = tmp_path_factory.mktemp("study")
+def run_study():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(SCRIPTS))
-        mp.setattr(sys, "argv", ["run_study.py", "--out", str(out)])
-        import run_study
-        import year_check
-        run_study.main()
-    return year_check, year_check.summarize(out)
+        yield importlib.import_module("run_study")
 
 
-def test_summary_holds_every_scenario_report(study):
-    _, summary = study
+@pytest.fixture(scope="module")
+def recorded(run_study, tmp_path_factory):
+    """The reference file of a T=24 random-walk study, recorded with
+    --record, and its study's summary."""
+    root = tmp_path_factory.mktemp("study")
+    reference = root / "reference.json"
+    assert run_study.main(["--horizon", "24", "--out", str(root / "out"),
+                           "--record", str(reference)]) == 0
+    return reference, run_study.summarize(root / "out")
+
+
+def test_check_reruns_the_recorded_study(run_study, recorded, tmp_path, capsys):
+    """--check reruns the study its file records, at its kind, seed and
+    horizon, and finds it unchanged; it takes none of the three flags."""
+    reference, summary = recorded
+    doc = json.loads(reference.read_text())
+    assert doc == {"study": {"kind": "random-walk", "seed": 2, "horizon": 24},
+                   "scenarios": summary}
+    capsys.readouterr()
+    assert run_study.main(["--check", str(reference), "--out", str(tmp_path / "again")]) == 0
+    assert capsys.readouterr().out.endswith("\n18 scenarios checked, 0 mismatches\n")
+    assert json.loads((tmp_path / "again" / "config.json").read_text()) == {
+        "horizon": 24, "fixture": {"kind": "random-walk", "seed": 2}}
+    for flag, value in [("--kind", "diurnal"), ("--seed", "2"), ("--horizon", "24")]:
+        with pytest.raises(SystemExit) as exit_:
+            run_study.main(["--check", str(reference), flag, value,
+                            "--out", str(tmp_path / flag)])
+        assert exit_.value.code == 2 and not (tmp_path / flag).exists()
+        assert f"drop {flag}\n" in capsys.readouterr().err
+
+
+def test_summary_holds_every_scenario_report(recorded):
+    _, summary = recorded
     assert sorted(summary) == sorted(
         [f"suite/{s}" for s in ("offgrid", "sell_only", "daily", "monthly", "yearly",
                                 "flexible", "mef_zero")]
         + ["sweep_re/offgrid"] + [f"sweep_re/re_{i:03d}" for i in range(7)]
-        + ["solve_hourly/hourly"])
+        + ["sweep_geo/grid_only", "sweep_geo/geo_Z2", "solve_hourly/hourly"])
     daily = summary["suite/daily"]
     assert daily["status"] == "optimal" and daily["storage_iterations"] >= 1
     assert set(daily) == {"status", "lcoh_usd_per_kg", "capacities", "storage_iterations",
@@ -69,31 +94,31 @@ def _drop(name):
     (_drop("suite/yearly"), ["suite/yearly: only in the reference"]),
 ], ids=["itself", "ei-inside-the-gate", "ei-past-the-gate", "status", "iterations",
         "missing-scenario"])
-def test_check_flags_each_move_past_the_gate(study, move, expected):
-    year_check, reference = study
+def test_check_flags_each_move_past_the_gate(run_study, recorded, move, expected):
+    _, reference = recorded
     got = copy.deepcopy(reference)
     move(got)
-    problems = year_check.mismatches(reference, got)
+    problems = run_study.mismatches(reference, got)
     assert len(problems) == len(expected), problems
     for line, start in zip(problems, expected):
         assert line.startswith(start)
 
 
 @pytest.mark.parametrize("code", [1, 2])
-def test_a_command_that_exits_1_stops_the_record(tmp_path, monkeypatch, capsys, code):
+def test_a_command_that_exits_1_stops_the_record(run_study, tmp_path, monkeypatch, code):
     """A command that exits 1 writes no reports, so --record stops rather
     than record what is left; one that exits 2 to 4 writes reports, so
-    the run goes on."""
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    year_check = importlib.import_module("year_check")
+    the study goes on, is recorded, and exits 1 at the end."""
     calls = []
-    monkeypatch.setattr(year_check, "h2grid", lambda argv: calls.append(argv) or code)
+    monkeypatch.setattr(run_study, "h2grid", lambda argv: calls.append(argv) or code)
     record = tmp_path / "reference.json"
-    monkeypatch.setattr(sys, "argv", ["year_check.py", "--record", str(record)])
+    argv = ["--record", str(record), "--out", str(tmp_path / "out")]
     if code == 1:
         with pytest.raises(SystemExit, match="^h2grid suite exited with 1$"):
-            year_check.main()
+            run_study.main(argv)
         assert len(calls) == 1 and not record.exists()
     else:
-        assert year_check.main() == 0
-        assert len(calls) == len(year_check.COMMANDS) and record.read_text() == "{}\n"
+        assert run_study.main(argv) == 1
+        assert len(calls) == len(run_study.STUDY)
+        assert json.loads(record.read_text()) == {"study": run_study.DEFAULTS,
+                                                  "scenarios": {}}
