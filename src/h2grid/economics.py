@@ -8,11 +8,11 @@ The storage unit cost depends on the storage capacity being chosen (two
 log-linear cost curves, one per technology), which an LP cannot express
 directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity with the technology whose
-curve is the cheaper there, repeat until the price and technology stop
-moving. Each re-solve starts from the optimal basis of the solve before
-it, and the first solve can start from the final solution of a similar
-scenario (the previous point of a sweep, or an earlier member of the
-suite).
+curve is the cheaper there, and stop once the technology holds and the
+price moves by at most STORAGE_CONVERGENCE_REL (1%), keeping the last
+trial price. Each re-solve starts from the optimal basis of the one
+before, and the first solve can start from the final solution of a
+similar scenario (a sweep's previous point, or an earlier suite member).
 """
 
 from __future__ import annotations

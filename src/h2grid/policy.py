@@ -13,29 +13,29 @@ from .lp import LpModel, Sense
 from .plant import PlantVars, add_hourly_rows
 from .types import HourlySeries, PlantParameters, TcInterval
 
-# calendar month lengths (hours, non-leap year) used when the horizon is
-# a full year; synthetic horizons fall back to equal blocks
 _CALENDAR_MONTH_HOURS = [31 * 24, 28 * 24, 31 * 24, 30 * 24, 31 * 24, 30 * 24,
                          31 * 24, 31 * 24, 30 * 24, 31 * 24, 30 * 24, 31 * 24]
-_SYNTHETIC_MONTH_HOURS = 730
 
 
 def make_partition(interval: TcInterval, horizon: int) -> tuple[tuple[int, int], ...]:
     """The (start, end) hour ranges that interval cuts [0, horizon) into:
-    in order, without gaps, the last one cut short at the horizon."""
-    if interval is TcInterval.MONTHLY and horizon == 8760:
-        ends = list(itertools.accumulate(_CALENDAR_MONTH_HOURS, initial=0))
-        return tuple(zip(ends, ends[1:]))
-    width = {TcInterval.HOURLY: 1, TcInterval.DAILY: 24,
-             TcInterval.MONTHLY: _SYNTHETIC_MONTH_HOURS, TcInterval.YEARLY: horizon}[interval]
-    return tuple((start, min(start + width, horizon)) for start in range(0, horizon, width))
+    in order, without gaps, the last one cut short at the horizon. Hour 0
+    is 1 January 00:00 of a non-leap year, and each month the calendar's,
+    so each range is a union of the ranges of every finer level."""
+    widths = {TcInterval.HOURLY: [1], TcInterval.DAILY: [24],
+              TcInterval.MONTHLY: _CALENDAR_MONTH_HOURS, TcInterval.YEARLY: [horizon]}[interval]
+    ends = itertools.takewhile(lambda end: end < horizon,
+                               itertools.accumulate(itertools.cycle(widths)))
+    bounds = [0, *ends, horizon]
+    return tuple(zip(bounds, bounds[1:]))
 
 
 def apply_temporal_correlation(model: LpModel, pvars: PlantVars,
                                interval: TcInterval) -> np.ndarray:
-    """Within each interval of the model's horizon, electricity sold must
-    cover electricity bought: sum(export - import) >= 0. Returns the new
-    constraint ids."""
+    """Within each interval of make_partition (an hour, a day, a calendar
+    month, repeated every 8,760 hours, or the horizon), electricity sold
+    must cover electricity bought: sum(export - import) >= 0 in a row
+    named tc_<start>_<end>. Returns the new constraint ids."""
     intervals = make_partition(interval, pvars.horizon)
     row = np.repeat(np.arange(len(intervals)), [end - start for start, end in intervals])
     return model.add_rows([f"tc_{start}_{end}" for start, end in intervals],

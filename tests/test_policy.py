@@ -1,9 +1,13 @@
 """Interval partitions, trade-matching constraints, caps, and the
 two-market rewiring."""
 
-import pytest
+from dataclasses import replace
 
-from h2grid.economics import optimize_plant
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from h2grid.economics import build_scenario_model, optimize_plant
+from h2grid.ingest import synth_fixture
 from h2grid.plant import build_plant, verify_conservation
 from h2grid.policy import (
     apply_capex_cap,
@@ -45,13 +49,35 @@ def test_monthly_partition_full_year_is_calendar():
     assert p[-1][1] == 8760
 
 
-def test_monthly_partition_short_horizon_uses_uniform_blocks():
+def test_monthly_partition_short_horizon_cuts_the_calendar():
     assert make_partition(TcInterval.MONTHLY, 168) == ((0, 168),)
-    assert make_partition(TcInterval.MONTHLY, 1500) == ((0, 730), (730, 1460), (1460, 1500))
+    assert make_partition(TcInterval.MONTHLY, 840) == ((0, 744), (744, 840))
+    assert make_partition(TcInterval.MONTHLY, 1500) == ((0, 744), (744, 1416), (1416, 1500))
 
 
 def test_yearly_partition_is_single_interval():
     assert make_partition(TcInterval.YEARLY, 168) == ((0, 168),)
+
+
+# finest first: each level only relaxes the one before it
+LEVELS = [TcInterval.HOURLY, TcInterval.DAILY, TcInterval.MONTHLY, TcInterval.YEARLY]
+
+
+@settings(deadline=None)
+@given(horizon=st.integers(1, 3 * 8760))
+def test_partitions_tile_the_horizon_and_nest(horizon):
+    """Each level covers [0, horizon) in order without gaps, and each of
+    its intervals is a union of intervals of every finer level: its
+    boundaries are among theirs."""
+    bounds = {}
+    for level in LEVELS:
+        intervals = make_partition(level, horizon)
+        assert intervals[0][0] == 0 and intervals[-1][1] == horizon
+        assert all(start < end for start, end in intervals)
+        assert all(a[1] == b[0] for a, b in zip(intervals, intervals[1:]))
+        bounds[level] = {start for start, _ in intervals}
+    for finer, coarser in zip(LEVELS, LEVELS[1:]):
+        assert bounds[coarser] <= bounds[finer], (finer, coarser)
 
 
 # -- temporal correlation ----------------------------------------------
@@ -101,6 +127,22 @@ def test_tighter_interval_never_cheaper(diurnal_week, params):
     assert objectives["flex"] <= objectives["yearly"] + slack
     assert objectives["yearly"] <= objectives["daily"] + slack
     assert objectives["daily"] <= objectives["hourly"] + slack
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_daily_optimum_meets_every_monthly_row(seed, params):
+    """At T=840 the months are tc_0_744 and tc_744_840, each a union of
+    days, so the daily optimum meets monthly matching. On these seeds a
+    month boundary inside a day (hour 730) leaves a monthly row broken."""
+    dataset = synth_fixture("random-walk", horizon=840, seed=seed)
+    daily = ScenarioSpec("daily", Mode.GRID, CoLocated("Z1"), CapacitySpec(),
+                         tc_interval=TcInterval.DAILY)
+    report, _ = optimize_plant(daily, params, dataset)
+    assert report.is_optimal
+    monthly, _ = build_scenario_model(replace(daily, tc_interval=TcInterval.MONTHLY),
+                                      params, dataset, report.storage_unit_cost_usd_per_kg,
+                                      report.storage_tech)
+    assert monthly.check_feasibility(report.solution.values) == []
 
 
 # -- emission cap -------------------------------------------------------
