@@ -125,8 +125,15 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     roots = [Path(p) for p in argv]
+    for root in roots:
+        if not root.is_dir():
+            print(f"{root}: not a directory", file=sys.stderr)
+            return 2
     files = [{p.relative_to(root) for p in root.rglob("*")
               if p.suffix in (".json", ".csv", ".lp")} for root in roots]
+    if not files[0] & files[1]:
+        print(f"{roots[0]} and {roots[1]} share no JSON, CSV or .lp file", file=sys.stderr)
+        return 2
     problems, compared, numbers, largest = [], 0, 0, (0.0, "")
     for rel in sorted(files[0] ^ files[1]):
         problems.append(f"{rel}: only in {roots[0] if rel in files[0] else roots[1]}")

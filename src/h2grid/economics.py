@@ -10,9 +10,13 @@ directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity with the technology whose
 curve is the cheaper there, and stop once the technology holds and the
 price moves by at most STORAGE_CONVERGENCE_REL (1%), keeping the last
-trial price. Each re-solve starts from the optimal basis of the one
-before, and the first solve can start from the final solution of a
-similar scenario (a sweep's previous point, or an earlier suite member).
+trial price. The scenario's model is built once; price_storage, which
+also prices the built model, re-prices it for each later round (c_store's
+cost, the capex_cap row's c_store coefficient when capped, the comp2
+rows' -mu_comp2), and the re-solve runs in place in the HiGHS solver of
+the round before, from its optimal basis (see LpModel.solve). The first
+solve can start from the final solution of a similar scenario (a sweep's
+previous point, or an earlier suite member), in a new solver.
 """
 
 from __future__ import annotations
@@ -152,8 +156,21 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
         apply_emission_cap(model, pvars, buy.mef, sell.mef,
                            scenario.ei_mef_cap, annual_h2)
     if scenario.capex_cap_usd is not None:
-        apply_capex_cap(model, pvars, params, u_store, scenario.capex_cap_usd)
+        pvars.capex_row = apply_capex_cap(model, pvars, params, u_store,
+                                          scenario.capex_cap_usd)
+    price_storage(model, pvars, scenario, params, dataset, u_store, tech)
+    return model, pvars
 
+
+def price_storage(model: LpModel, pvars: PlantVars, scenario: ScenarioSpec,
+                  params: PlantParameters, dataset: Dataset, u_store: float,
+                  tech: StorageTech) -> None:
+    """Price storage in a model of build_scenario_model at unit cost
+    u_store with technology tech: the objective, in which c_store costs
+    u_store annualised; the capex_cap row's c_store coefficient, when
+    capped; and the comp2 rows' -mu_comp2. The model then equals, entry
+    for entry, one built at that price, and it keeps its HiGHS session,
+    so optimize_plant re-prices it in place for each later round."""
     terms = cost_terms(scenario, params, dataset, u_store)
     # fixed costs of the four capacities, then trade; minimizing annual
     # cost is exact for LCOH because annual hydrogen mass is fixed by the
@@ -163,7 +180,12 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
         np.concatenate([terms.capital + terms.fom, terms.import_price,
                         -terms.export_price]),
         terms.vom)
-    return model, pvars
+    rows, cols = pvars.comp2_rows, pvars.h_comp2_kg
+    coefs = np.full(pvars.horizon, -tech.mu_comp2(params))
+    if pvars.capex_row is not None:
+        rows, cols = np.append(rows, pvars.capex_row), np.append(cols, pvars.c_store_kg)
+        coefs = np.append(coefs, u_store)
+    model.rewrite(rows, cols, coefs)
 
 
 def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
@@ -176,9 +198,12 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     Storage pricing loop: seed with pipeline storage priced at 1000 kg,
     solve, re-price at the solved capacity, and repeat until the unit
     cost moves less than 1% with a stable technology choice (at most 20
-    solves). Returns the report plus a cost breakdown when optimal; the
-    report's solution is the last solve's. An optimum whose dispatch fails
-    verify_conservation is a solver failure that names the first problem.
+    solves). The model is built once and re-priced in place
+    (price_storage); each re-solve runs in place in the previous round's
+    HiGHS solver, which is released when the loop ends. Returns the
+    report plus a cost breakdown when optimal; the report's solution is
+    the last solve's. An optimum whose dispatch fails verify_conservation
+    is a solver failure that names the first problem.
 
     start, the solution of another scenario whose model has the same
     variables and the same rows (such as report.solution of the previous
@@ -196,12 +221,14 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     tech, u_store = price
     annual_h2 = params.load_kg_per_h * dataset.horizon
 
+    model, pvars = build_scenario_model(scenario, params, dataset, u_store, tech)
     solution, converged = start, False
     for iterations in range(1, STORAGE_MAX_ITERATIONS + 1):
-        model, pvars = build_scenario_model(scenario, params, dataset, u_store, tech)
-        # only c_store's cost (and, after a technology flip, the comp2 and
-        # CAPEX-cap coefficients) differ from the last model, so its
-        # optimal basis is a near-optimal start
+        if iterations > 1:
+            # only c_store's cost and capex_cap coefficient move (and the
+            # comp2 coefficients after a technology flip), so the last
+            # round's solver goes on from its optimal basis
+            price_storage(model, pvars, scenario, params, dataset, u_store, tech)
         solution = model.solve(warm=solution)
         if not solution.is_optimal:
             break
@@ -215,6 +242,8 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             converged = True
             break
         tech, u_store = new_tech, new_u
+    # the solver holds a copy of the model and its factors
+    model.end_session()
 
     if export_lp_path is not None:
         # the model whose solve decided the report

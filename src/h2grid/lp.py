@@ -21,19 +21,27 @@ HiGHS's stock feasibility tolerances (1e-7), ten times tighter than the
 
 `LpModel.solve` makes at most two runs. With `warm=`, the optimal
 solution of an earlier solve of a model with the same variables, it
-first makes one warm run from that solution's basis. Only when there is
-no warm run, or it does not end optimal, does one cold run with presolve
-follow; so infeasible and unbounded verdicts come only from cold runs.
+first makes one warm run from that solution's basis. A model keeps the
+HiGHS solver of its last optimal run (never an `LpSolution`) until rows
+or variables are added, its next solve, or `end_session`; a warm run
+from that run's own solution is made in place: `rewrite` changes
+coefficients the model already holds, and that solver takes the changed
+costs and coefficients and runs on from its own basis and factors,
+without presolve and without reloading the model (the storage-pricing
+loop's re-solves). Only when there is no warm run, or it does not end
+optimal, does one cold run with presolve follow in a new solver; so
+infeasible and unbounded verdicts come only from cold runs.
 The optimal point of either run must pass `check_feasibility`, or the
-result is a solver failure that names the violated rows. With the same
-rows, HiGHS's basis is passed on as it is (storage-pricing re-solves,
-sweep points). With other rows (suite members, whose models differ in
-their matching or cap rows), HiGHS's row statuses are matched by row
-name (`LpSolution.model_rows`): a row both models have keeps its status,
-a row only this model has starts basic, its slack taking up the new
-constraint, and a row only the earlier model had is dropped. HiGHS
-factors that basis as an alien one and completes it where dropped
-binding rows left too many basic variables. HiGHS picks the simplex
+result is a solver failure that names the violated rows. Any other warm
+run loads the model into a new solver. With the same rows, HiGHS's
+basis is passed on as it is (sweep points). With other rows (suite
+members, whose models differ in their matching or cap rows), HiGHS's
+row statuses are matched by row name (`LpSolution.model_rows`): a row
+both models have keeps its status, a row only this model has starts
+basic, its slack taking up the new constraint, and a row only the
+earlier model had is dropped. HiGHS factors that basis as an alien one
+and completes it where dropped binding rows left too many basic
+variables. HiGHS picks the simplex
 variant of every run from the basis it starts at: primal simplex when
 that basis is primal feasible (as when only costs moved), else dual (as
 when bounds moved, between sweep points, or when a storage-pricing
@@ -104,6 +112,15 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
+class _Session(NamedTuple):
+    """The live HiGHS solver of a model's last optimal run, the solution
+    LpModel.solve returned from it, and the costs it holds."""
+
+    solver: object
+    solution: LpSolution
+    costs: np.ndarray
+
+
 class LpModel:
     """LP under construction: bounded variables, constraints, minimize
     objective. Variables and rows are numbered in insertion order; a
@@ -117,6 +134,10 @@ class LpModel:
                        np.zeros(0, np.int64), np.zeros(0))]  # (sense, rhs, row, col, coef)
         self._obj = (np.zeros(0, np.int64), np.zeros(0), 0.0)  # (cols, coefs, constant)
         self._cache = None
+        # the _Session of the last optimal run, and the positions in A.data
+        # of the coefficients rewritten since (see solve)
+        self._session: _Session | None = None
+        self._rewritten: list[np.ndarray] = []
 
     # -- construction -------------------------------------------------
 
@@ -133,7 +154,7 @@ class LpModel:
                              f" on variable {names[i]!r}")
         self._vars.append((lower, upper))
         self._var_names.extend(names)
-        self._cache = None
+        self._cache = self._session = None
         return np.arange(first, first + k)
 
     def _entries(self, rows, cols, coefs, m: int):
@@ -168,7 +189,7 @@ class LpModel:
         rows, cols, coefs = self._entries(rows, cols, coefs, m)
         self._rows.append((codes, rhs, rows + first, cols, coefs))
         self._row_names.extend(names)
-        self._cache = None
+        self._cache = self._session = None
         return np.arange(first, first + m)
 
     def set_objective(self, cols, coefs, constant: float = 0.0) -> None:
@@ -177,6 +198,33 @@ class LpModel:
             raise ValueError(f"non-finite objective constant {constant}")
         _, cols, coefs = self._entries(np.zeros(np.size(cols)), cols, coefs, 1)
         self._obj = (cols, coefs, float(constant))
+
+    def rewrite(self, rows, cols, coefs) -> None:
+        """Give entries the model holds new coefficients: coefs[k] on
+        variable cols[k] in constraint rows[k]. Raises ValueError for an
+        entry the model does not hold, or a coefficient that is zero or
+        not finite, as either would change which entries it holds."""
+        rows, cols, coefs = (np.asarray(a, dtype=t).reshape(-1) for a, t in
+                             ((rows, np.int64), (cols, np.int64), (coefs, float)))
+        if not rows.size == cols.size == coefs.size:
+            raise ValueError("need one row, variable and coefficient per entry")
+        _, _, _, _, A = self._arrays()
+        m, n = A.shape
+        # the held entries are sorted by (row, column) (see _merge), so each
+        # one is found by bisection on row * n + column
+        held = self._rows[0][2] * n + A.indices
+        keys = np.where((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n),
+                        rows * n + cols, -1)
+        at = np.searchsorted(held, keys)
+        found = at < held.size
+        found[found] = held[at[found]] == keys[found]
+        for i in np.flatnonzero(~found)[:1]:
+            raise ValueError(f"constraint {rows[i]} holds no entry on variable {cols[i]}")
+        for i in np.flatnonzero((coefs == 0.0) | ~np.isfinite(coefs))[:1]:
+            raise ValueError(f"coefficient {coefs[i]} on variable {cols[i]} in constraint "
+                             f"{rows[i]} would change the entries the model holds")
+        self._rewritten.append(at[A.data[at] != coefs])
+        A.data[at] = coefs
 
     # -- inspection ---------------------------------------------------
 
@@ -250,20 +298,26 @@ class LpModel:
 
     def solve(self, warm: LpSolution | None = None) -> LpSolution:
         """Minimize the objective, in at most two HiGHS runs. warm is an
-        optimal solution of an earlier model with the same variables; its
-        basis starts one simplex run, and one cold run with presolve
-        follows only when that run does not end optimal. A warm solution
-        with another number of variables starts no run. The optimal
-        point of whichever run ended optimal must pass check_feasibility,
-        else the result is a SOLVER_FAILURE naming the violated rows. The
-        result carries the nit of the run that decided it.
+        optimal solution of an earlier model with the same variables; it
+        starts one simplex run, and one cold run with presolve follows
+        only when that run does not end optimal. A warm solution with
+        another number of variables starts no run. The optimal point of
+        whichever run ended optimal must pass check_feasibility, else the
+        result is a SOLVER_FAILURE naming the violated rows. The result
+        carries the nit of the run that decided it.
 
-        With the same rows (as between storage-pricing re-solves and
-        sweep points) warm's basis is passed on as it is. With other rows
-        (as between suite members) it is matched by row name: rows only
-        this model has start basic, rows only warm's model had are
-        dropped, and HiGHS completes the basis. HiGHS runs primal simplex
-        from a primal feasible basis, else dual (see linprog)."""
+        The model keeps the HiGHS solver of its last optimal run until
+        rows or variables are added, the next solve, or end_session.
+        When warm is the solution that run gave, the run is in place:
+        that solver takes the costs set_objective changed and the
+        coefficients rewrite changed since, and runs on from its own
+        basis without presolve (as storage-pricing re-solves do). Any
+        other warm solution's basis starts a new solver: with the same
+        rows (as between sweep points) it is passed on as it is; with
+        other rows (as between suite members) it is matched by row name,
+        rows only this model has start basic, rows only warm's model had
+        are dropped, and HiGHS completes the basis. HiGHS runs primal
+        simplex from a primal feasible basis, else dual (see linprog)."""
         cols, coefs, constant = self._obj
         lb, ub, sense, rhs, A = self._arrays()
         c = np.zeros(self.num_variables)
@@ -271,12 +325,22 @@ class LpModel:
         problem = dict(A_ub=A, b_lb=np.where(sense == Sense.LE, -math.inf, rhs),
                        b_ub=np.where(sense == Sense.GE, math.inf, rhs), bounds=(lb, ub))
         names = tuple(self._row_names)
-        res = None
-        basis = self._start(warm, names)
-        if basis is not None:
-            res = linprog(c, **problem, basis=basis)
+        session, self._session = self._session, None
+        rewritten, self._rewritten = self._rewritten, []
+        highs, res = _load_highs(), None
+        if session is not None and session.solution is warm:
+            solver = session.solver
+            # an entry rewritten twice is passed twice, which is harmless
+            # (np.unique would import numpy.ma, about 1 MiB)
+            entries = np.concatenate([np.zeros(0, np.int64), *rewritten])
+            res = linprog(c, **problem, solver=solver,
+                          changed=(np.flatnonzero(c != session.costs), entries))
+        elif (basis := self._start(warm, names)) is not None:
+            solver = highs._Highs()
+            res = linprog(c, **problem, basis=basis, solver=solver)
         if res is None or not res.is_optimal:
-            res = linprog(c, **problem)
+            solver = highs._Highs()
+            res = linprog(c, **problem, solver=solver)
         if not res.is_optimal:
             return res
 
@@ -285,8 +349,15 @@ class LpModel:
             return LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None,
                               "solver returned an infeasible point: "
                               + "; ".join(violations[:5]), res.nit)
-        return replace(res, model_rows=names, objective_value=math.fsum(
+        solution = replace(res, model_rows=names, objective_value=math.fsum(
             (coefs * res.values[cols]).tolist()) + constant)
+        self._session = _Session(solver, solution, c)
+        return solution
+
+    def end_session(self) -> None:
+        """Release the HiGHS solver kept from the last optimal run, and
+        with it its copy of the model; the next solve starts a new one."""
+        self._session = None
 
     def _start(self, warm: LpSolution | None, names: tuple):
         """The basis warm starts this model, whose row names are names,
@@ -426,19 +497,24 @@ def _load_highs():
 # by wrapping this module attribute by name; it reads c (the first
 # positional argument), the shape[0] and nnz of the A_ub keyword (the
 # whole ranged matrix) and the nit of the returned LpSolution.
-def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> LpSolution:
+def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None, solver=None, changed=None) -> LpSolution:
     """Minimize c @ x subject to b_lb <= A_ub @ x <= b_ub and the column
-    bounds (lower, upper), with HiGHS simplex. basis, from an earlier
-    result of a model of the same shape, starts a warm run without
-    presolve, which would discard it; a run without one is cold, with
-    presolve. HiGHS picks the variant from the basis it starts at
-    (simplex_strategy 0): primal simplex when that basis is primal
-    feasible, else dual. Every dual run is priced with devex
-    (simplex_dual_edge_weight_strategy 1), not HiGHS's default dual
-    steepest edge, which first computes exact edge weights for any basis
-    but the slack basis: at T=8760 the clean-up after postsolve on the
-    original LP took 43 of a 54.5 s cold run with it (53 iterations) and
-    0.20 s with devex, and the seeded warm runs of two T=840 suites
+    bounds (lower, upper), with HiGHS simplex, in solver (a new HiGHS
+    solver when None). basis, from an earlier result of a model of the
+    same shape, starts a warm run without presolve, which would discard
+    it; a run without one is cold, with presolve. changed, a pair of
+    arrays (the columns whose costs, and the positions in A_ub.data whose
+    coefficients, differ from what solver holds), makes the run in place:
+    solver holds this model from its last optimal run, takes those costs
+    (changeColsCost) and coefficients (changeCoeff) from c and A_ub, and
+    runs on from its own basis, without presolve. HiGHS picks the variant
+    from the basis it starts at (simplex_strategy 0): primal simplex when
+    that basis is primal feasible, else dual. Every dual run is priced
+    with devex (simplex_dual_edge_weight_strategy 1), not HiGHS's default
+    dual steepest edge, which first computes exact edge weights for any
+    basis but the slack basis: at T=8760 the clean-up after postsolve on
+    the original LP took 43 of a 54.5 s cold run with it (53 iterations)
+    and 0.20 s with devex, and the seeded warm runs of two T=840 suites
     0.63-0.84 s in all against 0.25 s. Every other option is HiGHS's
     own, its feasibility tolerances (1e-7) included.
 
@@ -453,29 +529,39 @@ def linprog(c, A_ub, b_lb, b_ub, bounds, basis=None) -> LpSolution:
     row names: LpModel.solve adds them and its own exactly summed objective."""
     core = _load_highs()
     m, n = A_ub.shape
-    highs_options = core.HighsOptions()
-    settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
-                "presolve": "on" if basis is None else "off", "simplex_strategy": 0,
-                "simplex_dual_edge_weight_strategy": 1}
-    for key, value in settings.items():
-        setattr(highs_options, key, value)
-    solver = core._Highs()
-    solver.passOptions(highs_options)
-
+    if solver is None:
+        solver = core._Highs()
     nit = 0
-    lower, upper = bounds
-    arrays = (c, lower, upper, b_lb, b_ub, A_ub.indptr, A_ub.indices, A_ub.data)
-    # the array call reads n, m or nnz values from each array, past the end
-    # of a shorter one
-    if [np.size(a) for a in arrays] != [n, n, n, m, m, m + 1, A_ub.nnz, A_ub.nnz]:
-        passed = core.HighsStatus.kError
+    if changed is not None:
+        cost_cols, entries = changed
+        statuses = [solver.changeColsCost(cost_cols.size, cost_cols.astype(np.int32),
+                                          c[cost_cols])]
+        statuses.extend(solver.changeCoeff(row, col, value) for row, col, value in zip(
+            (np.searchsorted(A_ub.indptr, entries, side="right") - 1).tolist(),
+            A_ub.indices[entries].tolist(), A_ub.data[entries].tolist()))
+        solver.setOptionValue("presolve", "off")
+        passed = min(statuses, key=int)   # kError is the lowest status
     else:
-        # zero integrality marks every column continuous (an empty array
-        # is an error, and loads an empty model)
-        passed = solver.passModel(
-            n, m, A_ub.nnz, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
-            0.0, c, lower, upper, b_lb, b_ub, A_ub.indptr.astype(np.int32),
-            A_ub.indices.astype(np.int32), A_ub.data, np.zeros(n, np.int32))
+        highs_options = core.HighsOptions()
+        settings = {"log_to_console": False, "output_flag": False, "solver": "simplex",
+                    "presolve": "on" if basis is None else "off", "simplex_strategy": 0,
+                    "simplex_dual_edge_weight_strategy": 1}
+        for key, value in settings.items():
+            setattr(highs_options, key, value)
+        solver.passOptions(highs_options)
+        lower, upper = bounds
+        arrays = (c, lower, upper, b_lb, b_ub, A_ub.indptr, A_ub.indices, A_ub.data)
+        # the array call reads n, m or nnz values from each array, past the
+        # end of a shorter one
+        if [np.size(a) for a in arrays] != [n, n, n, m, m, m + 1, A_ub.nnz, A_ub.nnz]:
+            passed = core.HighsStatus.kError
+        else:
+            # zero integrality marks every column continuous (an empty array
+            # is an error, and loads an empty model)
+            passed = solver.passModel(
+                n, m, A_ub.nnz, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
+                0.0, c, lower, upper, b_lb, b_ub, A_ub.indptr.astype(np.int32),
+                A_ub.indices.astype(np.int32), A_ub.data, np.zeros(n, np.int32))
     if passed == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
     elif basis is not None and solver.setBasis(basis) == core.HighsStatus.kError:

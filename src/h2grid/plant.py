@@ -27,7 +27,9 @@ CAPACITY_FIELDS = ("c_el_kw", "c_wind_kw", "c_pv_kw", "c_store_kg")
 @dataclass
 class PlantVars:
     """Variable handles (and generation coefficients) for one built model.
-    A handle has the name of the Dispatch field its solved values fill."""
+    A handle has the name of the Dispatch field its solved values fill.
+    The row handles are the rows with an entry that the storage price
+    moves (see economics.price_storage)."""
 
     horizon: int
     # per-hour variable ids, arrays of length horizon
@@ -51,6 +53,10 @@ class PlantVars:
     # per-kW-installed generation coefficients: gen_wind_kw[t] = a_wind[t] * c_wind_kw
     a_wind: np.ndarray
     a_pv: np.ndarray
+    # the comp2 row of each hour, with -mu_comp2 on h_comp2_kg
+    comp2_rows: np.ndarray
+    # the capex_cap row, with the storage unit cost on c_store_kg, when capped
+    capex_row: int | None = None
 
     @property
     def capacities(self) -> list[int]:
@@ -182,7 +188,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         ("balance", Sense.EQ, 0.0, [(e_el_kw, 1.0), (e_comp1_kw, 1.0), (e_comp2_kw, 1.0),
                                     (export_kw, 1.0), (curtail_kw, 1.0),
                                     (import_kw, -1.0), *gen])]
-    add_hourly_rows(model, T, [
+    families = [
         *bus,
         # curtailment is surplus renewable generation, so it cannot exceed it
         # (without this, negative prices would let the model import-and-dump)
@@ -199,7 +205,8 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         # capacity limits
         ("el_cap", Sense.LE, 0.0, [(e_el_kw, 1.0), (c_el_kw, -1.0)]),
         ("soc_cap", Sense.LE, 0.0, [(soc_kg, 1.0), (c_store_kg, -1.0)]),
-    ])
+    ]
+    hourly = add_hourly_rows(model, T, families)
     # the starting level fits in storage, and storage returns to it, so
     # net charge over the horizon is zero
     model.add_rows(["soc0_cap", "soc_cyclic"], [Sense.LE, Sense.EQ], 0.0, [0, 0, 1, 1],
@@ -212,6 +219,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         h_from_store_kg=h_from_store_kg, soc_kg=soc_kg,
         c_wind_kw=c_wind_kw, c_pv_kw=c_pv_kw, c_el_kw=c_el_kw, c_store_kg=c_store_kg,
         soc0_kg=soc0_kg, a_wind=a_wind, a_pv=a_pv,
+        comp2_rows=hourly[:, [name for name, *_ in families].index("comp2")],
     )
 
 

@@ -6,6 +6,7 @@ expensive part of the suite. Also the helpers several modules import:
 
 import math
 import re
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -94,14 +95,19 @@ def contrast_week():
 
 def recording_backend(monkeypatch, replace=None, bases=None):
     """Patch lp.linprog to record (warm?, result) per call, and each
-    call's starting basis in the list bases when it is given;
-    replace(basis) may return a result to use instead of the real run."""
+    call's starting basis in the list bases when it is given. A run is
+    warm when it starts from a basis or runs in place (from its solver's
+    own basis, with the costs and coefficients that changed);
+    replace(start) may return a result to use instead of the real run,
+    where start is the call's basis, the changes of an in-place run, or
+    None for a cold run."""
     calls, inner = [], lp.linprog
 
     def backend(c, basis=None, **kwargs):
-        res = replace(basis) if replace is not None else None
+        start = basis if basis is not None else kwargs.get("changed")
+        res = replace(start) if replace is not None else None
         res = res if res is not None else inner(c, basis=basis, **kwargs)
-        calls.append((basis is not None, res))
+        calls.append((start is not None, res))
         if bases is not None:
             bases.append(basis)
         return res
@@ -113,25 +119,35 @@ def recording_backend(monkeypatch, replace=None, bases=None):
 class HighsRun(NamedTuple):
     """One HiGHS run: the options linprog gave it, the simplex variant of
     each "Using EKK ... simplex solver" line of its log ("primal" or
-    "dual"; none when the run starts optimal), and its iterations."""
+    "dual"; none when the run starts optimal), its iterations, and
+    whether its solver had run before (an in-place run)."""
 
     presolve: str
     simplex_strategy: int
     edge_weights: int  # simplex_dual_edge_weight_strategy
     variants: tuple
     iterations: int
+    in_place: bool
 
     @property
     def options(self) -> tuple:
         return self.presolve, self.simplex_strategy, self.edge_weights
 
 
-def recording_highs(monkeypatch, log_dir):
+def recording_highs(monkeypatch, log_dir, solvers=None):
     """Patch HiGHS's solver class to record one HighsRun per run, in run
-    order; each run logs to its own file in log_dir."""
+    order; each run logs to its own file in log_dir. When the list
+    solvers is given, it gets a weak reference to each solver made."""
     core, runs = lp._load_highs(), []
 
     class Recording(core._Highs):
+        ran = False
+
+        def __init__(self):
+            super().__init__()
+            if solvers is not None:
+                solvers.append(weakref.ref(self))
+
         def run(self):
             got = self.getOptions()
             options = (got.presolve, got.simplex_strategy,
@@ -142,7 +158,8 @@ def recording_highs(monkeypatch, log_dir):
             status = super().run()
             variants = re.findall(r"Using EKK (primal|dual) simplex solver", log.read_text())
             runs.append(HighsRun(*options, tuple(variants),
-                                 self.getInfo().simplex_iteration_count))
+                                 self.getInfo().simplex_iteration_count, self.ran))
+            self.ran = True
             return status
 
     monkeypatch.setattr(core, "_Highs", Recording)

@@ -117,3 +117,32 @@ def test_lp_text_or_numbers_past_the_gate_are_flagged(tmp_path, old, new, flagge
     assert code == 1
     assert lines[0] == flagged
     assert lines[-1].endswith("1 mismatches")
+
+
+def test_root_that_is_not_a_directory_is_refused(tmp_path):
+    """A missing root, or a file given as one, compares nothing and fails."""
+    a = write_run(tmp_path / "a", report())
+    for missing in (tmp_path / "missing", a / "daily_report.json"):
+        for pair in ((a, missing), (missing, a)):
+            done = subprocess.run([sys.executable, str(SCRIPT), *map(str, pair)],
+                                  capture_output=True, text=True)
+            assert done.returncode == 2
+            assert done.stdout == ""
+            assert done.stderr == f"{missing}: not a directory\n"
+
+
+def test_trees_that_share_no_file_fail(tmp_path):
+    """Two empty directories, or two runs with no file in common, compare
+    nothing and fail."""
+    empty_a, empty_b = tmp_path / "empty_a", tmp_path / "empty_b"
+    empty_a.mkdir()
+    empty_b.mkdir()
+    a = write_run(tmp_path / "a", report())
+    b = tmp_path / "b"
+    b.mkdir()
+    (b / "other_report.json").write_text(json.dumps(report()))
+    for x, y in ((empty_a, empty_b), (a, b)):
+        done = subprocess.run([sys.executable, str(SCRIPT), str(x), str(y)],
+                              capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == f"{x} and {y} share no JSON, CSV or .lp file\n"

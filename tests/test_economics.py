@@ -6,7 +6,7 @@ recompute them with the code under test.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -380,6 +380,81 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
         assert warm_nit < cold_nit
 
 
+# (scenario, first trial price) per case; each first solve moves the price
+REPRICING_CASES = {
+    "uncapped": (ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec()),
+                 None),
+    "capped": (COST_TABLE_CASES["capped"][1], None),
+    # a cavern priced at 2000 USD/kg buys a store the pipeline prices lower
+    "flip": (ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec()),
+             (StorageTech.LRC, 2000.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(REPRICING_CASES))
+def test_repriced_model_equals_a_fresh_build(case, monkeypatch, tmp_path, walk_week,
+                                             params):
+    """price_storage moves a solved model to the next trial price: its LP
+    text is then, byte for byte, that of a model built at that price, and
+    its in-place run agrees with a fresh solve of that model within the
+    common output gate, at a point that passes check_feasibility."""
+    sc, price = REPRICING_CASES[case]
+    tech, u_store = price or (StorageTech.PIPELINE, storage_unit_cost(1000.0,
+                                                                      StorageTech.PIPELINE))
+    runs = recording_highs(monkeypatch, tmp_path)
+    model, pvars = build_scenario_model(sc, params, walk_week, u_store, tech)
+    first = model.solve()
+    c_store_kg = first.values[pvars.c_store_kg]
+    new_tech = min(StorageTech, key=lambda t: storage_unit_cost(c_store_kg, t))
+    new_u = storage_unit_cost(c_store_kg, new_tech)
+    assert (new_tech is not tech) is (case == "flip") and new_u != u_store
+    assert (pvars.capex_row is not None) is (case == "capped")
+    economics.price_storage(model, pvars, sc, params, walk_week, new_u, new_tech)
+    fresh, fresh_vars = build_scenario_model(sc, params, walk_week, new_u, new_tech)
+    model.write_lp(tmp_path / "repriced.lp")
+    fresh.write_lp(tmp_path / "fresh.lp")
+    assert (tmp_path / "repriced.lp").read_bytes() == (tmp_path / "fresh.lp").read_bytes()
+
+    got = model.solve(warm=first)
+    ref = fresh.solve()
+    assert [r.in_place for r in runs] == [False, True, False]
+    assert model.check_feasibility(got.values) == []
+    assert got.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+    solved = [np.where(np.abs(s.values[pvars.capacities]) < 1e-7, 0.0,
+                       s.values[pvars.capacities]) for s in (got, ref)]
+    assert solved[0] == pytest.approx(solved[1], rel=1e-9)
+
+
+def test_storage_loop_runs_in_one_session(monkeypatch, tmp_path, walk_week, params):
+    """optimize_plant makes one HiGHS solver on an input that takes two
+    storage rounds, the second after a technology flip: the first run is
+    cold and the re-solve runs in place in it. The solver is released when
+    the loop ends, before extract_dispatch and write_lp, and no solution
+    holds it."""
+    sc, price = REPRICING_CASES["flip"]
+    solvers, seen = [], []
+    runs = recording_highs(monkeypatch, tmp_path, solvers)
+
+    def alive(inner):
+        def wrapped(*args):
+            seen.append([ref() is not None for ref in solvers])
+            return inner(*args)
+        return wrapped
+
+    monkeypatch.setattr(economics, "extract_dispatch", alive(extract_dispatch))
+    monkeypatch.setattr(LpModel, "write_lp", alive(LpModel.write_lp))
+    report, _ = optimize_plant(sc, params, walk_week, export_lp_path=tmp_path / "x.lp",
+                               price=price)
+    assert report.is_optimal and report.converged and report.iterations == 2
+    assert report.storage_tech is not price[0]
+    assert len(solvers) == 1
+    assert [(r.presolve, r.simplex_strategy, r.edge_weights, r.in_place) for r in runs] == [
+        ("on", 0, 1, False), ("off", 0, 1, True)]
+    assert seen == [[False], [False]]
+    held = [getattr(report.solution, f.name) for f in fields(lp.LpSolution)]
+    assert not any(isinstance(value, lp._load_highs()._Highs) for value in held)
+
+
 def assert_matches_cold(scenario, params, dataset, report, breakdown, floor=0.0,
                         price=None):
     """report and breakdown are what a cold optimize_plant of scenario,
@@ -445,12 +520,17 @@ def recorded_command(monkeypatch, tmp_path, argv):
     return code, solves, calls, highs, runs
 
 
-def assert_run_options(calls, highs):
+def assert_run_options(calls, highs, solves):
     """Every cold run has presolve on and every warm run presolve off;
     every run leaves the simplex variant to HiGHS (simplex_strategy 0)
-    and prices dual simplex with devex."""
+    and prices dual simplex with devex. The runs of each optimize_plant
+    call in solves are its storage rounds: the first starts a solver, and
+    each re-solve runs in place in it."""
     assert [r.options for r in highs] == [("off" if warm else "on", 0, 1)
                                           for warm, _ in calls]
+    rounds = [report.iterations for *_, report, _ in solves]
+    assert len(highs) == sum(rounds)
+    assert [r.in_place for r in highs] == [k > 0 for n in rounds for k in range(n)]
 
 
 def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
@@ -464,7 +544,7 @@ def test_seeded_sweep_matches_cold_solves(tmp_path, monkeypatch):
         monkeypatch, tmp_path, ["sweep-re", "--config", str(config), "--points", "5"])
     assert code == 0
     assert runs and set(runs) == {1}
-    assert_run_options(calls, highs)
+    assert_run_options(calls, highs, points)
     assert [p[0].name for p in points] == ["offgrid"] + [f"re_00{i}" for i in range(5)]
     for k, (scenario, params, dataset, first, report, breakdown) in enumerate(points):
         # the offgrid baseline and the first point are cold
@@ -489,7 +569,7 @@ def test_seeded_suite_matches_cold_solves(tmp_path, monkeypatch, capsys):
         monkeypatch, tmp_path, ["suite", "--config", str(config)])
     assert code == 0
     assert runs and set(runs) == {1}
-    assert_run_options(calls, highs)
+    assert_run_options(calls, highs, members)
     assert [m[0].name for m in members] == cli.SUITE_ORDER
     assert all(m[4].is_optimal for m in members)
     out = capsys.readouterr()

@@ -560,21 +560,28 @@ class TestBackend:
         assert model.check_feasibility(got.values) == []
 
     def test_every_run_prices_dual_simplex_with_devex(self, monkeypatch, tmp_path):
-        """One pricing rule: the cold run, a warm primal run and a warm
-        dual run each reach HiGHS with simplex_dual_edge_weight_strategy
-        1 (devex) and simplex_strategy 0, which leaves the variant to
-        HiGHS; only presolve differs, on for the cold run alone."""
+        """One pricing rule: the cold run, a warm primal run, a warm dual
+        run and two in-place runs (one after a cost change, one after a
+        coefficient rewrite) each reach HiGHS with
+        simplex_dual_edge_weight_strategy 1 (devex) and simplex_strategy
+        0, which leaves the variant to HiGHS; only presolve differs, on
+        for the cold run alone."""
         runs = recording_highs(monkeypatch, tmp_path)
         seed = golden_model("split_yearly").solve()                 # cold
         model, pvars = golden_variant("split_yearly")
         scale_cost(model, pvars.c_pv_kw, 2.0)
         assert model.solve(warm=seed).is_optimal                     # warm primal
         # the seed's point breaks this row, so the warm run is dual
-        model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.values[pvars.c_pv_kw], [0],
-                       [pvars.c_pv_kw], [1.0])
-        assert model.solve(warm=seed).is_optimal                     # warm dual
-        assert [r.options for r in runs] == [COLD, WARM, WARM]
-        assert [r.variants[:1] for r in runs] == [("dual",), ("primal",), ("dual",)]
+        [half] = model.add_rows(["pv_half"], Sense.LE, 0.5 * seed.values[pvars.c_pv_kw],
+                                [0], [pvars.c_pv_kw], [1.0])
+        dual = model.solve(warm=seed)                                # warm dual
+        scale_cost(model, pvars.c_wind_kw, 1.5)
+        priced = model.solve(warm=dual)                              # in place
+        model.rewrite([half], [pvars.c_pv_kw], [2.0])
+        assert model.solve(warm=priced).is_optimal                   # in place
+        assert [r.options for r in runs] == [COLD, WARM, WARM, WARM, WARM]
+        assert [r.in_place for r in runs] == [False, False, False, True, True]
+        assert [r.variants[:1] for r in runs[:3]] == [("dual",), ("primal",), ("dual",)]
 
     def test_seed_of_a_model_without_rows_starts_every_row_basic(self, monkeypatch):
         m = LpModel()
@@ -852,6 +859,115 @@ class TestBackend:
         assert f"scipy {scipy.__version__} is installed" in message
         assert lp._HIGHS_MODULE not in sys.modules
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestSession:
+    """The HiGHS solver a model keeps from its last optimal run, and the
+    in-place runs it makes."""
+
+    def test_rewrite_of_an_entry_the_model_lacks_raises(self):
+        m = LpModel()
+        x, y = m.add_variables(["x", "y"], 0.0, 4.0)
+        m.add_rows(["r0", "r1"], Sense.LE, 3.0, [0, 0, 1], [x, y, y], [1.0, 2.0, 1.0])
+        held = read_back(m)
+        for rows, cols, coefs, says in [
+                ([1], [x], [1.0], "constraint 1 holds no entry on variable 0"),
+                ([2], [x], [1.0], "constraint 2 holds no entry on variable 0"),
+                ([0], [2], [1.0], "constraint 0 holds no entry on variable 2"),
+                ([-1], [y], [1.0], "constraint -1 holds no entry on variable 1"),
+                ([0, 1], [x, x], [5.0, 5.0], "constraint 1 holds no entry on variable 0"),
+                ([0], [y], [0.0], "coefficient 0.0 on variable 1 in constraint 0"),
+                ([0], [y], [math.nan], "coefficient nan on variable 1 in constraint 0"),
+                ([0, 1], [y], [1.0], "one row, variable and coefficient per entry")]:
+            with pytest.raises(ValueError, match=re.escape(says)):
+                m.rewrite(rows, cols, coefs)
+        # a refused rewrite changes nothing
+        assert read_back(m) == held
+        m.rewrite([1, 0], [y, x], [-1.5, 7.0])
+        assert [row.coeffs for row in read_back(m).rows.values()] == [
+            {x: 7.0, y: 2.0}, {y: -1.5}]
+
+    def test_in_place_run_reaches_a_fresh_solve(self, monkeypatch, tmp_path):
+        """After a cost change and a coefficient rewrite, a solve from the
+        model's own last solution runs in place, in the solver of that
+        run, and ends where a fresh model with those entries ends."""
+        runs = recording_highs(monkeypatch, tmp_path)
+        model, pvars = golden_variant("split_yearly")
+        first = model.solve()
+        scale_cost(model, pvars.c_pv_kw, 2.0)
+        model.rewrite(pvars.comp2_rows, pvars.h_comp2_kg, np.full(pvars.horizon, -1.5))
+        calls = recording_backend(monkeypatch)
+        got = model.solve(warm=first)
+        assert [w for w, _ in calls] == [True]
+        fresh, fresh_vars = golden_variant("split_yearly")
+        scale_cost(fresh, fresh_vars.c_pv_kw, 2.0)
+        fresh.rewrite(fresh_vars.comp2_rows, fresh_vars.h_comp2_kg,
+                      np.full(fresh_vars.horizon, -1.5))
+        ref = fresh.solve()
+        assert [(r.options, r.in_place) for r in runs] == [(COLD, False), (WARM, True),
+                                                           (COLD, False)]
+        assert got.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+        assert model.check_feasibility(got.values) == []
+
+    def test_only_the_last_solution_runs_in_place(self, monkeypatch, tmp_path):
+        """An earlier solution of the same model, or another model's,
+        starts a new solver from its basis."""
+        runs = recording_highs(monkeypatch, tmp_path)
+        model = golden_model("split_yearly")
+        first = model.solve()
+        second = model.solve(warm=first)
+        model.solve(warm=first)
+        golden_model("split_yearly").solve(warm=second)
+        assert [(r.options, r.in_place) for r in runs] == [
+            (COLD, False), (WARM, True), (WARM, False), (WARM, False)]
+
+    def test_adding_rows_or_variables_drops_the_session(self, monkeypatch, tmp_path):
+        """A model with rows added since its last solve starts a new
+        solver from that solution's basis, matched by name; one with
+        variables added starts cold."""
+        runs = recording_highs(monkeypatch, tmp_path)
+        model, pvars = golden_variant("split_yearly")
+        first = model.solve()
+        model.add_rows(["pv_cap"], Sense.LE, 2.0 * first.values[pvars.c_pv_kw], [0],
+                       [pvars.c_pv_kw], [1.0])
+        second = model.solve(warm=first)
+        model.add_variables(["spare"], 0.0, 1.0)
+        assert model.solve(warm=second).is_optimal
+        assert [(r.options, r.in_place) for r in runs] == [
+            (COLD, False), (WARM, False), (COLD, False)]
+
+    def test_non_optimal_in_place_run_falls_back_to_cold(self, monkeypatch, tmp_path):
+        """An in-place run that does not end optimal is followed by a cold
+        run in a new solver, which the next in-place run goes on in."""
+        runs = recording_highs(monkeypatch, tmp_path)
+        model, pvars = golden_variant("offgrid_night")
+        first = model.solve()
+        scale_cost(model, pvars.c_pv_kw, 2.0)
+        with monkeypatch.context() as mp:
+            calls = recording_backend(mp, lambda start: (
+                LpSolution(LpStatus.SOLVER_FAILURE, math.nan, None, "forced limit", 0)
+                if start is not None else None))
+            got = model.solve(warm=first)
+        assert [w for w, _ in calls] == [True, False]
+        # the forced in-place result makes no HiGHS run
+        assert [(r.options, r.in_place) for r in runs] == [(COLD, False), (COLD, False)]
+        assert model.solve(warm=got).nit == 0
+        assert [(r.options, r.in_place) for r in runs[2:]] == [(WARM, True)]
+        fresh, fresh_vars = golden_variant("offgrid_night")
+        scale_cost(fresh, fresh_vars.c_pv_kw, 2.0)
+        assert got.values.tobytes() == fresh.solve().values.tobytes()
+
+    def test_end_session_releases_the_solver(self, monkeypatch, tmp_path):
+        solvers = []
+        runs = recording_highs(monkeypatch, tmp_path, solvers)
+        model = golden_model("offgrid_night")
+        first = model.solve()
+        assert [ref() is not None for ref in solvers] == [True]
+        model.end_session()
+        assert [ref() for ref in solvers] == [None]
+        # no session: the last solution's basis starts a new solver
+        model.solve(warm=first)
+        assert [(r.options, r.in_place) for r in runs] == [(COLD, False), (WARM, False)]
 
 
 class TestWriteLp:
