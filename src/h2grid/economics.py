@@ -10,13 +10,16 @@ directly. optimize_plant therefore iterates: solve at a trial unit cost,
 re-price storage at the resulting capacity with the technology whose
 curve is the cheaper there, and stop once the technology holds and the
 price moves by at most STORAGE_CONVERGENCE_REL (1%), keeping the last
-trial price. The scenario's model is built once; price_storage, which
-also prices the built model, re-prices it for each later round (c_store's
-cost, the capex_cap row's c_store coefficient when capped, the comp2
-rows' -mu_comp2), and the re-solve runs in place in the HiGHS solver of
-the round before, from its optimal basis (see LpModel.solve). The first
-solve can start from the final solution of a similar scenario (a sweep's
-previous point, or an earlier suite member), in a new solver.
+trial price. The scenario's model is built once, and price_storage
+re-prices it for each later round (c_store's cost, the capex_cap row's
+c_store coefficient when capped, the comp2 rows' -mu_comp2 after a
+technology flip); the re-solve runs in place in the HiGHS solver of the
+round before, from its optimal basis (see LpModel.solve). Only a flip to
+or from a zero mu_comp2, which changes which entries the model holds,
+builds it anew, and that re-solve starts a new solver from the last
+basis. The first solve can start from the final solution of a similar
+scenario (a sweep's previous point, or an earlier suite member), in a
+new solver.
 """
 
 from __future__ import annotations
@@ -158,19 +161,13 @@ def build_scenario_model(scenario: ScenarioSpec, params: PlantParameters,
     if scenario.capex_cap_usd is not None:
         pvars.capex_row = apply_capex_cap(model, pvars, params, u_store,
                                           scenario.capex_cap_usd)
-    price_storage(model, pvars, scenario, params, dataset, u_store, tech)
+    _set_costs(model, pvars, scenario, params, dataset, u_store)
     return model, pvars
 
 
-def price_storage(model: LpModel, pvars: PlantVars, scenario: ScenarioSpec,
-                  params: PlantParameters, dataset: Dataset, u_store: float,
-                  tech: StorageTech) -> None:
-    """Price storage in a model of build_scenario_model at unit cost
-    u_store with technology tech: the objective, in which c_store costs
-    u_store annualised; the capex_cap row's c_store coefficient, when
-    capped; and the comp2 rows' -mu_comp2. The model then equals, entry
-    for entry, one built at that price, and it keeps its HiGHS session,
-    so optimize_plant re-prices it in place for each later round."""
+def _set_costs(model: LpModel, pvars: PlantVars, scenario: ScenarioSpec,
+               params: PlantParameters, dataset: Dataset, u_store: float) -> None:
+    """The model's objective, in which c_store costs u_store annualised."""
     terms = cost_terms(scenario, params, dataset, u_store)
     # fixed costs of the four capacities, then trade; minimizing annual
     # cost is exact for LCOH because annual hydrogen mass is fixed by the
@@ -180,12 +177,31 @@ def price_storage(model: LpModel, pvars: PlantVars, scenario: ScenarioSpec,
         np.concatenate([terms.capital + terms.fom, terms.import_price,
                         -terms.export_price]),
         terms.vom)
-    rows, cols = pvars.comp2_rows, pvars.h_comp2_kg
-    coefs = np.full(pvars.horizon, -tech.mu_comp2(params))
+
+
+def price_storage(model: LpModel, pvars: PlantVars, scenario: ScenarioSpec,
+                  params: PlantParameters, dataset: Dataset, u_store: float,
+                  tech: StorageTech) -> tuple[LpModel, PlantVars]:
+    """The model of build_scenario_model for scenario, re-priced at unit
+    cost u_store with technology tech, and its handles; the result
+    equals, entry for entry, a model built at that price.
+
+    It is re-priced in place, keeping its HiGHS session, so its re-solve
+    runs on in the solver of its last run (see LpModel.solve): the
+    objective, the capex_cap row's c_store coefficient when capped, and
+    after a technology flip the comp2 rows' -mu_comp2. A zero mu_comp2 is
+    no entry, so a flip to or from one changes which entries the model
+    holds; the model is then built anew at the price."""
+    mu_comp2 = tech.mu_comp2(params)
+    if mu_comp2 != pvars.mu_comp2 and 0.0 in (mu_comp2, pvars.mu_comp2):
+        return build_scenario_model(scenario, params, dataset, u_store, tech)
+    _set_costs(model, pvars, scenario, params, dataset, u_store)
     if pvars.capex_row is not None:
-        rows, cols = np.append(rows, pvars.capex_row), np.append(cols, pvars.c_store_kg)
-        coefs = np.append(coefs, u_store)
-    model.rewrite(rows, cols, coefs)
+        model.rewrite([pvars.capex_row], [pvars.c_store_kg], [u_store])
+    if mu_comp2 != pvars.mu_comp2:
+        model.rewrite(pvars.comp2_rows, pvars.h_comp2_kg, np.full(pvars.horizon, -mu_comp2))
+        pvars.mu_comp2 = mu_comp2
+    return model, pvars
 
 
 def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
@@ -200,7 +216,8 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
     cost moves less than 1% with a stable technology choice (at most 20
     solves). The model is built once and re-priced in place
     (price_storage); each re-solve runs in place in the previous round's
-    HiGHS solver, which is released when the loop ends. Returns the
+    HiGHS solver, which is released when the loop ends (after a flip to
+    or from a zero mu_comp2 the model is built anew). Returns the
     report plus a cost breakdown when optimal; the report's solution is
     the last solve's. An optimum whose dispatch fails verify_conservation
     is a solver failure that names the first problem.
@@ -228,7 +245,8 @@ def optimize_plant(scenario: ScenarioSpec, params: PlantParameters,
             # only c_store's cost and capex_cap coefficient move (and the
             # comp2 coefficients after a technology flip), so the last
             # round's solver goes on from its optimal basis
-            price_storage(model, pvars, scenario, params, dataset, u_store, tech)
+            model, pvars = price_storage(model, pvars, scenario, params, dataset,
+                                         u_store, tech)
         solution = model.solve(warm=solution)
         if not solution.is_optimal:
             break

@@ -210,11 +210,14 @@ class LpModel:
             raise ValueError("need one row, variable and coefficient per entry")
         _, _, _, _, A = self._arrays()
         m, n = A.shape
+        valid = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
         # the held entries are sorted by (row, column) (see _merge), so each
-        # one is found by bisection on row * n + column
-        held = self._rows[0][2] * n + A.indices
-        keys = np.where((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n),
-                        rows * n + cols, -1)
+        # one is found by bisection on row * n + column, among the entries
+        # of the rows from the first to the last one named
+        first, last = (rows[valid].min(), rows[valid].max()) if valid.any() else (0, -1)
+        lo, hi = A.indptr[first], A.indptr[last + 1]
+        held = self._rows[0][2][lo:hi] * n + A.indices[lo:hi]
+        keys = np.where(valid, rows * n + cols, -1)
         at = np.searchsorted(held, keys)
         found = at < held.size
         found[found] = held[at[found]] == keys[found]
@@ -223,6 +226,7 @@ class LpModel:
         for i in np.flatnonzero((coefs == 0.0) | ~np.isfinite(coefs))[:1]:
             raise ValueError(f"coefficient {coefs[i]} on variable {cols[i]} in constraint "
                              f"{rows[i]} would change the entries the model holds")
+        at += lo
         self._rewritten.append(at[A.data[at] != coefs])
         A.data[at] = coefs
 

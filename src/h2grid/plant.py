@@ -53,7 +53,9 @@ class PlantVars:
     # per-kW-installed generation coefficients: gen_wind_kw[t] = a_wind[t] * c_wind_kw
     a_wind: np.ndarray
     a_pv: np.ndarray
-    # the comp2 row of each hour, with -mu_comp2 on h_comp2_kg
+    # the storage compressor's kWh/kg: the comp2 row of each hour puts
+    # -mu_comp2 on h_comp2_kg, and holds no entry there when it is zero
+    mu_comp2: float
     comp2_rows: np.ndarray
     # the capex_cap row, with the storage unit cost on c_store_kg, when capped
     capex_row: int | None = None
@@ -218,7 +220,7 @@ def build_plant(params: PlantParameters, ref_wind: HourlySeries,
         h_el_kg=h_el_kg, h_comp1_kg=h_comp1_kg, h_comp2_kg=h_comp2_kg,
         h_from_store_kg=h_from_store_kg, soc_kg=soc_kg,
         c_wind_kw=c_wind_kw, c_pv_kw=c_pv_kw, c_el_kw=c_el_kw, c_store_kg=c_store_kg,
-        soc0_kg=soc0_kg, a_wind=a_wind, a_pv=a_pv,
+        soc0_kg=soc0_kg, a_wind=a_wind, a_pv=a_pv, mu_comp2=mu_comp2,
         comp2_rows=hourly[:, [name for name, *_ in families].index("comp2")],
     )
 

@@ -59,8 +59,9 @@ def apply_emission_cap(model: LpModel, pvars: PlantVars,
 def apply_capex_cap(model: LpModel, pvars: PlantVars, params: PlantParameters,
                     storage_unit_cost: float, cap_usd: float) -> int:
     """Cap total (un-annualized) capital cost. Storage enters at the unit
-    cost currently selected by the sizing loop, so the cap is refreshed on
-    every iteration of that loop."""
+    cost currently selected by the sizing loop, which rewrites that
+    coefficient for each later round (economics.price_storage). Returns
+    the row's id."""
     capex, _ = params.capacity_costs(storage_unit_cost)
     return int(model.add_rows(["capex_cap"], Sense.LE, cap_usd, np.zeros(4, dtype=int),
                               pvars.capacities, capex)[0])

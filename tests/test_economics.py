@@ -380,15 +380,21 @@ def test_warm_storage_loop_matches_cold(monkeypatch, walk_week, params):
         assert warm_nit < cold_nit
 
 
-# (scenario, first trial price) per case; each first solve moves the price
+ISLAND = ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec())
+# a cavern priced at 2000 USD/kg buys a store the pipeline prices lower
+CAVERN_AT_2000 = (StorageTech.LRC, 2000.0)
+# (scenario, first trial price, plant parameters changed) per case; each
+# first solve moves the price. A zero mu_comp2 is no entry of the comp2
+# rows, so a flip to or from one builds the model anew.
 REPRICING_CASES = {
-    "uncapped": (ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec()),
-                 None),
-    "capped": (COST_TABLE_CASES["capped"][1], None),
-    # a cavern priced at 2000 USD/kg buys a store the pipeline prices lower
-    "flip": (ScenarioSpec("island", Mode.OFF_GRID, CoLocated("Z1"), CapacitySpec()),
-             (StorageTech.LRC, 2000.0)),
+    "uncapped": (ISLAND, None, {}),
+    "capped": (COST_TABLE_CASES["capped"][1], None, {}),
+    "flip": (ISLAND, CAVERN_AT_2000, {}),
+    "zero-mu-comp2": (ISLAND, None, {"mu_comp2_pipeline": 0.0}),
+    "flip-to-zero-mu-comp2": (ISLAND, CAVERN_AT_2000, {"mu_comp2_pipeline": 0.0}),
+    "flip-from-zero-mu-comp2": (ISLAND, CAVERN_AT_2000, {"mu_comp2_lrc": 0.0}),
 }
+REBUILT_CASES = ("flip-to-zero-mu-comp2", "flip-from-zero-mu-comp2")
 
 
 @pytest.mark.parametrize("case", list(REPRICING_CASES))
@@ -396,9 +402,13 @@ def test_repriced_model_equals_a_fresh_build(case, monkeypatch, tmp_path, walk_w
                                              params):
     """price_storage moves a solved model to the next trial price: its LP
     text is then, byte for byte, that of a model built at that price, and
-    its in-place run agrees with a fresh solve of that model within the
-    common output gate, at a point that passes check_feasibility."""
-    sc, price = REPRICING_CASES[case]
+    its re-solve agrees with a fresh solve of that model within the
+    common output gate, at a point that passes check_feasibility. The
+    re-solve runs in place, except after a flip to or from a zero
+    mu_comp2, where the model is built anew and starts a new solver from
+    the last basis."""
+    sc, price, changed = REPRICING_CASES[case]
+    params = replace(params, **changed)
     tech, u_store = price or (StorageTech.PIPELINE, storage_unit_cost(1000.0,
                                                                       StorageTech.PIPELINE))
     runs = recording_highs(monkeypatch, tmp_path)
@@ -407,22 +417,48 @@ def test_repriced_model_equals_a_fresh_build(case, monkeypatch, tmp_path, walk_w
     c_store_kg = first.values[pvars.c_store_kg]
     new_tech = min(StorageTech, key=lambda t: storage_unit_cost(c_store_kg, t))
     new_u = storage_unit_cost(c_store_kg, new_tech)
-    assert (new_tech is not tech) is (case == "flip") and new_u != u_store
+    assert (new_tech is not tech) is case.startswith("flip") and new_u != u_store
     assert (pvars.capex_row is not None) is (case == "capped")
-    economics.price_storage(model, pvars, sc, params, walk_week, new_u, new_tech)
-    fresh, fresh_vars = build_scenario_model(sc, params, walk_week, new_u, new_tech)
-    model.write_lp(tmp_path / "repriced.lp")
+    repriced, pvars = economics.price_storage(model, pvars, sc, params, walk_week,
+                                              new_u, new_tech)
+    assert (repriced is model) is (case not in REBUILT_CASES)
+    fresh, _ = build_scenario_model(sc, params, walk_week, new_u, new_tech)
+    repriced.write_lp(tmp_path / "repriced.lp")
     fresh.write_lp(tmp_path / "fresh.lp")
     assert (tmp_path / "repriced.lp").read_bytes() == (tmp_path / "fresh.lp").read_bytes()
 
-    got = model.solve(warm=first)
+    got = repriced.solve(warm=first)
     ref = fresh.solve()
-    assert [r.in_place for r in runs] == [False, True, False]
-    assert model.check_feasibility(got.values) == []
+    assert [r.in_place for r in runs] == [False, case not in REBUILT_CASES, False]
+    assert [r.presolve for r in runs] == ["on", "off", "on"]
+    assert repriced.check_feasibility(got.values) == []
     assert got.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
     solved = [np.where(np.abs(s.values[pvars.capacities]) < 1e-7, 0.0,
                        s.values[pvars.capacities]) for s in (got, ref)]
     assert solved[0] == pytest.approx(solved[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(REPRICING_CASES))
+def test_storage_loop_matches_a_rebuild_per_round(case, monkeypatch, walk_week, params):
+    """optimize_plant, which re-prices one model in place, reports what
+    the loop reports when it builds each round's model anew and
+    warm-starts it from the last round's basis: the same status, storage
+    rounds, convergence and technology, and the unit cost, LCOH and
+    capacities within 1e-9 relative."""
+    sc, price, changed = REPRICING_CASES[case]
+    params = replace(params, **changed)
+    got, got_cost = optimize_plant(sc, params, walk_week, price=price)
+    with monkeypatch.context() as mp:
+        mp.setattr(economics, "price_storage",
+                   lambda model, pvars, *price: build_scenario_model(*price))
+        ref, ref_cost = optimize_plant(sc, params, walk_week, price=price)
+    assert got.is_optimal and got.iterations > 1
+    assert (got.status, got.iterations, got.converged, got.storage_tech) == (
+        ref.status, ref.iterations, ref.converged, ref.storage_tech)
+    assert [got.storage_unit_cost_usd_per_kg, got_cost.lcoh_usd_per_kg] == pytest.approx(
+        [ref.storage_unit_cost_usd_per_kg, ref_cost.lcoh_usd_per_kg], rel=1e-9)
+    assert [0.0 if abs(v) < 1e-7 else v for v in got.capacities.values()] == pytest.approx(
+        [0.0 if abs(v) < 1e-7 else v for v in ref.capacities.values()], rel=1e-9)
 
 
 def test_storage_loop_runs_in_one_session(monkeypatch, tmp_path, walk_week, params):
@@ -431,7 +467,7 @@ def test_storage_loop_runs_in_one_session(monkeypatch, tmp_path, walk_week, para
     cold and the re-solve runs in place in it. The solver is released when
     the loop ends, before extract_dispatch and write_lp, and no solution
     holds it."""
-    sc, price = REPRICING_CASES["flip"]
+    sc, price, _ = REPRICING_CASES["flip"]
     solvers, seen = [], []
     runs = recording_highs(monkeypatch, tmp_path, solvers)
 

@@ -173,9 +173,9 @@ def test_fixed_capacity_bounds_are_respected(flat_week, params):
 def test_every_dispatch_field_is_a_handle_or_generation():
     """extract_dispatch fills each Dispatch field from the PlantVars handle
     of its name, so a field without a handle would go unfilled; only the
-    generation follows from the solved capacities. The row handles fill
-    no field."""
-    handles = {f.name for f in fields(PlantVars)} - {"horizon", "a_wind", "a_pv",
+    generation follows from the solved capacities. The row handles and
+    mu_comp2 fill no field."""
+    handles = {f.name for f in fields(PlantVars)} - {"horizon", "a_wind", "a_pv", "mu_comp2",
                                                      "comp2_rows", "capex_row"}
     assert {f.name for f in fields(Dispatch)} == handles | {"gen_wind_kw", "gen_pv_kw"}
 
